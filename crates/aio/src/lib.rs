@@ -31,12 +31,17 @@
 //! listener is taken out of the interest set for a capped,
 //! exponentially growing pause instead of spinning, and every such
 //! error is counted and reported to [`Driver::on_accept_error`].
+//!
+//! Thread-per-connection listeners borrow one thing from here:
+//! [`ReadyWait`] parks their accept loop on the listener's readiness.
 
 #![forbid(unsafe_op_in_unsafe_fn)]
 #![warn(missing_docs)]
 
 mod reactor;
+mod ready;
 pub mod rlimit;
 
 pub use polling::Backend;
 pub use reactor::{CloseReason, ConnId, Ctl, Driver, EventLoop, LoopConfig, LoopHandle, TimerId};
+pub use ready::ReadyWait;

@@ -2,16 +2,16 @@
 //!
 //! Raw software speed of the two engine realizations — the clock-driven
 //! simulator (packets per simulated clock are fixed; this measures
-//! wall-clock per simulated packet) and the real-threaded engine
-//! (actual Mpps on this machine).
+//! wall-clock per simulated packet) and the real-threaded engine of
+//! `clue-router` (actual Mpps on this machine).
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
 
 use clue_compress::onrtc;
 use clue_core::engine::{Engine, EngineConfig};
-use clue_core::threads::{run_threaded, ThreadedConfig};
 use clue_fib::gen::FibGen;
+use clue_router::RouterConfig;
 use clue_traffic::PacketGen;
 
 fn bench_engines(c: &mut Criterion) {
@@ -30,10 +30,11 @@ fn bench_engines(c: &mut Criterion) {
     });
     group.bench_function("threaded_4chips", |b| {
         b.iter(|| {
-            black_box(run_threaded(
+            black_box(clue_router::run(
                 &fib,
                 black_box(&trace),
-                ThreadedConfig::default(),
+                &[],
+                &RouterConfig::default(),
             ))
         });
     });

@@ -35,7 +35,6 @@
 
 #![warn(missing_docs)]
 
-mod evproxy;
 pub mod primary;
 pub mod proxy;
 pub mod repl;

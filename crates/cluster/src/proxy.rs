@@ -31,25 +31,29 @@
 //!
 //! ## Transports
 //!
-//! [`ProxyConfig::transport`] picks the client-facing architecture:
-//! [`Transport::Threads`] serves each client on its own thread (one
-//! set of backend connections per thread), while [`Transport::Evloop`]
-//! multiplexes every client onto one `clue-aio` reactor and runs the
-//! blocking backend fan-out on a bridge pool (`crate::evproxy`), so a
-//! single proxy process holds tens of thousands of client downstreams
-//! plus all shard upstreams. Frame semantics are identical.
+//! The proxy is a [`FrameHandler`] behind a [`Listener`], with each
+//! client's backend connection set as the handler's per-connection
+//! state, so [`ProxyConfig::transport`] picks the client-facing driver
+//! exactly as it does for a shard server — under
+//! [`Transport::Evloop`] a single proxy process holds tens of
+//! thousands of client downstreams plus all shard upstreams — and
+//! frame semantics are the shared
+//! [frame handler contract](clue_net::listener).
 
-use std::io::{self, ErrorKind, Read};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io;
+use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
+use clue_core::codec::bad_data;
 use clue_fib::Update;
 use clue_net::frame::{Frame, FrameType};
 use clue_net::wire;
-use clue_net::{ClientConfig, Connection, Transport};
+use clue_net::{
+    ClientConfig, Connection, FrameHandler, Listener, ListenerConfig, NetStats, Transport,
+};
 
 use crate::rpc;
 use crate::shardmap::ShardMap;
@@ -112,7 +116,7 @@ fn backend_cfg(addr: &str) -> ClientConfig {
     }
 }
 
-pub(crate) struct ShardEndpoint {
+struct ShardEndpoint {
     primary: String,
     standby: Option<String>,
     active: Mutex<String>,
@@ -124,10 +128,12 @@ pub(crate) struct ShardEndpoint {
     failover_ms: Mutex<Option<f64>>,
 }
 
-pub(crate) struct Shared {
-    pub(crate) map: ShardMap,
-    pub(crate) shards: Vec<ShardEndpoint>,
-    pub(crate) last_acked: AtomicU64,
+/// The proxy's state, and — as the [`FrameHandler`] every client
+/// connection runs — the proxy tier itself.
+struct Shared {
+    map: ShardMap,
+    shards: Vec<ShardEndpoint>,
+    last_acked: AtomicU64,
     lookups: AtomicU64,
     updates: AtomicU64,
     update_fanout: AtomicU64,
@@ -144,7 +150,7 @@ impl Shared {
     /// Idempotent: concurrent callers serialize on the promotion lock
     /// and every caller after the first returns the already-promoted
     /// address.
-    fn promote(&self, i: usize, _cfg: &ProxyConfig) -> io::Result<String> {
+    fn promote(&self, i: usize) -> io::Result<String> {
         let shard = &self.shards[i];
         let _guard = shard.promote_lock.lock().expect("promote lock");
         if shard.promoted.load(Ordering::Acquire) {
@@ -181,24 +187,10 @@ impl Shared {
     }
 }
 
-/// The transport-specific running half of a [`Proxy`].
-enum Runtime {
-    /// Thread-per-client: the accept loop joins its workers on exit.
-    Threads { accept: JoinHandle<()> },
-    /// Every client on one reactor; backend fan-out on a bridge pool.
-    Evloop {
-        handle: clue_aio::LoopHandle<crate::evproxy::EvMsg>,
-        event_loop: JoinHandle<()>,
-        workers: Vec<JoinHandle<()>>,
-    },
-}
-
 /// A running proxy.
 pub struct Proxy {
-    local_addr: SocketAddr,
+    listener: Listener,
     shared: Arc<Shared>,
-    shutdown: Arc<AtomicBool>,
-    runtime: Option<Runtime>,
     monitor: Option<JoinHandle<()>>,
 }
 
@@ -210,7 +202,6 @@ impl Proxy {
     /// Bind failures.
     pub fn start(cfg: ProxyConfig) -> io::Result<Proxy> {
         let listener = TcpListener::bind(&cfg.listen)?;
-        let local_addr = listener.local_addr()?;
         let shards = cfg
             .map
             .shards()
@@ -237,38 +228,25 @@ impl Proxy {
             failovers: AtomicU64::new(0),
             started: Instant::now(),
         });
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let runtime = match cfg.transport {
-            Transport::Threads => {
-                listener.set_nonblocking(true)?;
-                let cfg = cfg.clone();
-                let shared = Arc::clone(&shared);
-                let shutdown = Arc::clone(&shutdown);
-                Runtime::Threads {
-                    accept: thread::spawn(move || accept_loop(&listener, &cfg, &shared, &shutdown)),
-                }
-            }
-            Transport::Evloop => {
-                let (handle, event_loop, workers) =
-                    crate::evproxy::start(listener, &cfg, &shared, &shutdown)?;
-                Runtime::Evloop {
-                    handle,
-                    event_loop,
-                    workers,
-                }
-            }
-        };
+        let listener = Listener::start(
+            listener,
+            Arc::clone(&shared),
+            Arc::new(NetStats::new()),
+            ListenerConfig {
+                transport: cfg.transport,
+                bridge_threads: cfg.bridge_threads,
+                idle_poll: cfg.idle_poll,
+                io_timeout: cfg.io_timeout,
+            },
+        )?;
         let monitor = {
-            let cfg = cfg.clone();
             let shared = Arc::clone(&shared);
-            let shutdown = Arc::clone(&shutdown);
+            let shutdown = listener.shutdown_flag();
             thread::spawn(move || monitor_loop(&cfg, &shared, &shutdown))
         };
         Ok(Proxy {
-            local_addr,
+            listener,
             shared,
-            shutdown,
-            runtime: Some(runtime),
             monitor: Some(monitor),
         })
     }
@@ -276,7 +254,14 @@ impl Proxy {
     /// The bound client-facing address.
     #[must_use]
     pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
+        self.listener.local_addr()
+    }
+
+    /// The client-facing network counters (connections, frames,
+    /// protocol and accept errors).
+    #[must_use]
+    pub fn net_stats(&self) -> &NetStats {
+        self.listener.net_stats()
     }
 
     /// Completed failovers.
@@ -311,47 +296,28 @@ impl Proxy {
         proxy_stats_json(&self.shared, None)
     }
 
-    /// Stops the listener and monitor. Backend connections owned by
-    /// per-client threads close as those clients disconnect.
-    pub fn stop(mut self) {
-        self.stop_and_join();
-    }
-
-    fn stop_and_join(&mut self) {
-        self.shutdown.store(true, Ordering::Release);
-        if let Some(h) = self.monitor.take() {
-            let _ = h.join();
-        }
-        match self.runtime.take() {
-            Some(Runtime::Threads { accept }) => {
-                let _ = accept.join();
-            }
-            Some(Runtime::Evloop {
-                handle,
-                event_loop,
-                workers,
-            }) => {
-                let _ = handle.send(crate::evproxy::EvMsg::Shutdown);
-                let _ = event_loop.join();
-                for w in workers {
-                    let _ = w.join();
-                }
-            }
-            None => {}
-        }
+    /// Stops the monitor and drains the listener; each client's backend
+    /// connections close with it.
+    pub fn stop(self) {
+        drop(self);
     }
 }
 
 impl Drop for Proxy {
     fn drop(&mut self) {
-        self.stop_and_join();
+        // One flag stops both: the monitor reads the listener's.
+        self.listener.request_shutdown();
+        if let Some(h) = self.monitor.take() {
+            let _ = h.join();
+        }
+        // The listener finishes its drain as it drops.
     }
 }
 
 /// Stable-ordered proxy stats. `backends` supplies each shard's
 /// verbatim stats JSON when available (the per-connection stats path
 /// queries live backends; the local path embeds `null`).
-pub(crate) fn proxy_stats_json(shared: &Shared, backends: Option<Vec<Option<String>>>) -> String {
+fn proxy_stats_json(shared: &Shared, backends: Option<Vec<Option<String>>>) -> String {
     let mut out = format!(
         "{{\"role\":\"proxy\",\"uptime_ms\":{},\"shards\":{},\"acked_hw\":{},\
          \"lookups\":{},\"updates\":{},\"update_fanout\":{},\"failovers\":{},\"per_shard\":[",
@@ -400,12 +366,12 @@ pub(crate) fn proxy_stats_json(shared: &Shared, backends: Option<Vec<Option<Stri
     out
 }
 
-fn monitor_loop(cfg: &ProxyConfig, shared: &Arc<Shared>, shutdown: &Arc<AtomicBool>) {
+fn monitor_loop(cfg: &ProxyConfig, shared: &Arc<Shared>, shutdown: &AtomicBool) {
     let mut nonce = 0u64;
-    while !shutdown.load(Ordering::Acquire) {
+    while !shutdown.load(Ordering::SeqCst) {
         thread::sleep(cfg.heartbeat_every);
         for (i, shard) in shared.shards.iter().enumerate() {
-            if shutdown.load(Ordering::Acquire) {
+            if shutdown.load(Ordering::SeqCst) {
                 return;
             }
             nonce += 1;
@@ -426,48 +392,21 @@ fn monitor_loop(cfg: &ProxyConfig, shared: &Arc<Shared>, shutdown: &Arc<AtomicBo
                     && !shard.promoted.load(Ordering::Acquire)
                     && shard.standby.is_some()
                 {
-                    let _ = shared.promote(i, cfg);
+                    let _ = shared.promote(i);
                 }
             }
         }
     }
 }
 
-fn accept_loop(
-    listener: &TcpListener,
-    cfg: &ProxyConfig,
-    shared: &Arc<Shared>,
-    shutdown: &Arc<AtomicBool>,
-) {
-    let mut workers: Vec<JoinHandle<()>> = Vec::new();
-    while !shutdown.load(Ordering::Acquire) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                let cfg = cfg.clone();
-                let shared = Arc::clone(shared);
-                let shutdown = Arc::clone(shutdown);
-                workers.push(thread::spawn(move || {
-                    serve_client(&stream, &cfg, &shared, &shutdown);
-                }));
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => thread::sleep(cfg.idle_poll),
-            Err(_) => thread::sleep(cfg.idle_poll),
-        }
-        workers.retain(|w| !w.is_finished());
-    }
-    for w in workers {
-        let _ = w.join();
-    }
-}
-
 /// Per-client backend connections, opened lazily, re-pointed on
 /// failover.
-pub(crate) struct Backends {
+struct Backends {
     conns: Vec<Option<Connection>>,
 }
 
 impl Backends {
-    pub(crate) fn new(n: usize) -> Backends {
+    fn new(n: usize) -> Backends {
         Backends {
             conns: (0..n).map(|_| None).collect(),
         }
@@ -475,11 +414,10 @@ impl Backends {
 
     /// Runs `op` against shard `i`'s active backend, promoting the
     /// shard's standby and retrying when the backend fails.
-    pub(crate) fn op<T>(
+    fn op<T>(
         &mut self,
         i: usize,
         shared: &Shared,
-        cfg: &ProxyConfig,
         mut op: impl FnMut(&mut Connection) -> io::Result<T>,
     ) -> io::Result<T> {
         let mut last_err: Option<io::Error> = None;
@@ -499,7 +437,7 @@ impl Backends {
                     Ok(c) => self.conns[i].insert(c),
                     Err(e) => {
                         last_err = Some(e);
-                        let _ = shared.promote(i, cfg);
+                        let _ = shared.promote(i);
                         continue;
                     }
                 },
@@ -509,14 +447,14 @@ impl Backends {
                 Err(e) => {
                     last_err = Some(e);
                     // Eager failover: do not wait for the monitor.
-                    let _ = shared.promote(i, cfg);
+                    let _ = shared.promote(i);
                 }
             }
         }
         Err(last_err.unwrap_or_else(|| io::Error::other("backend op failed")))
     }
 
-    pub(crate) fn close_all(&mut self) {
+    fn close_all(&mut self) {
         for c in &mut self.conns {
             if let Some(conn) = c.take() {
                 let _ = conn.close();
@@ -525,108 +463,70 @@ impl Backends {
     }
 }
 
-fn serve_client(
-    stream: &TcpStream,
-    cfg: &ProxyConfig,
-    shared: &Arc<Shared>,
-    shutdown: &Arc<AtomicBool>,
-) {
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_write_timeout(Some(cfg.io_timeout));
-    let mut backends = Backends::new(shared.shards.len());
-    serve_client_frames(stream, cfg, shared, shutdown, &mut backends);
-    backends.close_all();
-}
+/// The proxy tier: `Hello`, `Update` (ack ⇒ every involved shard
+/// acked), `Lookup`, `StatsQuery`, `ShardMapQuery`, `Heartbeat`.
+impl FrameHandler for Shared {
+    type Conn = Backends;
 
-fn serve_client_frames(
-    stream: &TcpStream,
-    cfg: &ProxyConfig,
-    shared: &Arc<Shared>,
-    shutdown: &Arc<AtomicBool>,
-    backends: &mut Backends,
-) {
-    loop {
-        if shutdown.load(Ordering::Acquire) {
-            let _ = Frame::empty(FrameType::Shutdown, 0).write_to(&mut &*stream);
-            return;
-        }
-        if stream.set_read_timeout(Some(cfg.idle_poll)).is_err() {
-            return;
-        }
-        let mut lead = [0u8; 1];
-        match (&mut &*stream).read(&mut lead) {
-            Ok(0) => return,
-            Ok(_) => {}
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => continue,
-            Err(_) => return,
-        }
-        if stream.set_read_timeout(Some(cfg.io_timeout)).is_err() {
-            return;
-        }
-        let frame = match Frame::read_after_lead(lead[0], &mut &*stream) {
-            Ok(f) => f,
-            Err(_) => return,
-        };
+    fn open(&self, _id: u64) -> Backends {
+        Backends::new(self.shards.len())
+    }
 
-        let reply = match frame.kind {
+    fn is_cheap(&self, kind: FrameType) -> bool {
+        // Everything but the three fan-outs is answered (or refused)
+        // from memory, with no backend I/O.
+        !matches!(
+            kind,
+            FrameType::Update | FrameType::Lookup | FrameType::StatsQuery
+        )
+    }
+
+    fn handle(&self, backends: &mut Backends, frame: &Frame) -> io::Result<Frame> {
+        Ok(match frame.kind {
             FrameType::Hello => Frame {
                 kind: FrameType::HelloAck,
                 seq: frame.seq,
-                payload: wire::encode_u64(shared.last_acked.load(Ordering::SeqCst)),
+                payload: wire::encode_u64(self.last_acked.load(Ordering::SeqCst)),
             },
-            FrameType::Update => handle_update(&frame, cfg, shared, backends),
-            FrameType::Lookup => handle_lookup(&frame, cfg, shared, backends),
+            FrameType::Update => {
+                let batch = wire::decode_updates(&frame.payload)?;
+                handle_update(frame.seq, &batch, self, backends)
+            }
+            FrameType::Lookup => {
+                let addrs = wire::decode_lookup(&frame.payload)?;
+                handle_lookup(frame.seq, &addrs, self, backends)
+            }
             FrameType::StatsQuery => {
-                let embeds: Vec<Option<String>> = (0..shared.shards.len())
-                    .map(|i| backends.op(i, shared, cfg, Connection::stats_json).ok())
+                let embeds: Vec<Option<String>> = (0..self.shards.len())
+                    .map(|i| backends.op(i, self, Connection::stats_json).ok())
                     .collect();
                 Frame {
                     kind: FrameType::StatsReply,
                     seq: frame.seq,
-                    payload: proxy_stats_json(shared, Some(embeds)).into_bytes(),
+                    payload: proxy_stats_json(self, Some(embeds)).into_bytes(),
                 }
             }
             FrameType::ShardMapQuery => Frame {
                 kind: FrameType::ShardMapReply,
                 seq: frame.seq,
-                payload: shared.map.encode(),
+                payload: self.map.encode(),
             },
             FrameType::Heartbeat => Frame::empty(FrameType::HeartbeatAck, frame.seq),
-            FrameType::Shutdown => return,
-            other => Frame {
-                kind: FrameType::Error,
-                seq: frame.seq,
-                payload: format!("proxy does not serve {other:?}").into_bytes(),
-            },
-        };
-        let fatal = reply.kind == FrameType::Error;
-        if reply.write_to(&mut &*stream).is_err() || fatal {
-            return;
-        }
+            other => return Err(bad_data(format!("proxy does not serve {other:?}"))),
+        })
+    }
+
+    fn close(&self, mut backends: Backends) {
+        backends.close_all();
     }
 }
 
 /// Fans an update batch out by range intersection and acks the client
 /// only after every involved shard acked its sub-batch (each shard ack
 /// meaning journaled + replicated).
-pub(crate) fn handle_update(
-    frame: &Frame,
-    cfg: &ProxyConfig,
-    shared: &Shared,
-    backends: &mut Backends,
-) -> Frame {
-    let batch = match wire::decode_updates(&frame.payload) {
-        Ok(b) => b,
-        Err(e) => {
-            return Frame {
-                kind: FrameType::Error,
-                seq: frame.seq,
-                payload: e.to_string().into_bytes(),
-            }
-        }
-    };
+fn handle_update(seq: u64, batch: &[Update], shared: &Shared, backends: &mut Backends) -> Frame {
     let mut groups: Vec<Vec<Update>> = vec![Vec::new(); shared.shards.len()];
-    for u in &batch {
+    for u in batch {
         for s in shared.map.shards_for_prefix(u.prefix()) {
             groups[s].push(*u);
         }
@@ -635,18 +535,14 @@ pub(crate) fn handle_update(
         if group.is_empty() {
             continue;
         }
-        let sent = backends.op(i, shared, cfg, |c| {
+        let sent = backends.op(i, shared, |c| {
             c.send_updates(group)?;
             c.flush_acks()
         });
         if let Err(e) = sent {
             // No ack: the client's resume machinery will retransmit the
             // whole frame, which is safe (last-op-wins per prefix).
-            return Frame {
-                kind: FrameType::Error,
-                seq: frame.seq,
-                payload: format!("shard {i}: {e}").into_bytes(),
-            };
+            return Frame::error(seq, format_args!("shard {i}: {e}"));
         }
         shared.shards[i]
             .updates
@@ -658,10 +554,10 @@ pub(crate) fn handle_update(
     shared
         .updates
         .fetch_add(batch.len() as u64, Ordering::Relaxed);
-    shared.last_acked.fetch_max(frame.seq, Ordering::SeqCst);
+    shared.last_acked.fetch_max(seq, Ordering::SeqCst);
     Frame {
         kind: FrameType::UpdateAck,
-        seq: frame.seq,
+        seq,
         payload: wire::encode_ack(wire::UpdateAck {
             accepted: batch.len() as u32,
             dropped: 0,
@@ -671,22 +567,7 @@ pub(crate) fn handle_update(
 
 /// Routes each address to its owning shard and reassembles the answers
 /// in request order.
-pub(crate) fn handle_lookup(
-    frame: &Frame,
-    cfg: &ProxyConfig,
-    shared: &Shared,
-    backends: &mut Backends,
-) -> Frame {
-    let addrs = match wire::decode_lookup(&frame.payload) {
-        Ok(a) => a,
-        Err(e) => {
-            return Frame {
-                kind: FrameType::Error,
-                seq: frame.seq,
-                payload: e.to_string().into_bytes(),
-            }
-        }
-    };
+fn handle_lookup(seq: u64, addrs: &[u32], shared: &Shared, backends: &mut Backends) -> Frame {
     let mut groups: Vec<(Vec<usize>, Vec<u32>)> =
         vec![(Vec::new(), Vec::new()); shared.shards.len()];
     for (pos, &addr) in addrs.iter().enumerate() {
@@ -699,7 +580,7 @@ pub(crate) fn handle_lookup(
         if sub.is_empty() {
             continue;
         }
-        match backends.op(i, shared, cfg, |c| c.lookup(sub)) {
+        match backends.op(i, shared, |c| c.lookup(sub)) {
             Ok(answers) => {
                 for (&pos, answer) in positions.iter().zip(answers) {
                     results[pos] = answer;
@@ -708,13 +589,7 @@ pub(crate) fn handle_lookup(
                     .lookups
                     .fetch_add(sub.len() as u64, Ordering::Relaxed);
             }
-            Err(e) => {
-                return Frame {
-                    kind: FrameType::Error,
-                    seq: frame.seq,
-                    payload: format!("shard {i}: {e}").into_bytes(),
-                }
-            }
+            Err(e) => return Frame::error(seq, format_args!("shard {i}: {e}")),
         }
     }
     shared
@@ -722,7 +597,7 @@ pub(crate) fn handle_lookup(
         .fetch_add(addrs.len() as u64, Ordering::Relaxed);
     Frame {
         kind: FrameType::LookupResult,
-        seq: frame.seq,
+        seq,
         payload: wire::encode_results(&results),
     }
 }

@@ -39,7 +39,7 @@ use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use clue_net::frame::{Frame, FrameType, MAX_PAYLOAD};
-use clue_net::wire;
+use clue_net::{wire, NetStats};
 use clue_router::{CheckpointView, JournalBatch, UpdateJournal};
 use clue_store::{encode_record, Store, StreamBase, WalRecord};
 
@@ -83,12 +83,16 @@ pub struct ReplStats {
     pub base_jseq: u64,
     /// Records held after the base.
     pub tail_len: usize,
+    /// Failed `accept()` calls on the replication port.
+    pub accept_errors: u64,
 }
 
 /// The primary's streamable state plus the follower registry.
 pub struct ReplicationHub {
     inner: Mutex<HubInner>,
     progress: Condvar,
+    /// What the replication port's accept loop counts into.
+    net: NetStats,
 }
 
 /// What [`ReplicationHub::attach`] hands a follower-serving thread.
@@ -128,6 +132,7 @@ impl ReplicationHub {
                 next_id: 1,
             }),
             progress: Condvar::new(),
+            net: NetStats::new(),
         }
     }
 
@@ -144,6 +149,7 @@ impl ReplicationHub {
                 .count(),
             base_jseq: inner.base_jseq,
             tail_len: inner.tail.len(),
+            accept_errors: self.net.accept_errors(),
         }
     }
 
@@ -358,7 +364,14 @@ impl ReplicationListener {
         let shutdown = Arc::new(AtomicBool::new(false));
         let accept = {
             let shutdown = Arc::clone(&shutdown);
-            thread::spawn(move || accept_loop(&listener, &cfg, &hub, &shutdown))
+            thread::spawn(move || {
+                // A streaming session, not request/reply: only the
+                // accept path is shared with the frame-handler tiers.
+                let serve = |stream: TcpStream, _peer| {
+                    let _ = serve_follower(&stream, &cfg, &hub, &shutdown);
+                };
+                clue_net::accept_loop(&listener, cfg.idle_poll, &hub.net, &shutdown, serve);
+            })
         };
         Ok(ReplicationListener {
             local_addr,
@@ -374,48 +387,17 @@ impl ReplicationListener {
     }
 
     /// Stops accepting and disconnects every follower.
-    pub fn stop(mut self) {
-        self.stop_and_join();
-    }
-
-    fn stop_and_join(&mut self) {
-        self.shutdown.store(true, Ordering::Release);
-        if let Some(h) = self.accept.take() {
-            let _ = h.join();
-        }
+    pub fn stop(self) {
+        drop(self);
     }
 }
 
 impl Drop for ReplicationListener {
     fn drop(&mut self) {
-        self.stop_and_join();
-    }
-}
-
-fn accept_loop(
-    listener: &TcpListener,
-    cfg: &ReplConfig,
-    hub: &Arc<ReplicationHub>,
-    shutdown: &Arc<AtomicBool>,
-) {
-    let mut workers: Vec<JoinHandle<()>> = Vec::new();
-    while !shutdown.load(Ordering::Acquire) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                let cfg = cfg.clone();
-                let hub = Arc::clone(hub);
-                let shutdown = Arc::clone(shutdown);
-                workers.push(thread::spawn(move || {
-                    let _ = serve_follower(&stream, &cfg, &hub, &shutdown);
-                }));
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => thread::sleep(cfg.idle_poll),
-            Err(_) => thread::sleep(cfg.idle_poll),
+        self.shutdown.store(true, Ordering::SeqCst);
+        if let Some(h) = self.accept.take() {
+            let _ = h.join();
         }
-        workers.retain(|w| !w.is_finished());
-    }
-    for w in workers {
-        let _ = w.join();
     }
 }
 

@@ -11,7 +11,8 @@
 //!   reconnects with backoff — resuming from its applied position, so
 //!   acknowledged records are never replayed twice;
 //! * the **frontend** answers the proxy's control traffic on the
-//!   standby's serving address: heartbeats, stats, and `Promote`.
+//!   standby's serving address — heartbeats, stats, and `Promote` — as
+//!   a [`FrameHandler`] under the threads driver of a [`Listener`].
 //!
 //! Promotion is the handoff: reply `PromoteAck(seq_hw)`, stop
 //! replicating, drop the control listener, and boot a full
@@ -20,17 +21,21 @@
 //! re-routed clients resume exactly where their acks ended. The brief
 //! rebind gap is covered by the clients' reconnect backoff.
 
-use std::io::{self, ErrorKind, Read};
+use std::io::{self, ErrorKind};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
+use clue_core::codec::bad_data;
 use clue_fib::RouteTable;
 use clue_net::frame::{Frame, FrameType};
 use clue_net::wire;
-use clue_net::{Server, ServerConfig};
+use clue_net::{
+    poll_frame, FrameHandler, Listener, ListenerConfig, NetStats, Polled, Server, ServerConfig,
+    Transport,
+};
 use clue_router::{RecoveredState, RouterConfig, RouterReport, RouterService};
 use clue_store::{decode_record, decode_snapshot};
 
@@ -97,13 +102,25 @@ pub enum StandbyOutcome {
     Promoted(Box<RouterReport>),
 }
 
+/// What the standby's threads signal each other with.
+#[derive(Default)]
+struct Flags {
+    shutdown: AtomicBool,
+    /// Promotion was asked for (a `Promote` frame or
+    /// [`Standby::request_promote`]).
+    promote_req: AtomicBool,
+    /// The replication thread has exited.
+    repl_stopped: AtomicBool,
+    /// The promoted server is up.
+    promoted: AtomicBool,
+}
+
 /// A running standby (replication client + control frontend).
 pub struct Standby {
     local_addr: SocketAddr,
     state: Arc<Mutex<ReplicaState>>,
-    shutdown: Arc<AtomicBool>,
-    promote_req: Arc<AtomicBool>,
-    promoted: Arc<AtomicBool>,
+    net: Arc<NetStats>,
+    flags: Arc<Flags>,
     repl: Option<JoinHandle<()>>,
     frontend: Option<JoinHandle<io::Result<Option<Server>>>>,
 }
@@ -116,51 +133,43 @@ impl Standby {
     /// Bind failures. Replication failures are retried forever in the
     /// background (the primary may simply not be up yet).
     pub fn start(cfg: StandbyConfig) -> io::Result<Standby> {
-        let listener = TcpListener::bind(&cfg.listen)?;
-        listener.set_nonblocking(true)?;
-        let local_addr = listener.local_addr()?;
+        let socket = TcpListener::bind(&cfg.listen)?;
+        let local_addr = socket.local_addr()?;
         let state = Arc::new(Mutex::new(ReplicaState::default()));
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let promote_req = Arc::new(AtomicBool::new(false));
-        let promoted = Arc::new(AtomicBool::new(false));
-        let repl_stopped = Arc::new(AtomicBool::new(false));
+        let net = Arc::new(NetStats::new());
+        let flags = Arc::new(Flags::default());
+        let listener = Listener::start(
+            socket,
+            Arc::new(Control {
+                state: Arc::clone(&state),
+                flags: Arc::clone(&flags),
+                primary_repl: cfg.primary_repl.clone(),
+            }),
+            Arc::clone(&net),
+            ListenerConfig {
+                transport: Transport::Threads,
+                bridge_threads: 0,
+                idle_poll: cfg.idle_poll,
+                io_timeout: cfg.io_timeout,
+            },
+        )?;
 
         let repl = {
-            let cfg = cfg.clone();
-            let state = Arc::clone(&state);
-            let shutdown = Arc::clone(&shutdown);
-            let promote_req = Arc::clone(&promote_req);
-            let repl_stopped = Arc::clone(&repl_stopped);
+            let (cfg, state, flags) = (cfg.clone(), Arc::clone(&state), Arc::clone(&flags));
             thread::spawn(move || {
-                replication_loop(&cfg, &state, &shutdown, &promote_req);
-                repl_stopped.store(true, Ordering::Release);
+                replication_loop(&cfg, &state, &flags);
+                flags.repl_stopped.store(true, Ordering::Release);
             })
         };
         let frontend = {
-            let cfg = cfg.clone();
-            let state = Arc::clone(&state);
-            let shutdown = Arc::clone(&shutdown);
-            let promote_req = Arc::clone(&promote_req);
-            let promoted = Arc::clone(&promoted);
-            thread::spawn(move || {
-                frontend_loop(
-                    listener,
-                    local_addr,
-                    &cfg,
-                    &state,
-                    &shutdown,
-                    &promote_req,
-                    &promoted,
-                    &repl_stopped,
-                )
-            })
+            let (state, flags) = (Arc::clone(&state), Arc::clone(&flags));
+            thread::spawn(move || frontend_loop(listener, &cfg, &state, &flags))
         };
         Ok(Standby {
             local_addr,
             state,
-            shutdown,
-            promote_req,
-            promoted,
+            net,
+            flags,
             repl: Some(repl),
             frontend: Some(frontend),
         })
@@ -172,10 +181,17 @@ impl Standby {
         self.local_addr
     }
 
+    /// The control endpoint's network counters (connections, frames,
+    /// protocol and accept errors) up to promotion.
+    #[must_use]
+    pub fn net_stats(&self) -> &NetStats {
+        &self.net
+    }
+
     /// Whether promotion has completed.
     #[must_use]
     pub fn is_promoted(&self) -> bool {
-        self.promoted.load(Ordering::Acquire)
+        self.flags.promoted.load(Ordering::Acquire)
     }
 
     /// Requests promotion as if a `Promote` frame had arrived: the
@@ -183,7 +199,7 @@ impl Standby {
     /// server on the same address. In-process equivalent of the
     /// proxy's failover RPC, for tests and benches.
     pub fn request_promote(&self) {
-        self.promote_req.store(true, Ordering::Release);
+        self.flags.promote_req.store(true, Ordering::Release);
     }
 
     /// A copy of the replica's current state and counters.
@@ -200,7 +216,7 @@ impl Standby {
     ///
     /// Propagates drain failures of a promoted server.
     pub fn stop(mut self) -> io::Result<StandbyOutcome> {
-        self.shutdown.store(true, Ordering::Release);
+        self.flags.shutdown.store(true, Ordering::Release);
         if let Some(h) = self.repl.take() {
             let _ = h.join();
         }
@@ -221,7 +237,7 @@ impl Standby {
 
 impl Drop for Standby {
     fn drop(&mut self) {
-        self.shutdown.store(true, Ordering::Release);
+        self.flags.shutdown.store(true, Ordering::Release);
         if let Some(h) = self.repl.take() {
             let _ = h.join();
         }
@@ -232,14 +248,13 @@ impl Drop for Standby {
 }
 
 /// The standby's stats JSON (stable key order, one line).
-fn stats_json(state: &ReplicaState, primary_repl: &str, promoted: bool) -> String {
+fn stats_json(state: &ReplicaState, primary_repl: &str) -> String {
     format!(
         concat!(
-            "{{\"role\":\"{}\",\"primary_repl\":\"{}\",\"applied_jseq\":{},",
+            "{{\"role\":\"standby\",\"primary_repl\":\"{}\",\"applied_jseq\":{},",
             "\"seq_hw\":{},\"epoch\":{},\"routes\":{},\"records_applied\":{},",
             "\"snapshots_loaded\":{},\"skipped\":{},\"reconnects\":{}}}"
         ),
-        if promoted { "promoted" } else { "standby" },
         primary_repl,
         state.applied_jseq.map_or(-1i64, |j| j as i64),
         state.seq_hw,
@@ -254,170 +269,113 @@ fn stats_json(state: &ReplicaState, primary_repl: &str, promoted: bool) -> Strin
 
 // ---------------------------------------------------------------- frontend
 
-#[allow(clippy::too_many_arguments)]
+/// Serves the control endpoint until shutdown (`Ok(None)`) or
+/// promotion, where it hands the address over to a full [`Server`]
+/// booted from the replica state.
 fn frontend_loop(
-    listener: TcpListener,
-    local_addr: SocketAddr,
+    mut listener: Listener,
     cfg: &StandbyConfig,
-    state: &Arc<Mutex<ReplicaState>>,
-    shutdown: &Arc<AtomicBool>,
-    promote_req: &Arc<AtomicBool>,
-    promoted: &Arc<AtomicBool>,
-    repl_stopped: &Arc<AtomicBool>,
+    state: &Mutex<ReplicaState>,
+    flags: &Flags,
 ) -> io::Result<Option<Server>> {
-    let mut workers: Vec<JoinHandle<()>> = Vec::new();
-    loop {
-        if shutdown.load(Ordering::Acquire) {
-            for w in workers {
-                let _ = w.join();
-            }
+    while !flags.promote_req.load(Ordering::Acquire) {
+        if flags.shutdown.load(Ordering::Acquire) {
+            listener.stop();
             return Ok(None);
         }
-        if promote_req.load(Ordering::Acquire) {
-            // Let the replication thread finish its in-flight record:
-            // anything it acked must be in the state we serve from.
-            let deadline = Instant::now() + cfg.io_timeout;
-            while !repl_stopped.load(Ordering::Acquire) && Instant::now() < deadline {
-                thread::sleep(Duration::from_millis(1));
-            }
-            drop(listener);
-            for w in workers {
-                let _ = w.join();
-            }
-            let recovered = {
-                let s = state.lock().expect("state lock");
-                RecoveredState {
-                    table: s.table.clone(),
-                    epoch: s.epoch,
-                    seq_hw: s.seq_hw,
-                    dreds: Vec::new(),
-                }
-            };
-            let svc = RouterService::start_recovered(&recovered, &cfg.router, None);
-            let scfg = ServerConfig {
-                listen: local_addr.to_string(),
-                router: cfg.router,
-                idle_poll: cfg.idle_poll,
-                io_timeout: cfg.io_timeout,
-                ..ServerConfig::default()
-            };
-            let server = Server::start_with_service(svc, recovered.seq_hw, &scfg)?;
-            promoted.store(true, Ordering::Release);
-            return Ok(Some(server));
-        }
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                let cfg = cfg.clone();
-                let state = Arc::clone(state);
-                let shutdown = Arc::clone(shutdown);
-                let promote_req = Arc::clone(promote_req);
-                workers.push(thread::spawn(move || {
-                    let _ = serve_control(&stream, &cfg, &state, &shutdown, &promote_req);
-                }));
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => thread::sleep(cfg.idle_poll),
-            Err(_) => thread::sleep(cfg.idle_poll),
-        }
-        workers.retain(|w| !w.is_finished());
+        thread::sleep(cfg.idle_poll);
     }
+    // Let the replication thread finish its in-flight record: anything
+    // it acked must be in the state we serve from.
+    let deadline = Instant::now() + cfg.io_timeout;
+    while !flags.repl_stopped.load(Ordering::Acquire) && Instant::now() < deadline {
+        thread::sleep(Duration::from_millis(1));
+    }
+    // Drain the control connections and release the address.
+    listener.stop();
+    let recovered = {
+        let s = state.lock().expect("state lock");
+        RecoveredState {
+            table: s.table.clone(),
+            epoch: s.epoch,
+            seq_hw: s.seq_hw,
+            dreds: Vec::new(),
+        }
+    };
+    let svc = RouterService::start_recovered(&recovered, &cfg.router, None);
+    let scfg = ServerConfig {
+        listen: listener.local_addr().to_string(),
+        router: cfg.router,
+        idle_poll: cfg.idle_poll,
+        io_timeout: cfg.io_timeout,
+        ..ServerConfig::default()
+    };
+    let server = Server::start_with_service(svc, recovered.seq_hw, &scfg)?;
+    flags.promoted.store(true, Ordering::Release);
+    Ok(Some(server))
 }
 
-/// Serves one control connection: heartbeats, stats, `Hello` (so the
-/// stock client/`clue stats` can talk to a standby), and `Promote`.
-fn serve_control(
-    stream: &TcpStream,
-    cfg: &StandbyConfig,
-    state: &Arc<Mutex<ReplicaState>>,
-    shutdown: &Arc<AtomicBool>,
-    promote_req: &Arc<AtomicBool>,
-) -> io::Result<()> {
-    stream.set_nodelay(true)?;
-    loop {
-        if shutdown.load(Ordering::Acquire) || promote_req.load(Ordering::Acquire) {
-            return Ok(());
-        }
-        stream.set_read_timeout(Some(cfg.idle_poll))?;
-        let mut lead = [0u8; 1];
-        match (&mut &*stream).read(&mut lead) {
-            Ok(0) => return Ok(()),
-            Ok(_) => {}
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => continue,
-            Err(e) => return Err(e),
-        }
-        stream.set_read_timeout(Some(cfg.io_timeout))?;
-        let frame = Frame::read_after_lead(lead[0], &mut &*stream)?;
-        match frame.kind {
-            FrameType::Hello => {
-                let seq_hw = state.lock().expect("state lock").seq_hw;
-                Frame {
-                    kind: FrameType::HelloAck,
-                    seq: frame.seq,
-                    payload: wire::encode_u64(seq_hw),
-                }
-                .write_to(&mut &*stream)?;
-            }
-            FrameType::Heartbeat => {
-                Frame::empty(FrameType::HeartbeatAck, frame.seq).write_to(&mut &*stream)?;
-            }
-            FrameType::StatsQuery => {
-                let json = {
-                    let s = state.lock().expect("state lock");
-                    stats_json(&s, &cfg.primary_repl, false)
-                };
-                Frame {
-                    kind: FrameType::StatsReply,
-                    seq: frame.seq,
-                    payload: json.into_bytes(),
-                }
-                .write_to(&mut &*stream)?;
-            }
+/// The standby control tier: `Hello` (so the stock client/`clue stats`
+/// can talk to a standby), `Heartbeat`, `StatsQuery`, and `Promote`.
+struct Control {
+    state: Arc<Mutex<ReplicaState>>,
+    flags: Arc<Flags>,
+    primary_repl: String,
+}
+
+impl FrameHandler for Control {
+    type Conn = ();
+
+    fn open(&self, _id: u64) {}
+
+    fn is_cheap(&self, _kind: FrameType) -> bool {
+        // Every reply is a lock and a format; nothing blocks.
+        true
+    }
+
+    fn handle(&self, (): &mut (), frame: &Frame) -> io::Result<Frame> {
+        let state = || self.state.lock().expect("state lock");
+        Ok(match frame.kind {
+            FrameType::Hello => Frame {
+                kind: FrameType::HelloAck,
+                seq: frame.seq,
+                payload: wire::encode_u64(state().seq_hw),
+            },
+            FrameType::Heartbeat => Frame::empty(FrameType::HeartbeatAck, frame.seq),
+            FrameType::StatsQuery => Frame {
+                kind: FrameType::StatsReply,
+                seq: frame.seq,
+                payload: stats_json(&state(), &self.primary_repl).into_bytes(),
+            },
             FrameType::Promote => {
-                let (empty, seq_hw) = {
-                    let s = state.lock().expect("state lock");
-                    (s.table.is_empty(), s.seq_hw)
-                };
-                if empty {
-                    Frame {
-                        kind: FrameType::Error,
-                        seq: frame.seq,
-                        payload: b"standby has no snapshot yet, cannot promote".to_vec(),
-                    }
-                    .write_to(&mut &*stream)?;
-                    continue;
+                let state = state();
+                if state.table.is_empty() {
+                    let why = "standby has no snapshot yet, cannot promote";
+                    return Ok(Frame::error(frame.seq, why));
                 }
+                // The frontend sees the request, drains this listener
+                // and reboots the address as a full server.
+                self.flags.promote_req.store(true, Ordering::Release);
                 Frame {
                     kind: FrameType::PromoteAck,
                     seq: frame.seq,
-                    payload: wire::encode_u64(seq_hw),
+                    payload: wire::encode_u64(state.seq_hw),
                 }
-                .write_to(&mut &*stream)?;
-                promote_req.store(true, Ordering::Release);
-                return Ok(());
             }
-            FrameType::Shutdown => return Ok(()),
             other => {
-                Frame {
-                    kind: FrameType::Error,
-                    seq: frame.seq,
-                    payload: format!("standby does not serve {other:?} (promote first)")
-                        .into_bytes(),
-                }
-                .write_to(&mut &*stream)?;
-                return Ok(());
+                return Err(bad_data(format!(
+                    "standby does not serve {other:?} (promote first)"
+                )));
             }
-        }
+        })
     }
 }
 
 // ------------------------------------------------------------- replication
 
-fn replication_loop(
-    cfg: &StandbyConfig,
-    state: &Arc<Mutex<ReplicaState>>,
-    shutdown: &Arc<AtomicBool>,
-    promote_req: &Arc<AtomicBool>,
-) {
-    let stop = || shutdown.load(Ordering::Acquire) || promote_req.load(Ordering::Acquire);
+fn replication_loop(cfg: &StandbyConfig, state: &Arc<Mutex<ReplicaState>>, flags: &Flags) {
+    let stop =
+        || flags.shutdown.load(Ordering::Acquire) || flags.promote_req.load(Ordering::Acquire);
     while !stop() {
         match follow_once(cfg, state, &stop) {
             Ok(()) => return, // clean shutdown from either side
@@ -472,16 +430,11 @@ fn follow_once(
         if stop() {
             return Ok(());
         }
-        stream.set_read_timeout(Some(cfg.idle_poll))?;
-        let mut lead = [0u8; 1];
-        match (&mut &stream).read(&mut lead) {
-            Ok(0) => return Err(ErrorKind::UnexpectedEof.into()),
-            Ok(_) => {}
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => continue,
-            Err(e) => return Err(e),
-        }
-        stream.set_read_timeout(Some(cfg.io_timeout))?;
-        let frame = Frame::read_after_lead(lead[0], &mut &stream)?;
+        let frame = match poll_frame(&stream, cfg.idle_poll, cfg.io_timeout)? {
+            Polled::Frame(f) => f,
+            Polled::Idle => continue,
+            Polled::Eof => return Err(ErrorKind::UnexpectedEof.into()),
+        };
         match frame.kind {
             FrameType::SnapshotChunk => {
                 let (last, chunk) = wire::decode_chunk(&frame.payload)?;

@@ -114,6 +114,7 @@ fn ack_implies_standby_applied() {
         StandbyOutcome::Standby(s) => assert_eq!(s.records_applied, state.records_applied),
         StandbyOutcome::Promoted(_) => panic!("nothing promoted this standby"),
     }
+    assert_eq!(primary.repl_stats().accept_errors, 0, "replication port");
     primary.stop().unwrap();
     let _ = fs::remove_dir_all(&dir);
 }

@@ -14,11 +14,13 @@
 //! * [`update_pipeline`] — the whole incremental update path with TTF
 //!   accounting (trie → TCAM → DRed), for both CLUE and CLPL.
 //! * [`theory`] — the Section III-D lower bound `t = (N−1)h + 1`.
-//! * [`threads`] — a real-thread (crossbeam + parking_lot) realization
-//!   of the same pipeline for cross-validation and raw throughput.
 //! * [`crc`] / [`codec`] — the shared CRC-32 and update-batch binary
 //!   codec used by both the `clue-net` wire protocol and the
 //!   `clue-store` write-ahead journal.
+//!
+//! The [`engine`] is the paper-fidelity *model*; its real-thread
+//! realization (dispatcher, bounded FIFOs, bounce lane, shared DReds)
+//! lives once, in `clue-router`.
 //!
 //! # Examples
 //!
@@ -49,7 +51,6 @@ pub mod lookup;
 pub mod metrics;
 pub mod reorder;
 pub mod theory;
-pub mod threads;
 pub mod update_pipeline;
 
 pub use dred::{DredConfig, RedundancyScheme, SchemeStats};
@@ -60,5 +61,4 @@ pub use lookup::{
 };
 pub use reorder::ReorderBuffer;
 pub use theory::{implied_hit_rate, required_hit_rate, worst_case_speedup};
-pub use threads::{run_threaded, ThreadedConfig, ThreadedReport};
 pub use update_pipeline::{mean_ttf, ClplPipeline, CluePipeline, TtfSample};

@@ -21,7 +21,7 @@
 
 use std::io::{self, Read, Write};
 
-use crate::crc::crc32;
+use clue_core::crc::{self, crc32};
 
 /// Frame magic: `"CLUE"` as a big-endian u32.
 pub const MAGIC: u32 = 0x434C_5545;
@@ -141,6 +141,17 @@ impl Frame {
         }
     }
 
+    /// An `Error` frame carrying `msg`; by the frame handler contract
+    /// it is the last frame on its connection.
+    #[must_use]
+    pub fn error(seq: u64, msg: impl std::fmt::Display) -> Frame {
+        Frame {
+            kind: FrameType::Error,
+            seq,
+            payload: msg.to_string().into_bytes(),
+        }
+    }
+
     /// Serializes header + payload + CRC into one buffer.
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
@@ -208,8 +219,8 @@ impl Frame {
         let got = u32::from_be_bytes(crc_bytes);
 
         let expect = {
-            let state = crate::crc::update(0xFFFF_FFFF, &header);
-            crate::crc::update(state, &payload) ^ 0xFFFF_FFFF
+            let state = crc::update(0xFFFF_FFFF, &header);
+            crc::update(state, &payload) ^ 0xFFFF_FFFF
         };
         if got != expect {
             return Err(bad(format!(

@@ -5,21 +5,24 @@
 //! The design goal is that *backpressure propagates to the wire*: the
 //! router's bounded ingress already chooses between blocking and
 //! counted drops ([`clue_router::OverflowPolicy`]); the server maps that
-//! seam onto TCP by doing router calls on the connection's own reader
-//! thread, so a full ingress stalls the socket and the peer's TCP
-//! window closes (see [`server`]). Every frame is length-prefixed and
-//! CRC-checked ([`frame`]), updates are sequenced and acknowledged, and
+//! seam onto TCP by never reading a connection's next frame while its
+//! router call is outstanding, so a full ingress stalls the socket and
+//! the peer's TCP window closes (see [`listener`]). Every frame is
+//! length-prefixed and CRC-checked ([`frame`], CRC-32 from
+//! [`clue_core::crc`]), updates are sequenced and acknowledged, and
 //! the client resumes a broken line from the last acked seq
 //! ([`client`]) — safe because route updates are last-op-wins per
 //! prefix.
 //!
 //! Modules:
 //!
-//! * [`crc`] — hand-rolled CRC-32 (IEEE) with a compile-time table;
 //! * [`frame`] — the `magic/version/type/seq/len/payload/crc` frame;
 //! * [`wire`] — payload codecs for updates, lookups, acks, stats;
 //! * [`stats`] — network-plane counters with a per-connection ledger;
-//! * [`server`] — accept loop + per-connection threads over one
+//! * [`listener`] — the [`FrameHandler`] trait, its wire contract, and
+//!   the [`Listener`] that runs a handler under either connection
+//!   driver (thread per connection, or the `clue-aio` reactor);
+//! * [`server`] — the router tier's handler over one
 //!   [`clue_router::RouterService`], graceful drain;
 //! * [`client`] — heartbeats, timeouts, capped-exponential reconnect
 //!   with seq/ack resume;
@@ -33,9 +36,9 @@
 #![warn(missing_docs)]
 
 pub mod client;
-pub mod crc;
-mod evserver;
+mod evloop;
 pub mod frame;
+pub mod listener;
 pub mod loadgen;
 pub mod server;
 pub mod signal;
@@ -45,6 +48,7 @@ pub mod wire;
 
 pub use client::{ClientConfig, ClientReport, Connection};
 pub use frame::{Frame, FrameDecoder, FrameType};
+pub use listener::{accept_loop, poll_frame, FrameHandler, Listener, ListenerConfig, Polled};
 pub use loadgen::{run_load, LoadConfig, LoadReport};
 pub use server::{Server, ServerConfig, Transport};
 pub use stats::NetStats;

@@ -1,41 +1,34 @@
-//! The TCP frontend: accepts connections and bridges decoded frames into
-//! a live [`RouterService`].
+//! The TCP frontend: the router tier's [`FrameHandler`] — decoded
+//! frames bridged into a live [`RouterService`] — behind a
+//! [`Listener`].
 //!
-//! Backpressure mapping — the load-bearing design point: each connection
-//! is served by one thread that decodes a frame, performs the router
-//! call, writes the reply, and only then reads the next frame. Under
+//! Backpressure mapping — the load-bearing design point: under
 //! [`OverflowPolicy::Block`](clue_router::OverflowPolicy::Block) the
-//! router call `submit_update` *blocks* when the bounded ingress is
-//! full, which stops this thread from draining the socket, which fills
-//! the kernel receive buffer, which closes the peer's TCP window — so a
-//! fast client is throttled by the update plane's real capacity instead
-//! of an unbounded queue. Under `DropNewest` the call returns
-//! immediately and the per-batch [`UpdateAck`](crate::wire::UpdateAck)
-//! carries the drop count back to the sender.
+//! handler's `submit_update` call *blocks* when the bounded ingress is
+//! full, and by the [frame handler contract](crate::listener) a
+//! connection whose call is outstanding is not read — so the kernel
+//! receive buffer fills, the peer's TCP window closes, and a fast
+//! client is throttled by the update plane's real capacity instead of
+//! an unbounded queue. Under `DropNewest` the call returns immediately
+//! and the per-batch [`UpdateAck`](crate::wire::UpdateAck) carries the
+//! drop count back to the sender.
 //!
-//! Shutdown is a graceful drain: [`Server::drain`] stops the accept
-//! loop, tells every connection thread to stop taking new work (a
-//! `Shutdown` frame is sent to the peer), joins them, and then drains
-//! the router — applying every queued update and publishing the final
-//! epoch — before returning the final [`RouterReport`].
-//!
-//! Two [`Transport`]s implement these semantics: the per-connection
-//! thread model in this module, and the `clue-aio` event-loop reactor
-//! in [`evserver`](crate::evserver) (selected via
-//! [`ServerConfig::transport`]) which multiplexes every connection
-//! onto one loop thread and scales to tens of thousands of clients.
+//! [`Server::drain`] drains the listener and then the router —
+//! applying every queued update and publishing the final epoch — before
+//! returning the final [`RouterReport`].
 
-use std::io::{self, ErrorKind, Read};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io;
+use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use clue_core::codec::bad_data;
 use clue_fib::RouteTable;
 use clue_router::{RouterConfig, RouterReport, RouterService, SubmitOutcome};
 
 use crate::frame::{Frame, FrameType};
+use crate::listener::{FrameHandler, Listener, ListenerConfig};
 use crate::stats::NetStats;
 use crate::wire;
 
@@ -122,29 +115,15 @@ impl Default for ServerConfig {
     }
 }
 
-/// A running server: accept loop + per-connection threads over one
-/// [`RouterService`]. Call [`Server::drain`] for the graceful shutdown
-/// path; a plain drop also shuts everything down (discarding the
-/// report).
+/// A running server: a [`Listener`] driving the router handler over
+/// one [`RouterService`]. Call [`Server::drain`] for the graceful
+/// shutdown path; a plain drop also shuts everything down (discarding
+/// the report).
 pub struct Server {
-    local_addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
-    svc: Option<Arc<RouterService>>,
-    net: Arc<NetStats>,
-    runtime: Option<Runtime>,
-    started: Instant,
-}
-
-/// The transport-specific running half of a [`Server`].
-enum Runtime {
-    Threads {
-        accept: JoinHandle<Vec<JoinHandle<()>>>,
-    },
-    Evloop {
-        handle: clue_aio::LoopHandle<crate::evserver::EvMsg>,
-        event_loop: JoinHandle<()>,
-        workers: Vec<JoinHandle<()>>,
-    },
+    // Declared (so dropped) before `router`: the listener's threads
+    // share the handler, and the service must outlive them.
+    listener: Listener,
+    router: Arc<RouterHandler>,
 }
 
 impl Server {
@@ -173,107 +152,65 @@ impl Server {
         initial_seq: u64,
         cfg: &ServerConfig,
     ) -> io::Result<Server> {
-        let listener = TcpListener::bind(&cfg.listen)?;
-        let local_addr = listener.local_addr()?;
-
-        let svc = Arc::new(svc);
-        let shutdown = Arc::new(AtomicBool::new(false));
+        let socket = TcpListener::bind(&cfg.listen)?;
         let net = Arc::new(NetStats::new());
-        let last_acked = Arc::new(AtomicU64::new(initial_seq));
-
-        let started = Instant::now();
-        let runtime = match cfg.transport {
-            Transport::Threads => {
-                listener.set_nonblocking(true)?;
-                let svc = Arc::clone(&svc);
-                let shutdown = Arc::clone(&shutdown);
-                let net = Arc::clone(&net);
-                let last_acked = Arc::clone(&last_acked);
-                let cfg = cfg.clone();
-                let accept = std::thread::spawn(move || {
-                    accept_loop(&listener, &cfg, &svc, &net, &last_acked, &shutdown, started)
-                });
-                Runtime::Threads { accept }
-            }
-            Transport::Evloop => {
-                let (handle, event_loop, workers) = crate::evserver::start(
-                    listener,
-                    cfg,
-                    &svc,
-                    &net,
-                    &last_acked,
-                    &shutdown,
-                    started,
-                )?;
-                Runtime::Evloop {
-                    handle,
-                    event_loop,
-                    workers,
-                }
-            }
-        };
-
-        Ok(Server {
-            local_addr,
-            shutdown,
-            svc: Some(svc),
+        let router = Arc::new(RouterHandler {
+            svc,
+            net: Arc::clone(&net),
+            last_acked: AtomicU64::new(initial_seq),
+            io_timeout: cfg.io_timeout,
+            started: Instant::now(),
+        });
+        let listener = Listener::start(
+            socket,
+            Arc::clone(&router),
             net,
-            runtime: Some(runtime),
-            started,
-        })
+            ListenerConfig {
+                transport: cfg.transport,
+                bridge_threads: cfg.bridge_threads,
+                idle_poll: cfg.idle_poll,
+                io_timeout: cfg.io_timeout,
+            },
+        )?;
+        Ok(Server { listener, router })
     }
 
     /// The bound address (useful with `:0` ephemeral ports).
     #[must_use]
     pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
+        self.listener.local_addr()
     }
 
     /// The shutdown flag; setting it (e.g. from a signal handler's
-    /// watcher) starts the graceful drain on the accept and connection
-    /// threads. Pair with [`Server::drain`] to collect the report.
+    /// watcher) starts the graceful drain of every connection. Pair
+    /// with [`Server::drain`] to collect the report.
     #[must_use]
     pub fn shutdown_flag(&self) -> Arc<AtomicBool> {
-        Arc::clone(&self.shutdown)
+        self.listener.shutdown_flag()
     }
 
     /// Requests shutdown without blocking.
     pub fn request_shutdown(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        if let Some(Runtime::Evloop { handle, .. }) = &self.runtime {
-            // Wake the loop so the drain starts now rather than at the
-            // next shutdown-poll tick.
-            let _ = handle.send(crate::evserver::EvMsg::Shutdown);
-        }
+        self.listener.request_shutdown();
     }
 
     /// True once shutdown has been requested.
     #[must_use]
     pub fn shutdown_requested(&self) -> bool {
-        self.shutdown.load(Ordering::SeqCst)
+        self.listener.shutdown_requested()
     }
 
     /// The network-plane stats registry.
     #[must_use]
     pub fn net_stats(&self) -> &NetStats {
-        &self.net
+        self.listener.net_stats()
     }
 
     /// The combined stats document served to `StatsQuery` clients:
-    /// `{"uptime_ms":…,"router":{…},"net":{…}}`. A drained server
-    /// reports `"router":null`.
+    /// `{"uptime_ms":…,"router":{…},"net":{…}}`.
     #[must_use]
     pub fn stats_json(&self) -> String {
-        let router = self
-            .svc
-            .as_ref()
-            .map_or_else(|| "null".to_string(), |svc| svc.stats().to_json());
-        format!(
-            "{{\"uptime_ms\":{},\"router\":{},\"net\":{}}}",
-            self.started.elapsed().as_millis(),
-            router,
-            self.net.to_json(),
-        )
+        self.router.stats_json()
     }
 
     /// Gracefully drains: stops accepting, closes every connection
@@ -285,339 +222,119 @@ impl Server {
     /// Fails if the router service is no longer exclusively held — a
     /// connection thread died without releasing its handle (the failed
     /// join is already counted in the [`NetStats`] error ledger).
-    pub fn drain(mut self) -> io::Result<RouterReport> {
-        self.stop_and_join();
-        let svc = self
-            .svc
-            .take()
-            .ok_or_else(|| io::Error::new(ErrorKind::InvalidInput, "server already drained"))?;
-        let svc = Arc::into_inner(svc).ok_or_else(|| {
-            self.net.count_io_error(u64::MAX);
+    pub fn drain(self) -> io::Result<RouterReport> {
+        let Server {
+            mut listener,
+            router,
+        } = self;
+        listener.stop();
+        let router = Arc::into_inner(router).ok_or_else(|| {
+            listener.net_stats().count_io_error(u64::MAX);
             io::Error::other("router service still shared by an unjoined connection thread")
         })?;
-        Ok(svc.drain())
-    }
-
-    fn stop_and_join(&mut self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        match self.runtime.take() {
-            None => {}
-            Some(Runtime::Threads { accept }) => match accept.join() {
-                Ok(handlers) => {
-                    for h in handlers {
-                        if h.join().is_err() {
-                            // A panicked connection thread: note it and
-                            // keep joining the rest.
-                            self.net.count_io_error(u64::MAX);
-                        }
-                    }
-                }
-                Err(_) => self.net.count_io_error(u64::MAX),
-            },
-            Some(Runtime::Evloop {
-                handle,
-                event_loop,
-                workers,
-            }) => {
-                let _ = handle.send(crate::evserver::EvMsg::Shutdown);
-                // The loop drains and exits; dropping its driver closes
-                // the bridge-pool job channel, releasing the workers.
-                if event_loop.join().is_err() {
-                    self.net.count_io_error(u64::MAX);
-                }
-                for w in workers {
-                    if w.join().is_err() {
-                        self.net.count_io_error(u64::MAX);
-                    }
-                }
-            }
-        }
+        Ok(router.svc.drain())
     }
 }
 
-impl Drop for Server {
-    fn drop(&mut self) {
-        // An undrained server still stops its threads; the backing
-        // RouterService then cleans up via its own Drop.
-        self.stop_and_join();
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn accept_loop(
-    listener: &TcpListener,
-    cfg: &ServerConfig,
-    svc: &Arc<RouterService>,
-    net: &Arc<NetStats>,
-    last_acked: &Arc<AtomicU64>,
-    shutdown: &Arc<AtomicBool>,
+/// The router tier: `Hello`, `Update` (ack ⇒ journaled), `Lookup`,
+/// `StatsQuery`, `Heartbeat`. Per-connection state is the connection's
+/// [`NetStats`] ledger id.
+struct RouterHandler {
+    svc: RouterService,
+    net: Arc<NetStats>,
+    last_acked: AtomicU64,
+    io_timeout: Duration,
     started: Instant,
-) -> Vec<JoinHandle<()>> {
-    // Transient accept() failures (EMFILE/ENFILE fd exhaustion, aborted
-    // handshakes) get a capped exponential pause instead of a hot spin:
-    // fd pressure only clears when some connection closes, so retrying
-    // instantly just burns the core that could be serving.
-    const BACKOFF_BASE: Duration = Duration::from_millis(5);
-    const BACKOFF_CAP: Duration = Duration::from_secs(1);
-    let mut backoff = Duration::ZERO;
-    let mut handlers = Vec::new();
-    while !shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, peer)) => {
-                backoff = Duration::ZERO;
-                let conn_id = net.register(peer.to_string());
-                let svc = Arc::clone(svc);
-                let net = Arc::clone(net);
-                let last_acked = Arc::clone(last_acked);
-                let shutdown = Arc::clone(shutdown);
-                let cfg = cfg.clone();
-                handlers.push(std::thread::spawn(move || {
-                    serve_conn(
-                        stream,
-                        conn_id,
-                        &cfg,
-                        &svc,
-                        &net,
-                        &last_acked,
-                        &shutdown,
-                        started,
-                    );
-                    net.close(conn_id);
-                }));
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                backoff = Duration::ZERO;
-                std::thread::sleep(cfg.idle_poll);
-            }
-            Err(_) => {
-                net.count_accept_error();
-                backoff = if backoff.is_zero() {
-                    BACKOFF_BASE
-                } else {
-                    (backoff * 2).min(BACKOFF_CAP)
-                };
-                std::thread::sleep(backoff);
-            }
-        }
-    }
-    handlers
 }
 
-/// What one idle-aware poll of the socket produced.
-enum Polled {
-    Frame(Frame),
-    Idle,
-    Eof,
-    ProtocolError(io::Error),
-    /// Socket-level failure; the error itself is uninteresting beyond
-    /// the per-connection counter it bumps.
-    IoError,
-}
-
-/// Reads one frame, but blocks at most `idle_poll` while the line is
-/// quiet: the first byte is read under the short timeout (so the thread
-/// can re-check the shutdown flag), and the remainder of the frame under
-/// the longer `io_timeout`. A timeout *mid-frame* is a real error — the
-/// stream has lost framing.
-fn poll_frame(stream: &TcpStream, cfg: &ServerConfig) -> Polled {
-    if stream.set_read_timeout(Some(cfg.idle_poll)).is_err() {
-        return Polled::IoError;
-    }
-    let mut lead = [0u8; 1];
-    match (&mut &*stream).read(&mut lead) {
-        Ok(0) => Polled::Eof,
-        Ok(_) => {
-            if stream.set_read_timeout(Some(cfg.io_timeout)).is_err() {
-                return Polled::IoError;
-            }
-            match Frame::read_after_lead(lead[0], &mut &*stream) {
-                Ok(frame) => Polled::Frame(frame),
-                Err(e) if e.kind() == ErrorKind::InvalidData => Polled::ProtocolError(e),
-                Err(_) => Polled::IoError,
-            }
-        }
-        Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => Polled::Idle,
-        Err(e) if e.kind() == ErrorKind::Interrupted => Polled::Idle,
-        Err(_) => Polled::IoError,
+impl RouterHandler {
+    fn stats_json(&self) -> String {
+        format!(
+            "{{\"uptime_ms\":{},\"router\":{},\"net\":{}}}",
+            self.started.elapsed().as_millis(),
+            self.svc.stats().to_json(),
+            self.net.to_json(),
+        )
     }
 }
 
-fn send(stream: &TcpStream, net: &NetStats, conn_id: u64, frame: &Frame) -> io::Result<()> {
-    frame.write_to(&mut &*stream)?;
-    net.count_frame_out(conn_id);
-    Ok(())
-}
+impl FrameHandler for RouterHandler {
+    type Conn = u64;
 
-#[allow(clippy::too_many_lines, clippy::too_many_arguments)]
-fn serve_conn(
-    stream: TcpStream,
-    conn_id: u64,
-    cfg: &ServerConfig,
-    svc: &RouterService,
-    net: &NetStats,
-    last_acked: &AtomicU64,
-    shutdown: &AtomicBool,
-    started: Instant,
-) {
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_write_timeout(Some(cfg.io_timeout));
-    loop {
-        if shutdown.load(Ordering::SeqCst) {
-            // Stop taking new work; tell the peer why the line closes.
-            let _ = send(&stream, net, conn_id, &Frame::empty(FrameType::Shutdown, 0));
-            return;
-        }
-        let frame = match poll_frame(&stream, cfg) {
-            Polled::Frame(f) => f,
-            Polled::Idle => continue,
-            Polled::Eof => return,
-            Polled::ProtocolError(e) => {
-                net.count_protocol_error(conn_id);
-                let _ = send(
-                    &stream,
-                    net,
-                    conn_id,
-                    &Frame {
-                        kind: FrameType::Error,
-                        seq: 0,
-                        payload: e.to_string().into_bytes(),
-                    },
-                );
-                return;
-            }
-            Polled::IoError => {
-                net.count_io_error(conn_id);
-                return;
-            }
-        };
-        net.count_frame_in(conn_id);
+    fn open(&self, id: u64) -> u64 {
+        id
+    }
 
-        let reply = match frame.kind {
+    fn is_cheap(&self, kind: FrameType) -> bool {
+        // Everything but the three router calls is answered (or
+        // refused) from memory.
+        !matches!(
+            kind,
+            FrameType::Update | FrameType::Lookup | FrameType::StatsQuery
+        )
+    }
+
+    fn handle(&self, &mut id: &mut u64, frame: &Frame) -> io::Result<Frame> {
+        let seq = frame.seq;
+        Ok(match frame.kind {
             FrameType::Hello => Frame {
                 kind: FrameType::HelloAck,
-                seq: frame.seq,
-                payload: wire::encode_u64(last_acked.load(Ordering::SeqCst)),
+                seq,
+                payload: wire::encode_u64(self.last_acked.load(Ordering::SeqCst)),
             },
-            FrameType::Update => match wire::decode_updates(&frame.payload) {
-                Ok(batch) => {
-                    let mut accepted = 0u32;
-                    let mut dropped = 0u32;
-                    for u in batch {
-                        // Under Block this is where wire backpressure is
-                        // born: the send blocks, this thread stops
-                        // reading, and TCP throttles the peer.
-                        match svc.submit_update_tagged(u, frame.seq) {
-                            SubmitOutcome::Accepted => accepted += 1,
-                            SubmitOutcome::Dropped => dropped += 1,
-                        }
-                    }
-                    net.with_conn(conn_id, |c| {
-                        c.updates += u64::from(accepted);
-                        c.update_drops += u64::from(dropped);
-                    });
-                    // Ack ⇒ journaled: on a durable router, hold this
-                    // batch's ack until the journal high-water covers
-                    // its seq, so a post-crash server never advertises
-                    // an ack position the disk cannot back. (Trivially
-                    // immediate without a journal; skipped when nothing
-                    // was accepted — a fully-dropped batch journals
-                    // nothing to wait for.)
-                    if accepted > 0 && !svc.wait_journaled(frame.seq, cfg.io_timeout) {
-                        net.count_io_error(conn_id);
-                        Frame {
-                            kind: FrameType::Error,
-                            seq: frame.seq,
-                            payload: b"journal write did not complete; batch unacknowledged"
-                                .to_vec(),
-                        }
-                    } else {
-                        last_acked.fetch_max(frame.seq, Ordering::SeqCst);
-                        Frame {
-                            kind: FrameType::UpdateAck,
-                            seq: frame.seq,
-                            payload: wire::encode_ack(wire::UpdateAck { accepted, dropped }),
-                        }
+            FrameType::Update => {
+                let mut accepted = 0u32;
+                let mut dropped = 0u32;
+                for u in wire::decode_updates(&frame.payload)? {
+                    // Under Block this is where wire backpressure is
+                    // born: the send blocks, the driver stops reading
+                    // this socket, and TCP throttles the peer.
+                    match self.svc.submit_update_tagged(u, seq) {
+                        SubmitOutcome::Accepted => accepted += 1,
+                        SubmitOutcome::Dropped => dropped += 1,
                     }
                 }
-                Err(e) => {
-                    net.count_protocol_error(conn_id);
+                self.net.with_conn(id, |c| {
+                    c.updates += u64::from(accepted);
+                    c.update_drops += u64::from(dropped);
+                });
+                // Ack ⇒ journaled: on a durable router, hold this
+                // batch's ack until the journal high-water covers its
+                // seq, so a post-crash server never advertises an ack
+                // position the disk cannot back. (Trivially immediate
+                // without a journal; skipped when nothing was accepted
+                // — a fully-dropped batch journals nothing to wait for.)
+                if accepted > 0 && !self.svc.wait_journaled(seq, self.io_timeout) {
+                    self.net.count_io_error(id);
+                    Frame::error(seq, "journal write did not complete; batch unacknowledged")
+                } else {
+                    self.last_acked.fetch_max(seq, Ordering::SeqCst);
                     Frame {
-                        kind: FrameType::Error,
-                        seq: frame.seq,
-                        payload: e.to_string().into_bytes(),
+                        kind: FrameType::UpdateAck,
+                        seq,
+                        payload: wire::encode_ack(wire::UpdateAck { accepted, dropped }),
                     }
                 }
-            },
-            FrameType::Lookup => match wire::decode_lookup(&frame.payload) {
-                Ok(addrs) => {
-                    net.with_conn(conn_id, |c| c.lookups += addrs.len() as u64);
-                    let results = svc.lookup_batch(addrs);
-                    Frame {
-                        kind: FrameType::LookupResult,
-                        seq: frame.seq,
-                        payload: wire::encode_results(&results),
-                    }
+            }
+            FrameType::Lookup => {
+                let addrs = wire::decode_lookup(&frame.payload)?;
+                self.net.with_conn(id, |c| c.lookups += addrs.len() as u64);
+                Frame {
+                    kind: FrameType::LookupResult,
+                    seq,
+                    payload: wire::encode_results(&self.svc.lookup_batch(addrs)),
                 }
-                Err(e) => {
-                    net.count_protocol_error(conn_id);
-                    Frame {
-                        kind: FrameType::Error,
-                        seq: frame.seq,
-                        payload: e.to_string().into_bytes(),
-                    }
-                }
-            },
+            }
             FrameType::StatsQuery => Frame {
                 kind: FrameType::StatsReply,
-                seq: frame.seq,
-                payload: format!(
-                    "{{\"uptime_ms\":{},\"router\":{},\"net\":{}}}",
-                    started.elapsed().as_millis(),
-                    svc.stats().to_json(),
-                    net.to_json()
-                )
-                .into_bytes(),
+                seq,
+                payload: self.stats_json().into_bytes(),
             },
-            FrameType::Heartbeat => Frame::empty(FrameType::HeartbeatAck, frame.seq),
-            FrameType::Shutdown => return,
-            // Server-to-client types arriving here mean a confused
-            // peer; cluster-plane types (replication, shard maps,
-            // promotion) belong on the proxy/replication endpoints,
-            // not a serving shard.
-            FrameType::HelloAck
-            | FrameType::UpdateAck
-            | FrameType::LookupResult
-            | FrameType::StatsReply
-            | FrameType::HeartbeatAck
-            | FrameType::Error
-            | FrameType::ReplicaHello
-            | FrameType::SnapshotChunk
-            | FrameType::WalShip
-            | FrameType::ShardMapQuery
-            | FrameType::ShardMapReply
-            | FrameType::Promote
-            | FrameType::PromoteAck => {
-                net.count_protocol_error(conn_id);
-                let _ = send(
-                    &stream,
-                    net,
-                    conn_id,
-                    &Frame {
-                        kind: FrameType::Error,
-                        seq: frame.seq,
-                        payload: format!("unexpected client frame {:?}", frame.kind).into_bytes(),
-                    },
-                );
-                return;
-            }
-        };
-        let fatal = reply.kind == FrameType::Error;
-        if send(&stream, net, conn_id, &reply).is_err() {
-            net.count_io_error(conn_id);
-            return;
-        }
-        if fatal {
-            return;
-        }
+            FrameType::Heartbeat => Frame::empty(FrameType::HeartbeatAck, seq),
+            // Server-to-client kinds mean a confused peer; cluster-plane
+            // kinds (replication, shard maps, promotion) belong on the
+            // proxy/replication endpoints, not a serving shard.
+            other => return Err(bad_data(format!("unexpected client frame {other:?}"))),
+        })
     }
 }

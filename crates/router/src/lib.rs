@@ -18,7 +18,10 @@
 //! * **observability** — a [`stats::RouterStats`] registry aggregating
 //!   per-worker histograms into hand-rolled JSON snapshots.
 //!
-//! Entry point: [`runtime::run`] (or `clue serve` on the CLI).
+//! Entry point: [`runtime::run`] (or `clue serve` on the CLI). This is
+//! also the only real-thread realization of the paper's Figure-1 engine:
+//! with an empty update stream, `run(table, packets, &[], cfg)` is the
+//! raw-thread cross-check of the clock model.
 
 #![warn(missing_docs)]
 

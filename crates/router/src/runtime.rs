@@ -228,6 +228,20 @@ mod tests {
     }
 
     #[test]
+    fn single_worker_still_completes() {
+        let (fib, packets, _) = setup(2_000, 5_000, 0);
+        let cfg = RouterConfig {
+            workers: 1,
+            fifo_capacity: 64,
+            dred_capacity: 64,
+            ..RouterConfig::default()
+        };
+        let report = run(&fib, &packets, &[], &cfg);
+        assert!(report.packets_conserved());
+        assert_eq!(report.snapshot.completions, 5_000);
+    }
+
+    #[test]
     fn updates_without_packets_reach_the_sequential_fib() {
         let (fib, _, updates) = setup(2_000, 0, 1_500);
         let report = run(&fib, &[], &updates, &RouterConfig::default());

@@ -13,10 +13,10 @@
 use clue::compress::onrtc;
 use clue::core::engine::{Engine, EngineConfig};
 use clue::core::theory::worst_case_speedup;
-use clue::core::threads::{run_threaded, ThreadedConfig};
 use clue::core::DredConfig;
 use clue::fib::gen::FibGen;
 use clue::partition::{EvenRangePartition, Indexer};
+use clue::router::RouterConfig;
 use clue::traffic::workload::{adversarial_mapping, chip_shares, profile};
 use clue::traffic::PacketGen;
 
@@ -99,11 +99,11 @@ fn main() {
     }
 
     // Cross-validate with real threads.
-    let (treport, _) = run_threaded(&fib, &trace[..200_000], ThreadedConfig::default());
+    let treport = clue::router::run(&fib, &trace[..200_000], &[], &RouterConfig::default());
     println!(
         "\nthreaded engine: {} packets in {:?} ({:.1} Mpps software throughput)",
-        treport.completions,
+        treport.snapshot.completions,
         treport.elapsed,
-        treport.pps() / 1e6
+        treport.snapshot.completions as f64 / treport.elapsed.as_secs_f64() / 1e6
     );
 }

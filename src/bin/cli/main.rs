@@ -903,11 +903,12 @@ fn serve_primary(
             if last.elapsed() >= every {
                 let r = primary.repl_stats();
                 println!(
-                    "{{\"repl\":{{\"followers\":{},\"synced\":{},\"base_jseq\":{},\"tail_len\":{}}},\"server\":{}}}",
+                    "{{\"repl\":{{\"followers\":{},\"synced\":{},\"base_jseq\":{},\"tail_len\":{},\"accept_errors\":{}}},\"server\":{}}}",
                     r.followers,
                     r.synced,
                     r.base_jseq,
                     r.tail_len,
+                    r.accept_errors,
                     primary.stats_json(),
                 );
                 last = std::time::Instant::now();

@@ -7,12 +7,12 @@
 
 use clue::compress::{onrtc, CompressedFib};
 use clue::core::engine::{Engine, EngineConfig};
-use clue::core::threads::{run_threaded, ThreadedConfig};
 use clue::core::update_pipeline::CluePipeline;
 use clue::core::{DredConfig, Outcome};
 use clue::fib::gen::FibGen;
 use clue::fib::RouteTable;
 use clue::partition::{EvenRangePartition, Indexer};
+use clue::router::RouterConfig;
 use clue::traffic::{PacketGen, UpdateGen};
 
 fn build() -> (RouteTable, RouteTable, Vec<u32>) {
@@ -100,10 +100,9 @@ fn clpl_scheme_forwards_correctly_too() {
 fn threaded_and_clocked_engines_agree_with_reference() {
     let (rib, compressed, trace) = build();
     let reference = rib.to_trie();
-    let (treport, tresults) =
-        run_threaded(&compressed, &trace[..50_000], ThreadedConfig::default());
-    assert_eq!(treport.completions, 50_000);
-    for (&addr, nh) in trace[..50_000].iter().zip(&tresults) {
+    let treport = clue::router::run(&compressed, &trace[..50_000], &[], &RouterConfig::default());
+    assert_eq!(treport.snapshot.completions, 50_000);
+    for (&addr, nh) in trace[..50_000].iter().zip(&treport.results) {
         assert_eq!(*nh, reference.lookup(addr).map(|(_, &v)| v));
     }
 }

@@ -8,10 +8,10 @@
 
 use clue::compress::{onrtc, CompressedFib};
 use clue::core::engine::{Engine, EngineConfig};
-use clue::core::threads::{run_threaded, ThreadedConfig};
 use clue::core::update_pipeline::CluePipeline;
 use clue::fib::gen::FibGen;
 use clue::fib::{RouteTable, Update};
+use clue::router::RouterConfig;
 use clue::traffic::{PacketGen, UpdateGen, UpdateMix};
 
 /// FIB seed for the hot-drift threaded-engine stress.
@@ -45,22 +45,23 @@ fn threaded_engine_correct_under_hot_drift() {
         .hot_drift(10_000, 0.5)
         .generate(&fib, 60_000);
     let reference = fib.to_trie();
-    let cfg = ThreadedConfig {
-        chips: 4,
+    let cfg = RouterConfig {
+        workers: 4,
         fifo_capacity: 8, // tiny FIFOs force constant diversion + bouncing
         dred_capacity: 256,
+        ..RouterConfig::default()
     };
-    let (report, results) = run_threaded(&fib, &trace, cfg);
+    let report = clue::router::run(&fib, &trace, &[], &cfg);
     assert_eq!(
-        report.completions,
+        report.snapshot.completions,
         trace.len() as u64,
         "seeds fib={SEED_DRIFT_FIB} trace={SEED_DRIFT_TRACE}"
     );
     assert!(
-        report.diversions > 0,
+        report.snapshot.diversions > 0,
         "seeds fib={SEED_DRIFT_FIB} trace={SEED_DRIFT_TRACE}"
     );
-    for (&addr, nh) in trace.iter().zip(&results) {
+    for (&addr, nh) in trace.iter().zip(&report.results) {
         assert_eq!(
             *nh,
             reference.lookup(addr).map(|(_, &v)| v),
