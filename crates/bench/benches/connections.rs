@@ -1,11 +1,11 @@
-//! Machine-readable connection-scaling numbers: transport ×
-//! connection count → lookups/sec, lookup latency percentiles, update
-//! ack latency, and loss counters (which must be zero) — plus an
-//! offered-load × connections sweep where the swarm paces itself to a
-//! target aggregate rate and the achieved rate is reported against it.
-//! Emitted as `BENCH_connections.json` for CI artifacts and regression
-//! diffing (schema `clue-bench-connections/2`, documented in DESIGN.md
-//! §3).
+//! Connection scaling: transport × connection count → lookups/sec,
+//! lookup latency percentiles, update ack latency, and loss counters
+//! (which must be zero) — plus an offered-load × connections sweep
+//! where the swarm paces itself to a target aggregate rate and the
+//! achieved rate is reported against it. This is the connection-count
+//! axis behind ROADMAP 3(a)'s "both transports stay" verdict; the
+//! one-connection cost of each transport is the contract's
+//! `net.lookup_rtt_us.{threads,evloop}.b64`.
 //!
 //! The swarm client multiplexes every connection on one reactor and
 //! holds all handshakes until the last dial resolves, so a point at N
@@ -14,13 +14,10 @@
 //! sustain (one OS thread per connection); the evloop transport
 //! continues into the thousands on the same workload for the headline
 //! ratio.
-//!
-//! The artifact path defaults to `BENCH_connections.json` in the
-//! working directory; override with `CLUE_BENCH_CONNECTIONS_JSON`.
 
 use std::time::Duration;
 
-use clue_bench::{banner, scale};
+use clue_bench::{banner, csv_write, scale};
 use clue_fib::gen::FibGen;
 use clue_fib::RouteTable;
 use clue_net::swarm::percentile_us;
@@ -52,21 +49,16 @@ struct Point {
 }
 
 impl Point {
-    fn to_json(&self) -> String {
+    const CSV_HEADER: &'static str = "transport,connections,offered_per_sec,lookups_sent,\
+        lookups_per_sec,lookup_p50_us,lookup_p99_us,ack_p50_us,ack_p99_us,update_drops,elapsed_ms";
+
+    fn csv_row(&self) -> String {
         let r = &self.report;
         format!(
-            "{{\"transport\":\"{}\",\"connections\":{},\"offered_per_sec\":{:.1},\
-             \"connected\":{},\"peak_open\":{},\
-             \"lookups_sent\":{},\"lookups_per_sec\":{:.1},\
-             \"lookup_p50_us\":{:.1},\"lookup_p99_us\":{:.1},\
-             \"ack_p50_us\":{:.1},\"ack_p99_us\":{:.1},\
-             \"update_drops\":{},\"lost_answers\":{},\"lost_acks\":{},\
-             \"errors\":{},\"elapsed_ms\":{}}}",
+            "{},{},{:.1},{},{:.1},{:.1},{:.1},{:.1},{:.1},{},{}",
             self.transport.name(),
             self.connections,
             self.offered_per_sec,
-            r.connected,
-            r.peak_open,
             r.lookups_sent,
             r.lookups_per_sec(),
             percentile_us(&r.lookup_us, 50.0),
@@ -74,9 +66,6 @@ impl Point {
             percentile_us(&r.ack_us, 50.0),
             percentile_us(&r.ack_us, 99.0),
             r.updates_dropped,
-            r.lost_answers(),
-            r.lost_acks(),
-            r.errors,
             r.elapsed.as_millis(),
         )
     }
@@ -145,7 +134,7 @@ fn point(
 fn main() {
     banner(
         "Connections — transport x connection count -> lookups/s, latency, zero loss",
-        "writes BENCH_connections.json (override with CLUE_BENCH_CONNECTIONS_JSON)",
+        "beyond the paper: evloop holds thousands of clients, threads wins per connection",
     );
     let s = scale();
     let routes = ((20_000.0 * s) as usize).max(2_000);
@@ -213,33 +202,10 @@ fn main() {
         rate_at(Transport::Evloop, shared) / rate_at(Transport::Threads, shared).max(1e-9),
     );
 
-    let body: Vec<String> = points.iter().map(Point::to_json).collect();
-    let json = format!(
-        "{{\"schema\":\"clue-bench-connections/2\",\"scale\":{s},\"routes\":{},\
-         \"points\":[{}],\
-         \"headline\":{{\"threads_max_connections\":{threads_max},\
-         \"evloop_max_connections\":{evloop_max},\
-         \"connection_ratio\":{:.2},\
-         \"shared_count\":{shared},\
-         \"throughput_ratio_at_shared\":{:.3},\
-         \"paced_achieved_over_offered\":{paced_ratio:.3},\
-         \"evloop_zero_loss_at_max\":true}}}}",
-        rib.len(),
-        body.join(","),
-        evloop_max as f64 / threads_max as f64,
-        rate_at(Transport::Evloop, shared) / rate_at(Transport::Threads, shared).max(1e-9),
-    );
     println!(
         "load sweep: heaviest paced point achieved {:.0}% of its offered rate with zero loss",
         paced_ratio * 100.0
     );
-    let path = std::env::var("CLUE_BENCH_CONNECTIONS_JSON")
-        .unwrap_or_else(|_| "BENCH_connections.json".to_owned());
-    match std::fs::write(&path, format!("{json}\n")) {
-        Ok(()) => println!("connections bench written to {path}"),
-        Err(e) => {
-            eprintln!("connections bench write to {path} failed: {e}");
-            std::process::exit(1);
-        }
-    }
+    let rows: Vec<String> = points.iter().map(Point::csv_row).collect();
+    csv_write("connections", Point::CSV_HEADER, &rows);
 }

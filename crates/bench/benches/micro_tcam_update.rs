@@ -1,26 +1,45 @@
-//! Criterion micro-benchmarks: TCAM update cost under the three layout
-//! policies, plus the measured shift counts (the ablation behind
-//! Figures 7 and 11).
+//! TCAM update cost under the four layout policies: entry moves per
+//! update when 200 fresh routes are inserted into and then deleted from
+//! a loaded 20 000-route table (the ablation behind Figures 7 and 11;
+//! the size is fixed, `CLUE_BENCH_SCALE` does not apply). Moves are
+//! counted by the TCAM model, so the table is identical from run to
+//! run; the host time of the churn is printed beside it.
 
-use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use std::hint::black_box;
+use std::time::Instant;
 
+use clue_bench::banner;
 use clue_fib::gen::FibGen;
-use clue_fib::Route;
+use clue_fib::{Route, RouteTable};
 use clue_tcam::{
     load, CaoTcam, FullyOrderedTcam, PrefixLengthOrderedTcam, TcamTable, UnorderedTcam,
 };
 
-fn churn<T: TcamTable>(table: &mut T, routes: &[Route]) {
-    for r in routes {
-        table.insert(*r).unwrap();
+/// Loads `base`, churns `fresh` through the table and prints its row.
+fn row<T: TcamTable>(name: &str, mut table: T, base: &RouteTable, fresh: &[Route]) {
+    load(&mut table, base.iter());
+    table.reset_stats();
+    let start = Instant::now();
+    for r in fresh {
+        table.insert(*r).expect("capacity covers base + fresh");
     }
-    for r in routes {
+    for r in fresh {
         table.delete(r.prefix);
     }
+    let host_us = start.elapsed().as_secs_f64() * 1e6;
+    let ops = (fresh.len() * 2) as f64;
+    let moves = table.stats().moves as f64 / ops;
+    println!(
+        "{name:<24} {moves:>13.3} {:>16.3} {:>15.3}",
+        moves * 24.0 / 1e3,
+        host_us / ops
+    );
 }
 
-fn bench_tcam_updates(c: &mut Criterion) {
+fn main() {
+    banner(
+        "TCAM layouts — entry moves per update (Figures 7 and 11 ablation)",
+        "unordered (CLUE) needs at most one move; ordered layouts shift entries per update",
+    );
     let base = FibGen::new(5).routes(20_000).generate();
     let fresh: Vec<Route> = FibGen::new(6)
         .routes(20_200)
@@ -31,92 +50,22 @@ fn bench_tcam_updates(c: &mut Criterion) {
         .collect();
     let cap = base.len() + fresh.len() + 64;
 
-    let mut group = c.benchmark_group("tcam_churn_200");
-    group.sample_size(10);
-    group.bench_function("unordered_clue", |b| {
-        b.iter_batched_ref(
-            || {
-                let mut t = UnorderedTcam::new(cap);
-                load(&mut t, base.iter());
-                t
-            },
-            |t| churn(black_box(t), &fresh),
-            BatchSize::LargeInput,
-        );
-    });
-    group.bench_function("chain_ancestor_ordered_cao", |b| {
-        b.iter_batched_ref(
-            || {
-                let mut t = CaoTcam::new(cap);
-                load(&mut t, base.iter());
-                t
-            },
-            |t| churn(black_box(t), &fresh),
-            BatchSize::LargeInput,
-        );
-    });
-    group.bench_function("prefix_length_ordered_clpl", |b| {
-        b.iter_batched_ref(
-            || {
-                let mut t = PrefixLengthOrderedTcam::new(cap);
-                load(&mut t, base.iter());
-                t
-            },
-            |t| churn(black_box(t), &fresh),
-            BatchSize::LargeInput,
-        );
-    });
-    group.bench_function("fully_ordered_naive", |b| {
-        b.iter_batched_ref(
-            || {
-                let mut t = FullyOrderedTcam::new(cap);
-                load(&mut t, base.iter());
-                t
-            },
-            |t| churn(black_box(t), &fresh),
-            BatchSize::LargeInput,
-        );
-    });
-    group.finish();
-
-    // Report the hardware-relevant number: entry moves per update.
-    for (name, stats, ops) in [
-        {
-            let mut t = UnorderedTcam::new(cap);
-            load(&mut t, base.iter());
-            t.reset_stats();
-            churn(&mut t, &fresh);
-            ("unordered (CLUE)", t.stats(), fresh.len() * 2)
-        },
-        {
-            let mut t = CaoTcam::new(cap);
-            load(&mut t, base.iter());
-            t.reset_stats();
-            churn(&mut t, &fresh);
-            ("chain-ordered (CAO)", t.stats(), fresh.len() * 2)
-        },
-        {
-            let mut t = PrefixLengthOrderedTcam::new(cap);
-            load(&mut t, base.iter());
-            t.reset_stats();
-            churn(&mut t, &fresh);
-            ("length-ordered (CLPL)", t.stats(), fresh.len() * 2)
-        },
-        {
-            let mut t = FullyOrderedTcam::new(cap);
-            load(&mut t, base.iter());
-            t.reset_stats();
-            churn(&mut t, &fresh);
-            ("fully ordered (naive)", t.stats(), fresh.len() * 2)
-        },
-    ] {
-        println!(
-            "{name}: {:.3} moves/update ({:.3} us at 24 ns/move)",
-            stats.moves as f64 / ops as f64,
-            stats.moves as f64 / ops as f64 * 24.0 / 1e3
-        );
-    }
+    println!(
+        "{:<24} {:>13} {:>16} {:>15}",
+        "layout", "moves/update", "us at 24ns/move", "host us/update"
+    );
+    row("unordered (CLUE)", UnorderedTcam::new(cap), &base, &fresh);
+    row("chain-ordered (CAO)", CaoTcam::new(cap), &base, &fresh);
+    row(
+        "length-ordered (CLPL)",
+        PrefixLengthOrderedTcam::new(cap),
+        &base,
+        &fresh,
+    );
+    row(
+        "fully ordered (naive)",
+        FullyOrderedTcam::new(cap),
+        &base,
+        &fresh,
+    );
 }
-
-criterion_group!(benches, bench_tcam_updates);
-criterion_main!(benches);

@@ -1,8 +1,7 @@
 //! Tiled scale-out numbers: tile capacity × table scale → tiles used,
 //! occupancy, lookup throughput, per-update tiles rewritten, and tile
-//! apply-time percentiles. Emitted as `BENCH_tiles.json` for CI
-//! artifacts and regression diffing (schema `clue-bench-tiles/1`,
-//! documented in DESIGN.md §3).
+//! apply-time percentiles. The contract's `tile.*` rows measure one
+//! geometry at 390 K routes; this sweep is the scale axis behind them.
 //!
 //! The headline is the update-locality claim behind the tiled backend:
 //! because an update rewrites only the tiles its address range touches,
@@ -12,13 +11,10 @@
 //! stream through a fresh [`TileSet`] and then differentially checks
 //! the final tiled plane against a trie built from the final table, so
 //! a point that drifts is a panic, not a silently wrong number.
-//!
-//! The artifact path defaults to `BENCH_tiles.json` in the working
-//! directory; override with `CLUE_BENCH_TILES_JSON`.
 
 use std::time::Instant;
 
-use clue_bench::{banner, scale};
+use clue_bench::{banner, csv_write, scale};
 use clue_compress::{CompressedFib, TableDiff};
 use clue_core::{build_plane, BackendKind, LookupPlane};
 use clue_fib::gen::FibGen;
@@ -104,13 +100,13 @@ struct Point {
 }
 
 impl Point {
-    fn to_json(&self) -> String {
+    const CSV_HEADER: &'static str = "routes,compressed,capacity,tiles,occupancy,heap_bytes,\
+        lookups_per_sec,updates,rewrites_p50,rewrites_p99,rewrites_mean,apply_p50_us,\
+        apply_p99_us,splits,merges";
+
+    fn csv_row(&self) -> String {
         format!(
-            "{{\"routes\":{},\"compressed\":{},\"capacity\":{},\"tiles\":{},\
-             \"occupancy\":{:.4},\"heap_bytes\":{},\"lookups_per_sec\":{:.1},\
-             \"updates\":{},\"rewrites_p50\":{:.1},\"rewrites_p99\":{:.1},\
-             \"rewrites_mean\":{:.3},\"apply_p50_us\":{:.1},\"apply_p99_us\":{:.1},\
-             \"splits\":{},\"merges\":{}}}",
+            "{},{},{},{},{:.4},{},{:.1},{},{:.1},{:.1},{:.3},{:.1},{:.1},{},{}",
             self.routes,
             self.compressed,
             self.capacity,
@@ -217,7 +213,7 @@ fn point(w: &Workload, capacity: usize) -> Point {
 fn main() {
     banner(
         "Tiles — tile capacity x table scale -> tiles, occupancy, lookups/s, rewrite locality",
-        "writes BENCH_tiles.json (override with CLUE_BENCH_TILES_JSON)",
+        "beyond the paper: median update rewrites <= 2 tiles at 10x the seed table",
     );
     let s = scale();
     let updates = ((UPDATES as f64 * s) as usize).max(200);
@@ -256,27 +252,6 @@ fn main() {
         at_max.routes, at_max.capacity, at_max.rewrites_p50, at_max.rewrites_p99, at_max.tiles
     );
 
-    let body: Vec<String> = points.iter().map(Point::to_json).collect();
-    let json = format!(
-        "{{\"schema\":\"clue-bench-tiles/1\",\"scale\":{s},\"seed_routes\":{SEED_ROUTES},\
-         \"points\":[{}],\
-         \"headline\":{{\"max_routes\":{max_routes},\
-         \"default_capacity\":{},\
-         \"median_rewrites_at_max\":{:.1},\
-         \"p99_rewrites_at_max\":{:.1},\
-         \"rewrite_bound_ok\":true}}}}",
-        body.join(","),
-        TileConfig::DEFAULT_CAPACITY,
-        at_max.rewrites_p50,
-        at_max.rewrites_p99,
-    );
-    let path =
-        std::env::var("CLUE_BENCH_TILES_JSON").unwrap_or_else(|_| "BENCH_tiles.json".to_owned());
-    match std::fs::write(&path, format!("{json}\n")) {
-        Ok(()) => println!("tiles bench written to {path}"),
-        Err(e) => {
-            eprintln!("tiles bench write to {path} failed: {e}");
-            std::process::exit(1);
-        }
-    }
+    let rows: Vec<String> = points.iter().map(Point::csv_row).collect();
+    csv_write("tiles", Point::CSV_HEADER, &rows);
 }

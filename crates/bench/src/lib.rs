@@ -1,9 +1,12 @@
-//! Shared plumbing for the paper-reproduction benchmark harnesses.
+//! Shared plumbing for the paper-reproduction harnesses.
 //!
-//! Every `benches/figNN_*.rs` / `benches/tableN_*.rs` binary regenerates
-//! one table or figure from the paper (workload, parameter sweep,
-//! baselines, and the printed rows/series). The helpers here keep the
-//! datasets and the output format consistent across harnesses.
+//! Every `benches/*.rs` binary regenerates one table, figure or
+//! ablation of the paper (workload, parameter sweep, baselines, and the
+//! printed rows/series); `connections` and `tiles` sweep two scale axes
+//! beyond it. The helpers here keep the datasets and the one output
+//! format consistent: [`banner`], printed rows, and [`csv_write`] when
+//! `CLUE_BENCH_CSV` names a directory. System performance is not
+//! measured here — that is `benchmark/` and `BENCHMARK.json`.
 //!
 //! Set `CLUE_BENCH_SCALE` (default `1.0`) to shrink the synthetic RIBs
 //! for quick runs, e.g. `CLUE_BENCH_SCALE=0.1 cargo bench --bench

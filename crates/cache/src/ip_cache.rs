@@ -4,7 +4,7 @@
 //! whole destination addresses against caching prefixes and finds
 //! prefix caching strictly more effective — one cached prefix covers
 //! many addresses. This module provides the IP-cache side of that
-//! comparison so the claim can be re-measured (see the `micro_lookup`
+//! comparison so the claim can be re-measured (see the `ablation_replacement`
 //! bench and the cache integration tests).
 
 use clue_fib::NextHop;

@@ -71,25 +71,8 @@ impl Primary {
     /// Store open/seed failures, bind failures on either listener, or
     /// a fresh directory with no `fib` to seed from.
     pub fn start(dir: &Path, fib: Option<&RouteTable>, cfg: &PrimaryConfig) -> io::Result<Primary> {
-        let (mut store, recovery) = Store::open(dir, cfg.store)?;
-        let (state, recovered) = match recovery {
-            Some(rec) => (rec.into_state(), true),
-            None => {
-                let fib = fib.ok_or_else(|| {
-                    io::Error::new(
-                        io::ErrorKind::InvalidInput,
-                        format!("{} is a fresh data dir; seed it with a FIB", dir.display()),
-                    )
-                })?;
-                store.init_from_table(fib, cfg.server.router.workers)?;
-                let (reopened, rec) = Store::open(dir, cfg.store)?;
-                store = reopened;
-                let rec = rec.ok_or_else(|| {
-                    io::Error::other("freshly seeded store did not recover its own snapshot")
-                })?;
-                (rec.into_state(), false)
-            }
-        };
+        let (store, state, recovered) =
+            Store::open_or_seed(dir, cfg.store, fib, cfg.server.router.workers)?;
         let hub = Arc::new(ReplicationHub::new(store.stream_base()?));
         let repl = ReplicationListener::start(cfg.repl.clone(), Arc::clone(&hub))?;
         let journal = ReplicatedStore::new(store, Arc::clone(&hub), cfg.sync_timeout);

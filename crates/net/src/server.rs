@@ -285,11 +285,19 @@ impl FrameHandler for RouterHandler {
             FrameType::Update => {
                 let mut accepted = 0u32;
                 let mut dropped = 0u32;
-                for u in wire::decode_updates(&frame.payload)? {
+                let updates = wire::decode_updates(&frame.payload)?;
+                let last = updates.len().saturating_sub(1);
+                for (i, u) in updates.into_iter().enumerate() {
+                    // Only the frame's last update carries its seq, so
+                    // the journaled high-water (hence the ack, the
+                    // replicated seq_hw and a post-crash HelloAck) covers
+                    // the frame no earlier than its tail: see
+                    // `submit_update_tagged`.
+                    let tag = if i == last { seq } else { 0 };
                     // Under Block this is where wire backpressure is
                     // born: the send blocks, the driver stops reading
                     // this socket, and TCP throttles the peer.
-                    match self.svc.submit_update_tagged(u, seq) {
+                    match self.svc.submit_update_tagged(u, tag) {
                         SubmitOutcome::Accepted => accepted += 1,
                         SubmitOutcome::Dropped => dropped += 1,
                     }

@@ -2,12 +2,14 @@
 //! (The per-frame protocol rows, lost framing and the drain notices are
 //! checked for every tier in the root package's `tests/frame_handler.rs`.)
 
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc;
 use std::time::Duration;
 
 use clue_fib::gen::FibGen;
 use clue_fib::RouteTable;
 use clue_net::{ClientConfig, Connection, LoadConfig, Server, ServerConfig, Transport};
-use clue_router::{OverflowPolicy, RouterConfig};
+use clue_router::{JournalBatch, OverflowPolicy, RouterConfig, RouterService, UpdateJournal};
 use clue_traffic::{PacketGen, UpdateGen};
 
 /// Semantics-critical tests run over both transports: the evloop server
@@ -432,4 +434,68 @@ fn evloop_multiplexes_many_clients_on_one_loop_thread() {
     }
     assert_eq!(server.net_stats().active(), 0);
     let _ = server.drain().expect("server drains cleanly");
+}
+
+/// Reports each append's `(raw, seq_hw)`, then blocks until released
+/// (or until the test gave up and dropped the gate).
+struct GatedJournal {
+    entered: mpsc::Sender<(u32, u64)>,
+    release: mpsc::Receiver<()>,
+}
+
+impl UpdateJournal for GatedJournal {
+    fn append(&mut self, batch: &JournalBatch<'_>) -> std::io::Result<()> {
+        let _ = self.entered.send((batch.raw, batch.seq_hw));
+        let _ = self.release.recv();
+        Ok(())
+    }
+}
+
+/// ROADMAP 5(f): one update frame that straddles journal batches is
+/// acked — and claimed by a journal record's `seq_hw` — only once the
+/// append holding its last update has returned.
+#[test]
+fn update_ack_waits_for_the_append_holding_the_frames_last_update() {
+    let fib = small_fib(691, 500);
+    let frame = UpdateGen::new(692).generate(&fib, 5);
+    let (entered, entered_rx) = mpsc::channel();
+    let (release_tx, release) = mpsc::channel();
+    let cfg = ServerConfig {
+        listen: "127.0.0.1:0".to_string(),
+        router: RouterConfig {
+            batch_size: 2,
+            ..RouterConfig::default()
+        },
+        ..ServerConfig::default()
+    };
+    let journal = Box::new(GatedJournal { entered, release });
+    let svc = RouterService::start_with_journal(&fib, &cfg.router, journal);
+    let server = Server::start_with_service(svc, 0, &cfg).expect("bind loopback");
+    let mut conn = client_for(&server);
+    let seq = conn.last_acked() + 1;
+    let acked = AtomicBool::new(false);
+
+    std::thread::scope(|s| {
+        // Owned here so a failed assertion drops it and opens the gate.
+        let release_tx = release_tx;
+        s.spawn(|| {
+            conn.send_updates(&frame).expect("send frame");
+            conn.flush_acks().expect("ack arrives");
+            acked.store(true, Ordering::SeqCst);
+        });
+        let mut journaled = 0;
+        while journaled < frame.len() {
+            let (raw, seq_hw) = entered_rx.recv_timeout(Duration::from_secs(5)).unwrap();
+            journaled += raw as usize;
+            // Only the record holding the frame's tail may claim it, and
+            // while that append is in flight no ack may be out.
+            assert_eq!(seq_hw, if journaled == frame.len() { seq } else { 0 });
+            assert!(!acked.load(Ordering::SeqCst), "acked at {journaled}/5");
+            release_tx.send(()).unwrap();
+        }
+    });
+    assert!(acked.load(Ordering::SeqCst));
+    assert_eq!(conn.last_acked(), seq);
+    drop(conn);
+    server.drain().expect("server drains cleanly");
 }

@@ -125,20 +125,17 @@ fn run_journaled(
     scfg: StoreConfig,
     crash: bool,
 ) -> Result<(), Divergence> {
-    let (mut store, recovery) =
-        Store::open(dir, scfg).map_err(|e| io_div("opening fresh data dir", &e))?;
-    if recovery.is_some() {
+    let (store, state, recovered) = Store::open_or_seed(dir, scfg, Some(table), cfg.chips)
+        .map_err(|e| io_div("seeding fresh data dir", &e))?;
+    if recovered {
         return Err(rec_div("fresh data dir unexpectedly held state"));
     }
-    store
-        .init_from_table(table, cfg.chips)
-        .map_err(|e| io_div("seeding base snapshot", &e))?;
     let journal: Box<dyn UpdateJournal> = if crash {
         Box::new(CrashStore(store))
     } else {
         Box::new(store)
     };
-    let svc = RouterService::start_with_journal(table, &router_cfg(cfg), journal);
+    let svc = RouterService::start_recovered(&state, &router_cfg(cfg), Some(journal));
     for (i, &u) in trace.iter().enumerate() {
         if svc.submit_update_tagged(u, i as u64 + 1) != SubmitOutcome::Accepted {
             return Err(rec_div(format!("update {i} rejected under Block policy")));

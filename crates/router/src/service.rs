@@ -58,6 +58,10 @@ enum Job {
     Quit,
 }
 
+/// One ingress item: an update and its frame-closing tag (0 = none),
+/// or just the tag when the closing update itself was shed.
+type Ingress = (Option<Update>, u64);
+
 /// The journaled-sequence high-water mark: a monotone counter the
 /// update thread advances after each successful journal append, which
 /// frontends wait on before acknowledging a batch (ack ⇒ journaled).
@@ -128,7 +132,7 @@ pub enum SubmitOutcome {
 /// plane behind a handle. See the module docs for the drain contract.
 pub struct RouterService {
     lookup_tx: Option<Sender<LookupRequest>>,
-    ingress_tx: Option<Sender<(Update, u64)>>,
+    ingress_tx: Option<Sender<Ingress>>,
     overflow: OverflowPolicy,
     shared: Arc<Shared>,
     started: Instant,
@@ -264,7 +268,7 @@ impl RouterService {
             bounce_rx.push(rx);
         }
         let (done_tx, done_rx) = unbounded::<(u64, Option<NextHop>)>();
-        let (ingress_tx, ingress_rx) = bounded::<(Update, u64)>(cfg.update_queue);
+        let (ingress_tx, ingress_rx) = bounded::<Ingress>(cfg.update_queue);
         let (lookup_tx, lookup_rx) = unbounded::<LookupRequest>();
 
         let mut workers = Vec::with_capacity(cfg.workers);
@@ -363,25 +367,35 @@ impl RouterService {
         self.submit_update_tagged(update, 0)
     }
 
-    /// Like [`submit_update`](Self::submit_update), tagging the update
-    /// with the submitter's sequence number. When the batch draining
-    /// this update is journaled, the journaled high-water advances to
-    /// at least `seq`, which [`wait_journaled`](Self::wait_journaled)
-    /// observes — the durability handshake a network frontend needs to
-    /// hold acks until the covering batch is on disk.
+    /// Like [`submit_update`](Self::submit_update); a nonzero `seq`
+    /// says this update **closes** the submitter's frame `seq`. When
+    /// the batch draining it is journaled, the journaled high-water
+    /// advances to at least `seq`, which
+    /// [`wait_journaled`](Self::wait_journaled) observes — the
+    /// durability handshake a network frontend needs to hold acks until
+    /// the covering batch is on disk. A frame of several updates tags
+    /// only its last one (the others pass 0): the update plane cuts
+    /// batches wherever the queue happens to end, so a tag on an
+    /// earlier update would cover the frame before its tail is
+    /// journaled. If the closing update is shed under `DropNewest`, its
+    /// tag still enters the queue, in order, behind whatever the frame
+    /// had accepted.
     pub fn submit_update_tagged(&self, update: Update, seq: u64) -> SubmitOutcome {
         let tx = self.ingress_tx.as_ref().expect("service not drained");
+        // The update thread outlives every submitter (it exits only
+        // when drain() closes this channel).
         match self.overflow {
             OverflowPolicy::Block => {
-                // The update thread outlives every submitter (it exits
-                // only when drain() closes this channel).
-                tx.send((update, seq)).expect("update thread alive");
+                tx.send((Some(update), seq)).expect("update thread alive");
                 SubmitOutcome::Accepted
             }
-            OverflowPolicy::DropNewest => match tx.try_send((update, seq)) {
+            OverflowPolicy::DropNewest => match tx.try_send((Some(update), seq)) {
                 Ok(()) => SubmitOutcome::Accepted,
                 Err(TrySendError::Full(_)) => {
                     self.shared.stats.count_update_drop();
+                    if seq != 0 {
+                        tx.send((None, seq)).expect("update thread alive");
+                    }
                     SubmitOutcome::Dropped
                 }
                 Err(TrySendError::Disconnected(_)) => unreachable!("update thread alive"),
@@ -624,7 +638,7 @@ fn collect_dreds(shared: &Shared) -> Vec<Vec<Route>> {
 fn update_loop(
     pipeline: &mut CluePipeline,
     mirror: &mut RouteTable,
-    ingress: &Receiver<(Update, u64)>,
+    ingress: &Receiver<Ingress>,
     shared: &Shared,
     index: &RangeIndex,
     cfg: &RouterConfig,
@@ -640,14 +654,15 @@ fn update_loop(
         mut seq_hw,
     } = durability;
     while let Ok((first, tag0)) = ingress.recv() {
-        // One quiescent window: whatever is already queued, up to the cap.
+        // One quiescent window: whatever is already queued, up to the cap
+        // (a bare closing tag adds its seq and no update).
         let mut batch = Vec::with_capacity(batch_size);
         let mut tag_hw = tag0;
-        batch.push(first);
+        batch.extend(first);
         while batch.len() < batch_size {
             match ingress.try_recv() {
                 Ok((u, tag)) => {
-                    batch.push(u);
+                    batch.extend(u);
                     tag_hw = tag_hw.max(tag);
                 }
                 Err(_) => break,
@@ -965,6 +980,131 @@ mod tests {
             report.snapshot.updates_received + report.snapshot.update_drops,
             updates.len() as u64,
         );
+    }
+
+    /// A journal whose appends report `(raw, seq_hw)` and then block
+    /// until the test releases them one by one (or drops the gate).
+    struct GatedJournal {
+        entered: Sender<(u32, u64)>,
+        release: Receiver<()>,
+    }
+
+    impl UpdateJournal for GatedJournal {
+        fn append(&mut self, batch: &JournalBatch<'_>) -> std::io::Result<()> {
+            let _ = self.entered.send((batch.raw, batch.seq_hw));
+            let _ = self.release.recv();
+            Ok(())
+        }
+    }
+
+    /// Long enough for the update thread to get anywhere it is going.
+    const TICK: Duration = Duration::from_secs(5);
+
+    /// A journaled service behind a [`GatedJournal`], and a 5-update
+    /// frame to feed it.
+    struct Gated {
+        // First, so a failed assertion opens the gate before `svc`
+        // joins its update thread.
+        release: Sender<()>,
+        entered: Receiver<(u32, u64)>,
+        frame: Vec<Update>,
+        svc: RouterService,
+    }
+
+    fn gated(cfg: &RouterConfig) -> Gated {
+        let fib = FibGen::new(61).routes(500).generate();
+        let frame = UpdateGen::new(62).generate(&fib, 5);
+        let (entered_tx, entered) = unbounded();
+        let (release, release_rx) = unbounded();
+        let journal = Box::new(GatedJournal {
+            entered: entered_tx,
+            release: release_rx,
+        });
+        let svc = RouterService::start_with_journal(&fib, cfg, journal);
+        Gated {
+            release,
+            entered,
+            frame,
+            svc,
+        }
+    }
+
+    /// ROADMAP 5(f): a frame that straddles batches is covered by the
+    /// journaled high-water only once the append holding its last
+    /// update has returned.
+    #[test]
+    fn frame_is_journaled_only_with_the_batch_holding_its_last_update() {
+        let cfg = RouterConfig {
+            batch_size: 2,
+            ..RouterConfig::default()
+        };
+        let Gated {
+            release,
+            entered,
+            frame,
+            svc,
+        } = gated(&cfg);
+        let seq = 7;
+        for (i, &u) in frame.iter().enumerate() {
+            let tag = if i + 1 == frame.len() { seq } else { 0 };
+            assert_eq!(svc.submit_update_tagged(u, tag), SubmitOutcome::Accepted);
+        }
+        let mut journaled = 0;
+        while journaled < frame.len() {
+            let (raw, seq_hw) = entered.recv_timeout(TICK).unwrap();
+            journaled += raw as usize;
+            // This append has not returned: the frame is not covered,
+            // and only the record holding its tail may claim it.
+            assert!(!svc.wait_journaled(seq, Duration::ZERO));
+            assert_eq!(seq_hw, if journaled == frame.len() { seq } else { 0 });
+            release.send(()).unwrap();
+        }
+        assert!(svc.wait_journaled(seq, TICK));
+        drop(svc.drain());
+    }
+
+    /// A frame whose closing update is shed under `DropNewest` is still
+    /// closed, in order, behind the updates it did get accepted.
+    #[test]
+    fn shed_closing_update_still_closes_its_frame() {
+        let cfg = RouterConfig {
+            batch_size: 2,
+            update_queue: 2,
+            overflow: OverflowPolicy::DropNewest,
+            ..RouterConfig::default()
+        };
+        let Gated {
+            release,
+            entered,
+            frame,
+            svc,
+        } = gated(&cfg);
+        let seq = 7;
+        // The first update's append parks the update thread, so the
+        // queue (2 slots) takes the next two and sheds the last two.
+        assert_eq!(svc.submit_update(frame[0]), SubmitOutcome::Accepted);
+        assert_eq!(entered.recv_timeout(TICK).unwrap(), (1, 0));
+        assert_eq!(svc.submit_update(frame[1]), SubmitOutcome::Accepted);
+        assert_eq!(svc.submit_update(frame[2]), SubmitOutcome::Accepted);
+        assert_eq!(svc.submit_update(frame[3]), SubmitOutcome::Dropped);
+        std::thread::scope(|s| {
+            // Blocks until the queue has room for the closing tag.
+            s.spawn(|| {
+                assert_eq!(
+                    svc.submit_update_tagged(frame[4], seq),
+                    SubmitOutcome::Dropped
+                );
+            });
+            release.send(()).unwrap();
+        });
+        assert_eq!(entered.recv_timeout(TICK).unwrap(), (2, 0));
+        assert!(!svc.wait_journaled(seq, Duration::ZERO));
+        release.send(()).unwrap();
+        assert_eq!(entered.recv_timeout(TICK).unwrap(), (0, seq));
+        assert!(!svc.wait_journaled(seq, Duration::ZERO));
+        release.send(()).unwrap();
+        assert!(svc.wait_journaled(seq, TICK));
+        assert_eq!(svc.drain().snapshot.update_drops, 2);
     }
 
     #[test]

@@ -214,6 +214,39 @@ impl Store {
         Ok((store, Some(recovery)))
     }
 
+    /// The durable boot every serving tier runs: opens `dir` and returns
+    /// the state to start the router from — what the dir recovers to
+    /// (`true`; `fib` is ignored), or, for a fresh dir, `fib` seeded as
+    /// snapshot 0 for `chips` workers and read back (`false`), so both
+    /// branches feed `RouterService::start_recovered` the same way.
+    ///
+    /// # Errors
+    ///
+    /// I/O failures, or `InvalidInput` for a fresh dir with no `fib`.
+    pub fn open_or_seed(
+        dir: &Path,
+        cfg: StoreConfig,
+        fib: Option<&RouteTable>,
+        chips: usize,
+    ) -> io::Result<(Store, RecoveredState, bool)> {
+        let (mut store, recovery) = Store::open(dir, cfg)?;
+        if let Some(rec) = recovery {
+            return Ok((store, rec.into_state(), true));
+        }
+        let fib = fib.ok_or_else(|| {
+            io::Error::new(
+                ErrorKind::InvalidInput,
+                format!("{} is a fresh data dir; seed it with a FIB", dir.display()),
+            )
+        })?;
+        store.init_from_table(fib, chips)?;
+        let (store, rec) = Store::open(dir, cfg)?;
+        let rec = rec.ok_or_else(|| {
+            io::Error::other("freshly seeded store did not recover its own snapshot")
+        })?;
+        Ok((store, rec.into_state(), false))
+    }
+
     /// Seeds a fresh data dir with snapshot 0 of `table` (partitioned
     /// for `chips` workers, empty DReds), the base every later journal
     /// record builds on.
@@ -421,6 +454,28 @@ mod tests {
         assert_eq!(rec.table, table);
         assert_eq!(rec.replayed, 0);
         assert_eq!(rec.chips, 2);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn open_or_seed_seeds_once_then_recovers() {
+        let dir = std::env::temp_dir().join(format!("clue-store-seed-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let cfg = StoreConfig::default();
+        let err = Store::open_or_seed(&dir, cfg, None, 2)
+            .err()
+            .expect("no fib");
+        assert_eq!(err.kind(), ErrorKind::InvalidInput);
+        let table: RouteTable = (0..8u32)
+            .map(|i| Route::new(Prefix::new(i << 28, 4), NextHop(i as u16)))
+            .collect();
+        let (store, state, recovered) = Store::open_or_seed(&dir, cfg, Some(&table), 2).unwrap();
+        assert!(!recovered);
+        assert_eq!((&state.table, state.epoch, state.seq_hw), (&table, 0, 0));
+        drop(store);
+        let (_store, state, recovered) = Store::open_or_seed(&dir, cfg, None, 2).unwrap();
+        assert!(recovered);
+        assert_eq!(state.table, table);
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -759,55 +759,33 @@ fn serve_net(
             (server, fib.len())
         }
         Some(dir) => {
-            let (mut store, recovery) =
-                Store::open(std::path::Path::new(dir), StoreConfig::default())
-                    .map_err(|e| io_err(dir, &e))?;
-            match recovery {
-                Some(rec) => {
-                    if fib.is_some() {
-                        eprintln!("clue serve: {dir} already holds state; ignoring --fib");
-                    }
-                    println!(
-                        "recovered {} routes from {dir}: epoch {}, seq high-water {}, \
-                         {} journal records replayed{}{}",
-                        rec.table.len(),
-                        rec.epoch,
-                        rec.seq_hw,
-                        rec.replayed,
-                        if rec.truncated {
-                            " (torn tail skipped)"
-                        } else {
-                            ""
-                        },
-                        if rec.snapshots_skipped > 0 {
-                            " (corrupt snapshot skipped)"
-                        } else {
-                            ""
-                        },
-                    );
-                    let routes = rec.table.len();
-                    let initial_seq = rec.seq_hw;
-                    let state = rec.into_state();
-                    let svc =
-                        RouterService::start_recovered(&state, &scfg.router, Some(Box::new(store)));
-                    let server = Server::start_with_service(svc, initial_seq, &scfg)
-                        .map_err(|e| io_err(listen, &e))?;
-                    (server, routes)
+            let (store, state, recovered) = Store::open_or_seed(
+                std::path::Path::new(dir),
+                StoreConfig::default(),
+                fib,
+                scfg.router.workers,
+            )
+            .map_err(|e| io_err("--data-dir", &e))?;
+            if recovered {
+                if fib.is_some() {
+                    eprintln!("clue serve: {dir} already holds state; ignoring --fib");
                 }
-                None => {
-                    let fib = fib.ok_or_else(|| {
-                        ArgError(format!("{dir} is a fresh data dir; seed it with --fib"))
-                    })?;
-                    store
-                        .init_from_table(fib, scfg.router.workers)
-                        .map_err(|e| io_err(dir, &e))?;
-                    println!("seeded {dir} with {} routes (base snapshot 0)", fib.len());
-                    let svc = RouterService::start_with_journal(fib, &scfg.router, Box::new(store));
-                    let server = Server::start_with_service(svc, 0, &scfg)
-                        .map_err(|e| io_err(listen, &e))?;
-                    (server, fib.len())
-                }
+                println!(
+                    "recovered {} routes from {dir}: epoch {}, seq high-water {}",
+                    state.table.len(),
+                    state.epoch,
+                    state.seq_hw,
+                );
+            } else {
+                println!(
+                    "seeded {dir} with {} routes (base snapshot 0)",
+                    state.table.len()
+                );
             }
+            let svc = RouterService::start_recovered(&state, &scfg.router, Some(Box::new(store)));
+            let server = Server::start_with_service(svc, state.seq_hw, &scfg)
+                .map_err(|e| io_err(listen, &e))?;
+            (server, state.table.len())
         }
     };
     signal::install();
