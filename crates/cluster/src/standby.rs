@@ -299,7 +299,6 @@ fn frontend_loop(
             table: s.table.clone(),
             epoch: s.epoch,
             seq_hw: s.seq_hw,
-            dreds: Vec::new(),
         }
     };
     let svc = RouterService::start_recovered(&recovered, &cfg.router, None);

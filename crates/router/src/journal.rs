@@ -25,7 +25,7 @@
 
 use std::io;
 
-use clue_fib::{Route, RouteTable, Update};
+use clue_fib::{RouteTable, Update};
 
 /// One coalesced batch as handed to the journal, *before* it is applied.
 pub struct JournalBatch<'a> {
@@ -55,8 +55,6 @@ pub struct CheckpointView<'a> {
     pub compressed: &'a RouteTable,
     /// The partition cut points in force.
     pub cuts: &'a [u32],
-    /// Per-chip DRed contents (LRU order is not preserved).
-    pub dreds: &'a [Vec<Route>],
 }
 
 /// What a persistence layer recovered from disk, ready to boot a
@@ -71,9 +69,6 @@ pub struct RecoveredState {
     /// The journaled sequence high-water; a network frontend advertises
     /// it so clients resume from the right place.
     pub seq_hw: u64,
-    /// Per-chip DRed contents to pre-warm (dropped if the chip count no
-    /// longer matches the config).
-    pub dreds: Vec<Vec<Route>>,
 }
 
 /// A write-ahead journal driven by the update thread.

@@ -6,9 +6,8 @@
 //! crate wires those pieces into a live service:
 //!
 //! * **lookup plane** — one worker thread per TCAM chip, each owning a
-//!   partition of the ONRTC-compressed table and a shared DRed, fed by
-//!   a dispatcher over bounded FIFOs with full-FIFO diversion
-//!   ([`runtime`]);
+//!   partition of the ONRTC-compressed table, fed by a dispatcher over
+//!   one home FIFO per chip ([`runtime`]);
 //! * **update plane** — a single thread ingesting a BGP-like stream
 //!   through a bounded, overflow-accounted queue, batching and
 //!   coalescing it ([`coalesce`]) before applying it through
@@ -18,10 +17,10 @@
 //! * **observability** — a [`stats::RouterStats`] registry aggregating
 //!   per-worker histograms into hand-rolled JSON snapshots.
 //!
-//! Entry point: [`runtime::run`] (or `clue serve` on the CLI). This is
-//! also the only real-thread realization of the paper's Figure-1 engine:
-//! with an empty update stream, `run(table, packets, &[], cfg)` is the
-//! raw-thread cross-check of the clock model.
+//! Entry point: [`runtime::run`] (or `clue serve` on the CLI). Figure
+//! 1's load balancing (full-FIFO diversion to another chip's DRed) lives
+//! only in the clock model: the live router never diverts, so every
+//! lookup is served by its home chip.
 
 #![warn(missing_docs)]
 

@@ -9,32 +9,28 @@
 //!                  │                          │ bounded ingress
 //!                  ▼                          ▼ (Block | DropNewest)
 //!             dispatcher                update thread
-//!         (index + diversion)      (batch → coalesce → CluePipeline)
-//!            │ bounded FIFO │              │
+//!           (range index)          (batch → coalesce → CluePipeline)
+//!            │  home FIFO   │              │
 //!            ▼      …       ▼              ▼ publish Arc<EpochState>
 //!         worker 0  …  worker n-1   ◄── EpochCell (atomic version)
 //!            │              │
 //!            └── done ──────┘ → dispatcher (arrival-order accounting)
 //! ```
 //!
-//! * Each worker owns one partition of the compressed table (via the
-//!   current epoch's per-bucket trie) and shares one DRed per chip with
-//!   the dispatcher's diverted path, exactly like the clock-driven
-//!   engine of Figure 1.
+//! * Each worker serves only its home chip: one partition of the
+//!   compressed table, via the current epoch's per-bucket plane. Figure
+//!   1's full-FIFO diversion to another chip's DRed is modelled by the
+//!   clock-driven [`clue_core::engine`], not here.
 //! * The update plane ingests a raw stream through a **bounded** queue
 //!   — overflow is either blocking backpressure or counted
 //!   `DropNewest`, never a silent loss — batches up to `batch_size`
 //!   operations per quiescent window, coalesces them (last-op-wins,
 //!   flap cancellation, no-op elision), pushes the survivors through
-//!   [`CluePipeline`](clue_core::update_pipeline::CluePipeline), flushes
-//!   affected prefixes from every worker DRed, and publishes the rebuilt
-//!   per-bucket tries as one new epoch.
+//!   [`CluePipeline`](clue_core::update_pipeline::CluePipeline), and
+//!   publishes the rebuilt per-bucket planes as one new epoch.
 //! * Workers observe a batch atomically: they poll the epoch version
 //!   once per packet and swap the whole `Arc<EpochState>` — never a
-//!   half-applied table. DRed entries may lag one batch (a hit can
-//!   serve the pre-batch next hop until the flush lands); this mirrors
-//!   the transient staleness any real line card exhibits between a RIB
-//!   change and data-plane convergence.
+//!   half-applied table.
 //!
 //! [`run`] stages a fixed packet trace against a fixed update stream —
 //! the harness the integration tests and `clue serve` (file mode) use.
@@ -66,9 +62,8 @@ pub enum OverflowPolicy {
 pub struct RouterConfig {
     /// Lookup worker (chip) count.
     pub workers: usize,
-    /// Per-worker bounded FIFO capacity (Figure 1's FIFOs).
-    pub fifo_capacity: usize,
-    /// Per-chip DRed capacity, in prefixes.
+    /// Per-chip DRed capacity, in prefixes, of the update pipeline's
+    /// DRed model (it prices TTF3).
     pub dred_capacity: usize,
     /// Maximum updates applied per batch/epoch.
     pub batch_size: usize,
@@ -91,7 +86,6 @@ impl Default for RouterConfig {
     fn default() -> Self {
         RouterConfig {
             workers: 4,
-            fifo_capacity: 256,
             dred_capacity: 1024,
             batch_size: 64,
             update_queue: 1024,
@@ -232,7 +226,6 @@ mod tests {
         let (fib, packets, _) = setup(2_000, 5_000, 0);
         let cfg = RouterConfig {
             workers: 1,
-            fifo_capacity: 64,
             dred_capacity: 64,
             ..RouterConfig::default()
         };
@@ -257,23 +250,6 @@ mod tests {
             report.snapshot.updates_received,
             updates.len() as u64,
             "Block policy loses nothing"
-        );
-    }
-
-    #[test]
-    fn tiny_fifos_divert_but_never_lose_packets() {
-        let (fib, packets, updates) = setup(1_500, 12_000, 300);
-        let cfg = RouterConfig {
-            fifo_capacity: 2,
-            dred_capacity: 512,
-            ..RouterConfig::default()
-        };
-        let report = run(&fib, &packets, &updates, &cfg);
-        assert!(report.packets_conserved());
-        assert!(report.snapshot.diversions > 0, "tiny FIFOs must overflow");
-        assert_eq!(
-            report.snapshot.dred_hits + report.snapshot.dred_misses,
-            report.snapshot.diversions
         );
     }
 

@@ -8,8 +8,8 @@
 //! a time through the bounded ingress (so the configured
 //! [`OverflowPolicy`] decides between blocking backpressure and counted
 //! drops at the *caller's* seam) and submit lookup batches that are
-//! dispatched per-address through the home-FIFO/diversion/DRed path and
-//! returned in order.
+//! dispatched per-address to the home chip's worker and returned in
+//! order.
 //!
 //! Shutdown is a graceful drain ([`RouterService::drain`]): the lookup
 //! and ingress channels close, the dispatcher completes every pending
@@ -18,15 +18,12 @@
 //! returned as a [`RouterReport`].
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering as AtomicOrdering};
 use std::sync::{Arc, Condvar, Mutex as StdMutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{bounded, unbounded, Receiver, Sender, TrySendError};
-use parking_lot::Mutex;
+use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender, TrySendError};
 
-use clue_cache::LruPrefixCache;
 use clue_core::update_pipeline::CluePipeline;
 use clue_core::BackendKind;
 use clue_fib::{NextHop, Route, RouteTable, Update};
@@ -40,22 +37,11 @@ use crate::journal::{CheckpointView, JournalBatch, RecoveredState, UpdateJournal
 use crate::runtime::{OverflowPolicy, RouterConfig, RouterReport};
 use crate::stats::{RouterStats, StatsSnapshot};
 
-/// One unit of worker work (a packet somewhere on its lookup path).
-enum Job {
-    /// Full lookup on the home chip's partition trie.
-    Home {
-        addr: u32,
-        tag: u64,
-        t0: Instant,
-        bounced: bool,
-    },
-    /// DRed-only attempt on a non-home chip (diverted packet).
-    Dred {
-        addr: u32,
-        tag: u64,
-        t0: Instant,
-    },
-    Quit,
+/// One lookup queued on its home chip's FIFO.
+struct Job {
+    addr: u32,
+    tag: u64,
+    t0: Instant,
 }
 
 /// One ingress item: an update and its frame-closing tag (0 = none),
@@ -99,7 +85,6 @@ impl SeqWater {
 
 /// State shared by every router thread.
 struct Shared {
-    dreds: Vec<Mutex<LruPrefixCache>>,
     epochs: EpochCell,
     stats: RouterStats,
     journaled: SeqWater,
@@ -136,7 +121,8 @@ pub struct RouterService {
     overflow: OverflowPolicy,
     shared: Arc<Shared>,
     started: Instant,
-    stop_printer: Arc<AtomicBool>,
+    /// Dropped at drain, which wakes the printer at once.
+    stop_printer: Option<Sender<()>>,
     dispatcher: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
     update_thread: Option<JoinHandle<UpdateOutcome>>,
@@ -153,7 +139,7 @@ impl RouterService {
     /// size), exactly like [`runtime::run`](crate::runtime::run).
     #[must_use]
     pub fn start(table: &RouteTable, cfg: &RouterConfig) -> Self {
-        Self::start_inner(table, 0, 0, Vec::new(), cfg, None)
+        Self::start_inner(table, 0, 0, cfg, None)
     }
 
     /// Boots like [`start`](Self::start) with a write-ahead journal on
@@ -169,14 +155,13 @@ impl RouterService {
         cfg: &RouterConfig,
         journal: Box<dyn UpdateJournal>,
     ) -> Self {
-        Self::start_inner(table, 0, 0, Vec::new(), cfg, Some(journal))
+        Self::start_inner(table, 0, 0, cfg, Some(journal))
     }
 
     /// Boots from a [`RecoveredState`]: epoch numbering resumes after
-    /// `state.epoch`, the journaled high-water starts at
+    /// `state.epoch`, and the journaled high-water starts at
     /// `state.seq_hw` (so a frontend advertises the recovered ack
-    /// position to resuming clients), and the recovered DRed contents
-    /// pre-warm the caches when the chip count still matches.
+    /// position to resuming clients).
     ///
     /// # Panics
     ///
@@ -187,29 +172,19 @@ impl RouterService {
         cfg: &RouterConfig,
         journal: Option<Box<dyn UpdateJournal>>,
     ) -> Self {
-        let dreds = if state.dreds.len() == cfg.workers {
-            state.dreds.clone()
-        } else {
-            Vec::new()
-        };
-        Self::start_inner(&state.table, state.epoch, state.seq_hw, dreds, cfg, journal)
+        Self::start_inner(&state.table, state.epoch, state.seq_hw, cfg, journal)
     }
 
     fn start_inner(
         table: &RouteTable,
         epoch0: u64,
         seq_hw0: u64,
-        dred_seed: Vec<Vec<Route>>,
         cfg: &RouterConfig,
         journal: Option<Box<dyn UpdateJournal>>,
     ) -> Self {
         assert!(!table.is_empty(), "need a routing table to serve");
         assert!(
-            cfg.workers > 0
-                && cfg.fifo_capacity > 0
-                && cfg.dred_capacity > 0
-                && cfg.batch_size > 0
-                && cfg.update_queue > 0,
+            cfg.workers > 0 && cfg.dred_capacity > 0 && cfg.batch_size > 0 && cfg.update_queue > 0,
             "router config sizes must be positive"
         );
 
@@ -234,61 +209,26 @@ impl RouterService {
         };
 
         let shared = Arc::new(Shared {
-            dreds: (0..cfg.workers)
-                .map(|chip| {
-                    let mut dred = LruPrefixCache::new(cfg.dred_capacity);
-                    // Pre-warm with recovered DRed contents, keeping
-                    // only routes still live in the compressed table
-                    // (delete-if-present would have flushed the rest).
-                    if let Some(routes) = dred_seed.get(chip) {
-                        for &r in routes {
-                            if compressed0.get(r.prefix) == Some(r.next_hop) {
-                                dred.insert(r);
-                            }
-                        }
-                    }
-                    Mutex::new(dred)
-                })
-                .collect(),
             epochs: EpochCell::new(first_epoch),
             stats: RouterStats::new(cfg.workers),
             journaled: SeqWater::new(seq_hw0),
         });
 
-        let mut fifo_tx: Vec<Sender<Job>> = Vec::new();
-        let mut fifo_rx: Vec<Receiver<Job>> = Vec::new();
-        let mut bounce_tx: Vec<Sender<Job>> = Vec::new();
-        let mut bounce_rx: Vec<Receiver<Job>> = Vec::new();
-        for _ in 0..cfg.workers {
-            let (tx, rx) = bounded::<Job>(cfg.fifo_capacity);
-            fifo_tx.push(tx);
-            fifo_rx.push(rx);
-            let (tx, rx) = unbounded::<Job>();
-            bounce_tx.push(tx);
-            bounce_rx.push(rx);
-        }
         let (done_tx, done_rx) = unbounded::<(u64, Option<NextHop>)>();
         let (ingress_tx, ingress_rx) = bounded::<Ingress>(cfg.update_queue);
         let (lookup_tx, lookup_rx) = unbounded::<LookupRequest>();
 
+        // Home FIFOs are unbounded: every caller blocks on its reply, so
+        // in-flight lookups are already bounded by the callers.
+        let mut fifo_tx: Vec<Sender<Job>> = Vec::with_capacity(cfg.workers);
         let mut workers = Vec::with_capacity(cfg.workers);
         for chip in 0..cfg.workers {
+            let (tx, fifo) = unbounded::<Job>();
+            fifo_tx.push(tx);
             let shared = Arc::clone(&shared);
-            let my_fifo = fifo_rx[chip].clone();
-            let my_bounce = bounce_rx[chip].clone();
             let done = done_tx.clone();
-            let home_bounce_tx: Vec<Sender<Job>> = bounce_tx.clone();
-            let index = index.clone();
             workers.push(std::thread::spawn(move || {
-                worker_loop(
-                    chip,
-                    &shared,
-                    &my_fifo,
-                    &my_bounce,
-                    &done,
-                    &home_bounce_tx,
-                    &index,
-                );
+                worker_loop(chip, &shared, &fifo, &done);
             }));
         }
         drop(done_tx);
@@ -330,16 +270,12 @@ impl RouterService {
             })
         };
 
-        let stop_printer = Arc::new(AtomicBool::new(false));
+        let (stop_printer, stop_rx) = bounded::<()>(1);
         let printer = cfg.snapshot_every.map(|every| {
             let shared = Arc::clone(&shared);
-            let stop = Arc::clone(&stop_printer);
             std::thread::spawn(move || {
-                while !stop.load(AtomicOrdering::Relaxed) {
-                    std::thread::sleep(every);
-                    if stop.load(AtomicOrdering::Relaxed) {
-                        break;
-                    }
+                // Parks on the stop channel, so drain wakes it at once.
+                while stop_rx.recv_timeout(every) == Err(RecvTimeoutError::Timeout) {
                     println!("{}", shared.stats.snapshot().to_json());
                 }
             })
@@ -351,7 +287,7 @@ impl RouterService {
             overflow: cfg.overflow,
             shared,
             started: Instant::now(),
-            stop_printer,
+            stop_printer: Some(stop_printer),
             dispatcher: Some(dispatcher),
             workers,
             update_thread: Some(update_thread),
@@ -483,7 +419,7 @@ impl RouterService {
             .expect("drained once")
             .join()
             .expect("update thread exits cleanly");
-        self.stop_printer.store(true, AtomicOrdering::Relaxed);
+        self.stop_printer = None;
         if let Some(p) = self.printer.take() {
             p.join().expect("printer exits cleanly");
         }
@@ -508,10 +444,11 @@ impl Drop for RouterService {
     }
 }
 
-/// The dispatcher: pulls lookup batches, pushes per-address jobs through
-/// the home-FIFO/diversion path, and assembles completions back into
+/// The dispatcher: pulls lookup batches, pushes per-address jobs onto
+/// their home chips' FIFOs, and assembles completions back into
 /// in-order replies. Once the lookup channel closes and the last pending
-/// batch completes, it quiesces the workers and exits.
+/// batch completes, it exits; dropping its FIFO senders stops the
+/// workers.
 fn dispatcher_loop(
     shared: &Shared,
     lookup_rx: &Receiver<LookupRequest>,
@@ -581,13 +518,10 @@ fn dispatcher_loop(
             }
         }
     }
-    for tx in fifo_tx {
-        let _ = tx.send(Job::Quit);
-    }
 }
 
-/// Dispatches one address: home FIFO first, DRed-only diversion to the
-/// idlest chip when the home FIFO is full (Figure 1's Indexing Logic).
+/// Dispatches one address to its home chip's FIFO (Figure 1's Indexing
+/// Logic; the clock model in `clue_core::engine` adds the balancer).
 fn dispatch_one(shared: &Shared, fifo_tx: &[Sender<Job>], index: &RangeIndex, addr: u32, tag: u64) {
     shared.stats.count_arrival();
     let home = index.bucket_of(addr);
@@ -596,24 +530,12 @@ fn dispatch_one(shared: &Shared, fifo_tx: &[Sender<Job>], index: &RangeIndex, ad
         .worker(home)
         .queue_depth
         .record(fifo_tx[home].len() as u64);
-    let job = Job::Home {
+    let job = Job {
         addr,
         tag,
         t0: Instant::now(),
-        bounced: false,
     };
-    if let Err(err) = fifo_tx[home].try_send(job) {
-        // Home FIFO full → DRed-only attempt on the idlest chip.
-        shared.stats.count_diversion();
-        let job = match err.into_inner() {
-            Job::Home { addr, tag, t0, .. } => Job::Dred { addr, tag, t0 },
-            other => other,
-        };
-        let idlest = (0..fifo_tx.len())
-            .min_by_key(|&c| fifo_tx[c].len())
-            .expect("workers > 0");
-        fifo_tx[idlest].send(job).expect("worker alive");
-    }
+    fifo_tx[home].send(job).expect("worker alive");
 }
 
 /// The durability side of the update plane, threaded into the loop.
@@ -623,17 +545,8 @@ struct Durability {
     seq_hw: u64,
 }
 
-/// Snapshots every chip's DRed contents (for a checkpoint view).
-fn collect_dreds(shared: &Shared) -> Vec<Vec<Route>> {
-    shared
-        .dreds
-        .iter()
-        .map(|d| d.lock().iter().collect())
-        .collect()
-}
-
-/// The update plane: drain → coalesce → journal → apply → flush DReds
-/// → publish → (maybe) checkpoint.
+/// The update plane: drain → coalesce → journal → apply → publish →
+/// (maybe) checkpoint.
 #[allow(clippy::too_many_lines, clippy::too_many_arguments)]
 fn update_loop(
     pipeline: &mut CluePipeline,
@@ -711,17 +624,6 @@ fn update_loop(
             if let Some(ts) = tileset.as_mut() {
                 ts.apply(&diff);
             }
-            // DRed sync, the paper's delete-if-present rule: flush every
-            // prefix the diff removed or rewrote from every chip's DRed.
-            for p in diff
-                .deletes
-                .iter()
-                .chain(diff.modifies.iter().map(|r| &r.prefix))
-            {
-                for dred in &shared.dreds {
-                    dred.lock().remove(*p);
-                }
-            }
         }
 
         {
@@ -758,14 +660,12 @@ fn update_loop(
         if let Some(j) = journal.as_mut() {
             if j.wants_checkpoint() {
                 let compressed = pipeline.fib().compressed_table();
-                let dreds = collect_dreds(shared);
                 let view = CheckpointView {
                     epoch,
                     seq_hw,
                     table: mirror,
                     compressed: &compressed,
                     cuts: index.cuts(),
-                    dreds: &dreds,
                 };
                 if j.checkpoint(&view).is_err() {
                     shared.stats.count_journal_error();
@@ -778,14 +678,12 @@ fn update_loop(
     // graceful restart replays nothing (crash harnesses override this).
     if let Some(j) = journal.as_mut() {
         let compressed = pipeline.fib().compressed_table();
-        let dreds = collect_dreds(shared);
         let view = CheckpointView {
             epoch,
             seq_hw,
             table: mirror,
             compressed: &compressed,
             cuts: index.cuts(),
-            dreds: &dreds,
         };
         if j.on_drain(&view).is_err() {
             shared.stats.count_journal_error();
@@ -793,98 +691,37 @@ fn update_loop(
     }
 }
 
+/// One chip: serves its home FIFO from the current epoch's plane until
+/// the dispatcher drops the FIFO's sender.
 fn worker_loop(
     chip: usize,
     shared: &Shared,
     fifo: &Receiver<Job>,
-    bounce: &Receiver<Job>,
     done: &Sender<(u64, Option<NextHop>)>,
-    bounce_tx: &[Sender<Job>],
-    index: &RangeIndex,
 ) {
     let mut epoch = shared.epochs.load();
-    loop {
-        // Bounced jobs have waited longest; when both lanes are empty,
-        // block on either (blocking on the FIFO alone would strand a
-        // final bounce-lane job).
-        let job = match bounce.try_recv() {
-            Ok(job) => job,
-            Err(_) => {
-                crossbeam::channel::select! {
-                    recv(bounce) -> job => match job {
-                        Ok(job) => job,
-                        Err(_) => return,
-                    },
-                    recv(fifo) -> job => match job {
-                        Ok(job) => job,
-                        Err(_) => return,
-                    },
-                }
-            }
-        };
+    while let Some(Job { addr, tag, t0 }) = next_job(fifo) {
         shared.epochs.refresh(&mut epoch);
-        match job {
-            Job::Quit => return,
-            Job::Home {
-                addr,
-                tag,
-                t0,
-                bounced,
-            } => {
-                let matched = epoch.planes[chip].lookup(addr);
-                if bounced {
-                    if let Some(route) = matched {
-                        // CLUE fill: every DRed except this chip's own.
-                        for (i, dred) in shared.dreds.iter().enumerate() {
-                            if i != chip {
-                                dred.lock().insert(route);
-                            }
-                        }
-                    }
-                }
-                finish(shared, chip, tag, matched.map(|r| r.next_hop), t0, done);
-            }
-            Job::Dred { addr, tag, t0 } => {
-                let hit = shared.dreds[chip].lock().lookup(addr);
-                match hit {
-                    Some(nh) => {
-                        shared.stats.count_dred_hit();
-                        finish(shared, chip, tag, Some(nh), t0, done);
-                    }
-                    None => {
-                        shared.stats.count_dred_miss();
-                        shared.stats.worker(chip).serviced += 1;
-                        let home = index.bucket_of(addr);
-                        bounce_tx[home]
-                            .send(Job::Home {
-                                addr,
-                                tag,
-                                t0,
-                                bounced: true,
-                            })
-                            .expect("home worker alive");
-                    }
-                }
-            }
+        let nh = epoch.planes[chip].next_hop(addr);
+        {
+            let mut w = shared.stats.worker(chip);
+            w.serviced += 1;
+            w.lookup_ns.record(t0.elapsed().as_nanos() as u64);
         }
+        shared.stats.count_completion();
+        done.send((tag, nh)).expect("dispatcher alive");
     }
 }
 
-fn finish(
-    shared: &Shared,
-    chip: usize,
-    tag: u64,
-    nh: Option<NextHop>,
-    t0: Instant,
-    done: &Sender<(u64, Option<NextHop>)>,
-) {
-    {
-        let mut w = shared.stats.worker(chip);
-        w.serviced += 1;
-        w.lookup_ns.record(t0.elapsed().as_nanos() as u64);
-    }
-    shared.stats.count_completion();
-    done.send((tag, nh)).expect("collector alive");
+/// The next job on `fifo`, or `None` once the dispatcher has dropped it.
+/// An empty FIFO yields the CPU once before parking: the dispatcher may
+/// still be pushing the rest of this batch, and parking after every job
+/// would cost a wake-up per address.
+fn next_job(fifo: &Receiver<Job>) -> Option<Job> {
+    fifo.try_recv().ok().or_else(|| {
+        std::thread::yield_now();
+        fifo.recv().ok()
+    })
 }
 
 #[cfg(test)]
@@ -1095,6 +932,12 @@ mod tests {
                     SubmitOutcome::Dropped
                 );
             });
+            // The shed update is counted before its tag blocks, so open
+            // the gate only then: released earlier, the update thread
+            // could drain the queue before the closing update arrives.
+            while svc.stats().update_drops < 2 {
+                std::thread::yield_now();
+            }
             release.send(()).unwrap();
         });
         assert_eq!(entered.recv_timeout(TICK).unwrap(), (2, 0));
@@ -1105,6 +948,20 @@ mod tests {
         release.send(()).unwrap();
         assert!(svc.wait_journaled(seq, TICK));
         assert_eq!(svc.drain().snapshot.update_drops, 2);
+    }
+
+    #[test]
+    fn drain_wakes_the_stats_printer_at_once() {
+        let fib = FibGen::new(81).routes(200).generate();
+        let cfg = RouterConfig {
+            snapshot_every: Some(Duration::from_secs(10)),
+            ..RouterConfig::default()
+        };
+        let svc = RouterService::start(&fib, &cfg);
+        let t0 = Instant::now();
+        drop(svc.drain());
+        let took = t0.elapsed();
+        assert!(took < Duration::from_secs(2), "drain took {took:?}");
     }
 
     #[test]

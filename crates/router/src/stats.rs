@@ -20,7 +20,7 @@ pub struct WorkerStats {
     pub lookup_ns: Histogram,
     /// Home-FIFO depth observed at each dispatch to this worker.
     pub queue_depth: Histogram,
-    /// Lookups serviced by this worker (home + diverted).
+    /// Lookups serviced by this worker.
     pub serviced: u64,
 }
 
@@ -54,9 +54,6 @@ pub struct RouterStats {
     update: Mutex<UpdateStats>,
     arrivals: AtomicU64,
     completions: AtomicU64,
-    diversions: AtomicU64,
-    dred_hits: AtomicU64,
-    dred_misses: AtomicU64,
     update_drops: AtomicU64,
     journal_appends: AtomicU64,
     journal_errors: AtomicU64,
@@ -73,9 +70,6 @@ impl RouterStats {
             update: Mutex::new(UpdateStats::default()),
             arrivals: AtomicU64::new(0),
             completions: AtomicU64::new(0),
-            diversions: AtomicU64::new(0),
-            dred_hits: AtomicU64::new(0),
-            dred_misses: AtomicU64::new(0),
             update_drops: AtomicU64::new(0),
             journal_appends: AtomicU64::new(0),
             journal_errors: AtomicU64::new(0),
@@ -106,21 +100,6 @@ impl RouterStats {
     /// Counts one completed lookup.
     pub fn count_completion(&self) {
         self.completions.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one packet diverted off a full home FIFO.
-    pub fn count_diversion(&self) {
-        self.diversions.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one DRed hit.
-    pub fn count_dred_hit(&self) {
-        self.dred_hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one DRed miss (bounced home).
-    pub fn count_dred_miss(&self) {
-        self.dred_misses.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Counts one update rejected by the ingress overflow policy.
@@ -179,9 +158,9 @@ impl RouterStats {
             },
             arrivals: self.arrivals.load(Ordering::Relaxed),
             completions: self.completions.load(Ordering::Relaxed),
-            diversions: self.diversions.load(Ordering::Relaxed),
-            dred_hits: self.dred_hits.load(Ordering::Relaxed),
-            dred_misses: self.dred_misses.load(Ordering::Relaxed),
+            diversions: 0,
+            dred_hits: 0,
+            dred_misses: 0,
             update_drops: self.update_drops.load(Ordering::Relaxed),
             journal_appends: self.journal_appends.load(Ordering::Relaxed),
             journal_errors: self.journal_errors.load(Ordering::Relaxed),
@@ -261,11 +240,12 @@ pub struct StatsSnapshot {
     pub arrivals: u64,
     /// Lookups completed.
     pub completions: u64,
-    /// Packets diverted off a full home FIFO.
+    /// Always 0: the live router never diverts (Figure 1's diversion
+    /// lives in `clue_core::engine`). Kept for snapshot readers.
     pub diversions: u64,
-    /// DRed hits on the diverted path.
+    /// Always 0, like [`diversions`](Self::diversions).
     pub dred_hits: u64,
-    /// DRed misses (bounced home).
+    /// Always 0, like [`diversions`](Self::diversions).
     pub dred_misses: u64,
     /// Updates rejected by the ingress overflow policy.
     pub update_drops: u64,

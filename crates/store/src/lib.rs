@@ -10,8 +10,8 @@
 //!   ([`clue_router::UpdateJournal`]), so an acknowledged batch is a
 //!   durable batch.
 //! * [`snapshot`] — epoch-boundary snapshots of the original table,
-//!   its ONRTC compression (doubling as a deep integrity check), the
-//!   partition map, and per-chip DRed contents, written atomically.
+//!   its ONRTC compression (doubling as a deep integrity check), and
+//!   the partition map, written atomically.
 //! * [`Store`] — ties both to a data directory. Recovery loads the
 //!   newest snapshot that validates, replays only the contiguous WAL
 //!   tail after it with scan-to-last-valid semantics (torn writes,

@@ -13,7 +13,8 @@
 //! cuts        u32 count, then count × u32 partition cut points
 //! table       u32 count, then count × (bits u32, len u8, hop u16)
 //! compressed  same encoding as table
-//! dreds       chips × (u32 count, then count × route records)
+//! dreds       chips × (u32 count, then count × route records); the
+//!             store writes each count as 0 and ignores the lists
 //! crc         u32   CRC-32 over every preceding byte
 //! ```
 //!
@@ -63,7 +64,8 @@ pub struct Snapshot {
     pub table: RouteTable,
     /// The ONRTC-compressed table (integrity twin of `table`).
     pub compressed: RouteTable,
-    /// Per-chip DRed contents.
+    /// Per-chip DRed lists. The store writes empty ones and ignores
+    /// what it reads; the field keeps the format byte-compatible.
     pub dreds: Vec<Vec<Route>>,
 }
 

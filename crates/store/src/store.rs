@@ -8,7 +8,7 @@ use std::io::{self, ErrorKind, Write};
 use std::path::{Path, PathBuf};
 
 use clue_compress::onrtc;
-use clue_fib::{Route, RouteTable};
+use clue_fib::RouteTable;
 use clue_partition::EvenRangePartition;
 use clue_router::{CheckpointView, JournalBatch, RecoveredState, UpdateJournal};
 
@@ -52,8 +52,6 @@ pub struct Recovery {
     pub chips: u32,
     /// Partition cut points stored in the snapshot.
     pub cuts: Vec<u32>,
-    /// Per-chip DRed contents stored in the snapshot.
-    pub dreds: Vec<Vec<Route>>,
     /// Journal position the loaded snapshot covers.
     pub snapshot_jseq: u64,
     /// Next journal sequence number the store will write.
@@ -95,7 +93,6 @@ impl Recovery {
             table: self.table,
             epoch: self.epoch,
             seq_hw: self.seq_hw,
-            dreds: self.dreds,
         }
     }
 }
@@ -193,7 +190,6 @@ impl Store {
             seq_hw,
             chips: snap.chips,
             cuts: snap.cuts,
-            dreds: snap.dreds,
             snapshot_jseq: snap.jseq,
             next_jseq,
             replayed,
@@ -382,7 +378,7 @@ impl Store {
             cuts,
             table: rec.table.clone(),
             compressed,
-            dreds: rec.dreds.clone(),
+            dreds: vec![Vec::new(); rec.chips as usize],
         };
         self.write_checkpoint(&snap)
     }
@@ -421,11 +417,11 @@ impl UpdateJournal for Store {
             epoch: view.epoch,
             seq_hw: view.seq_hw,
             raw_total: self.raw_total,
-            chips: view.dreds.len() as u32,
+            chips: view.cuts.len() as u32 + 1,
             cuts: view.cuts.to_vec(),
             table: view.table.clone(),
             compressed: view.compressed.clone(),
-            dreds: view.dreds.to_vec(),
+            dreds: vec![Vec::new(); view.cuts.len() + 1],
         };
         self.write_checkpoint(&snap)
     }
@@ -434,7 +430,7 @@ impl UpdateJournal for Store {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use clue_fib::{NextHop, Prefix};
+    use clue_fib::{NextHop, Prefix, Route};
 
     #[test]
     fn fresh_dir_requires_init_before_state_exists() {

@@ -31,7 +31,6 @@ fn main() {
 
     let cfg = RouterConfig {
         workers: 4,
-        fifo_capacity: 256,
         dred_capacity: 2048,
         batch_size: 64,
         update_queue: 1024,
@@ -66,10 +65,7 @@ fn main() {
         s.coalesce_ratio * 100.0,
         s.update_drops,
     );
-    println!(
-        "diversions {} (DRed hits {} / misses {}) | dynamic redundancy {} entries",
-        s.diversions, s.dred_hits, s.dred_misses, report.dynamic_redundancy,
-    );
+    println!("dynamic redundancy {} entries", report.dynamic_redundancy);
 
     // The runtime's contract: the concurrent run lands on exactly the
     // sequential final FIB.

@@ -18,10 +18,10 @@
 //! clue trace replay --scenario NAME | --rib rib.mrt --updates-mrt upd.mrt
 //!                   [--speed X] [--addr HOST:PORT] [--workers N] [--dred N] [--batch K]
 //! clue serve        --fib fib.txt --packets trace.txt --updates updates.txt [--workers N]
-//!                   [--dred N] [--fifo N] [--batch K] [--queue N] [--overflow block|drop]
+//!                   [--dred N] [--batch K] [--queue N] [--overflow block|drop]
 //!                   [--stats-ms N] [--backend tcam|trie|cfib|tiled]
 //! clue serve        --fib fib.txt --listen ADDR [--data-dir DIR] [--workers N] [--dred N]
-//!                   [--fifo N] [--batch K] [--queue N] [--overflow block|drop] [--stats-ms N]
+//!                   [--batch K] [--queue N] [--overflow block|drop] [--stats-ms N]
 //!                   [--transport threads|evloop]
 //! clue serve        --listen ADDR --data-dir DIR --repl-listen ADDR [--fib fib.txt]
 //!                   [--sync-ms N] [router flags]   (shard primary: WAL-shipping replication)
@@ -108,7 +108,7 @@ commands:
                                                      --export-fib --export-updates
                                                      --export-packets)
   serve         run the live concurrent router      (--fib --packets --updates; --workers
-                file-driven, or networked           --dred --fifo --batch --queue
+                file-driven, or networked           --dred --batch --queue
                 with --listen HOST:PORT,             --overflow --stats-ms --listen
                 durable with --data-dir DIR,         --data-dir --repl-listen --sync-ms
                 a shard primary with --repl-listen,  --follow --backend --transport)
@@ -580,7 +580,6 @@ fn serve(args: &Args) -> Result<(), ArgError> {
         "updates",
         "workers",
         "dred",
-        "fifo",
         "batch",
         "queue",
         "overflow",
@@ -603,7 +602,6 @@ fn serve(args: &Args) -> Result<(), ArgError> {
     let transport = parse_transport(args)?;
     let cfg = RouterConfig {
         workers: args.get_or("workers", 4)?,
-        fifo_capacity: args.get_or("fifo", 256)?,
         dred_capacity: args.get_or("dred", 1024)?,
         batch_size: args.get_or("batch", 64)?,
         update_queue: args.get_or("queue", 1024)?,
@@ -612,12 +610,7 @@ fn serve(args: &Args) -> Result<(), ArgError> {
         faults: None,
         backend,
     };
-    if cfg.workers == 0
-        || cfg.fifo_capacity == 0
-        || cfg.dred_capacity == 0
-        || cfg.batch_size == 0
-        || cfg.update_queue == 0
-    {
+    if cfg.workers == 0 || cfg.dred_capacity == 0 || cfg.batch_size == 0 || cfg.update_queue == 0 {
         return Err(ArgError("all sizes must be positive".into()));
     }
     if let Some(primary_repl) = args.optional("follow") {

@@ -14,9 +14,9 @@ use clue::fib::{RouteTable, Update};
 use clue::router::RouterConfig;
 use clue::traffic::{PacketGen, UpdateGen, UpdateMix};
 
-/// FIB seed for the hot-drift threaded-engine stress.
+/// FIB seed for the hot-drift router-service stress.
 const SEED_DRIFT_FIB: u64 = 7001;
-/// Packet seed for the hot-drift threaded-engine stress.
+/// Packet seed for the hot-drift router-service stress.
 const SEED_DRIFT_TRACE: u64 = 7002;
 /// FIB seed for the latency-statistics consistency check.
 const SEED_LATENCY_FIB: u64 = 7003;
@@ -35,10 +35,10 @@ const SEED_BUCKETS_FIB: u64 = 7009;
 /// Packet seed for the bucket-granularity comparison.
 const SEED_BUCKETS_TRACE: u64 = 7010;
 
-/// The threaded engine stays correct when the hot set drifts mid-trace
-/// (DRed contents go stale and must turn over).
+/// The live router service answers every address correctly when the
+/// hot set drifts mid-trace.
 #[test]
-fn threaded_engine_correct_under_hot_drift() {
+fn router_service_correct_under_hot_drift() {
     let fib = onrtc(&FibGen::new(SEED_DRIFT_FIB).routes(5_000).generate());
     let trace = PacketGen::new(SEED_DRIFT_TRACE)
         .zipf_exponent(1.3)
@@ -47,7 +47,6 @@ fn threaded_engine_correct_under_hot_drift() {
     let reference = fib.to_trie();
     let cfg = RouterConfig {
         workers: 4,
-        fifo_capacity: 8, // tiny FIFOs force constant diversion + bouncing
         dred_capacity: 256,
         ..RouterConfig::default()
     };
@@ -55,10 +54,6 @@ fn threaded_engine_correct_under_hot_drift() {
     assert_eq!(
         report.snapshot.completions,
         trace.len() as u64,
-        "seeds fib={SEED_DRIFT_FIB} trace={SEED_DRIFT_TRACE}"
-    );
-    assert!(
-        report.snapshot.diversions > 0,
         "seeds fib={SEED_DRIFT_FIB} trace={SEED_DRIFT_TRACE}"
     );
     for (&addr, nh) in trace.iter().zip(&report.results) {
