@@ -18,9 +18,10 @@
 //!   codec used by both the `clue-net` wire protocol and the
 //!   `clue-store` write-ahead journal.
 //!
-//! The [`engine`] is the paper-fidelity *model*; its real-thread
-//! realization (dispatcher, bounded FIFOs, bounce lane, shared DReds)
-//! lives once, in `clue-router`.
+//! The [`engine`] is the paper-fidelity *model*, and the only place
+//! Figure 1's DRed balancing runs. `clue-router` serves on real threads
+//! with home-chip workers only: callers split each batch by home chip,
+//! and nothing diverts.
 //!
 //! # Examples
 //!

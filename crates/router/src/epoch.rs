@@ -3,8 +3,9 @@
 //! The update plane never mutates a structure a worker is reading.
 //! Instead, after each applied batch it rebuilds the per-worker lookup
 //! planes from the new compressed table and publishes them as one
-//! immutable [`EpochState`] behind an `Arc`. Workers poll a relaxed
-//! atomic epoch counter once per packet and, only when it moved, swap
+//! immutable [`EpochState`] behind an `Arc`. Workers load an atomic
+//! epoch counter (`Acquire`, paired with the publisher's `Release`)
+//! once per packet and, only when it moved, swap
 //! their local `Arc` for the new one — so every worker observes a batch
 //! atomically (all of its entry changes or none) and two workers can
 //! never serve lookups from different halves of one batch *published*
@@ -146,8 +147,8 @@ impl EpochState {
 /// The publish/subscribe cell workers read epochs through.
 ///
 /// `current` holds the latest `Arc<EpochState>`; `version` mirrors its
-/// epoch number so readers can detect staleness with one relaxed atomic
-/// load instead of taking the lock on every packet.
+/// epoch number so readers can detect staleness with one `Acquire`
+/// atomic load instead of taking the lock on every packet.
 #[derive(Debug)]
 pub struct EpochCell {
     current: Mutex<Arc<EpochState>>,
@@ -174,7 +175,7 @@ impl EpochCell {
         self.version.store(epoch, Ordering::Release);
     }
 
-    /// The currently published epoch number (cheap; relaxed).
+    /// The currently published epoch number (one `Acquire` load).
     #[must_use]
     pub fn version(&self) -> u64 {
         self.version.load(Ordering::Acquire)

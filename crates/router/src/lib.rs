@@ -6,8 +6,9 @@
 //! crate wires those pieces into a live service:
 //!
 //! * **lookup plane** — one worker thread per TCAM chip, each owning a
-//!   partition of the ONRTC-compressed table, fed by a dispatcher over
-//!   one home FIFO per chip ([`runtime`]);
+//!   partition of the ONRTC-compressed table, fed over one home FIFO
+//!   per chip by callers that split each batch by home chip
+//!   ([`service`]);
 //! * **update plane** — a single thread ingesting a BGP-like stream
 //!   through a bounded, overflow-accounted queue, batching and
 //!   coalescing it ([`coalesce`]) before applying it through

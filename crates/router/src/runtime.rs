@@ -5,18 +5,19 @@
 //! [`crate::service`]):
 //!
 //! ```text
-//!               packets                    updates
-//!                  │                          │ bounded ingress
-//!                  ▼                          ▼ (Block | DropNewest)
-//!             dispatcher                update thread
-//!           (range index)          (batch → coalesce → CluePipeline)
-//!            │  home FIFO   │              │
-//!            ▼      …       ▼              ▼ publish Arc<EpochState>
-//!         worker 0  …  worker n-1   ◄── EpochCell (atomic version)
-//!            │              │
-//!            └── done ──────┘ → dispatcher (arrival-order accounting)
+//!             lookup_batch                        updates
+//!                  │ on the caller's thread          │ bounded ingress
+//!                  ▼                                 ▼ (Block | DropNewest)
+//!   split by home chip (range index)            update thread
+//!      │ one job per chip touched │    (batch → coalesce → CluePipeline)
+//!      ▼         home FIFOs       ▼                  │
+//!   worker 0        …        worker n-1              ▼ publish Arc<EpochState>
+//!      │                          │    ◄──── EpochCell (atomic version)
+//!      └────────── reply ─────────┘ → caller (answers in submission order)
 //! ```
 //!
+//! * The caller is Figure 1's Indexing Logic: it groups its batch by
+//!   home chip and sends each chip one job holding that chip's share.
 //! * Each worker serves only its home chip: one partition of the
 //!   compressed table, via the current epoch's per-bucket plane. Figure
 //!   1's full-FIFO diversion to another chip's DRed is modelled by the
@@ -180,7 +181,7 @@ pub fn run(
         });
 
         // Lookup plane races the update stream, exactly like a line
-        // card: one big in-order batch through the dispatcher.
+        // card: one big in-order batch, one job per chip.
         results = svc.lookup_batch(packets.to_vec());
     });
 

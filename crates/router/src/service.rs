@@ -2,22 +2,22 @@
 //! [`runtime::run`](crate::runtime::run), exposed as a handle that
 //! accepts work incrementally instead of as two pre-staged slices.
 //!
-//! [`RouterService`] owns the lookup workers, the dispatcher, and the
-//! update plane. Callers — the in-process [`runtime::run`]
-//! harness as much as the `clue-net` TCP frontend — push updates one at
-//! a time through the bounded ingress (so the configured
-//! [`OverflowPolicy`] decides between blocking backpressure and counted
-//! drops at the *caller's* seam) and submit lookup batches that are
-//! dispatched per-address to the home chip's worker and returned in
-//! order.
+//! [`RouterService`] owns the lookup workers and the update plane.
+//! Callers — the in-process [`runtime::run`] harness as much as the
+//! `clue-net` TCP frontend — push updates one at a time through the
+//! bounded ingress (so the configured [`OverflowPolicy`] decides between
+//! blocking backpressure and counted drops at the *caller's* seam) and
+//! submit lookup batches. Figure 1's Indexing Logic runs on the calling
+//! thread: [`RouterService::lookup_batch`] splits its batch by home chip
+//! and sends one job per chip it touches to that chip's worker, then
+//! writes the answers back in submission order.
 //!
-//! Shutdown is a graceful drain ([`RouterService::drain`]): the lookup
-//! and ingress channels close, the dispatcher completes every pending
-//! batch and quiesces the workers, the update plane applies whatever is
+//! Shutdown is a graceful drain ([`RouterService::drain`]): drain owns
+//! the service, so no batch is in flight; the home FIFOs and the
+//! ingress close, the workers exit, the update plane applies whatever is
 //! still queued and publishes the final epoch, and the joined outcome is
 //! returned as a [`RouterReport`].
 
-use std::collections::HashMap;
 use std::sync::{Arc, Condvar, Mutex as StdMutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -29,6 +29,7 @@ use clue_core::BackendKind;
 use clue_fib::{NextHop, Route, RouteTable, Update};
 use clue_partition::{EvenRangePartition, Indexer, RangeIndex};
 use clue_tile::{TileConfig, TileSet};
+use parking_lot::Mutex;
 
 use crate::coalesce::coalesce;
 use crate::epoch::{EpochCell, EpochState};
@@ -37,11 +38,47 @@ use crate::journal::{CheckpointView, JournalBatch, RecoveredState, UpdateJournal
 use crate::runtime::{OverflowPolicy, RouterConfig, RouterReport};
 use crate::stats::{RouterStats, StatsSnapshot};
 
-/// One lookup queued on its home chip's FIFO.
+/// One batch's share for one chip, queued on that chip's FIFO. The
+/// worker answers every slot in place and sends the buffer back.
 struct Job {
-    addr: u32,
-    tag: u64,
+    slots: Vec<Slot>,
+    reply: Sender<Reply>,
     t0: Instant,
+}
+
+/// One address of a job: its position in the caller's batch, and the
+/// answer once the worker has resolved it.
+#[derive(Clone)]
+struct Slot {
+    pos: usize,
+    addr: u32,
+    nh: Option<NextHop>,
+}
+
+/// A served job's slots, back to the caller with the chip that served
+/// them.
+type Reply = (usize, Vec<Slot>);
+
+/// A caller's reusable scratch: a reply channel and one slot buffer per
+/// chip. One batch holds it at a time, so every reply on its channel
+/// belongs to that batch; between batches it waits in the service's
+/// pool with its buffers' capacity kept.
+struct Scratch {
+    reply_tx: Sender<Reply>,
+    reply_rx: Receiver<Reply>,
+    /// Indexed by chip; empty while that chip's job is out.
+    per_chip: Vec<Vec<Slot>>,
+}
+
+impl Scratch {
+    fn new(chips: usize) -> Self {
+        let (reply_tx, reply_rx) = unbounded();
+        Scratch {
+            reply_tx,
+            reply_rx,
+            per_chip: vec![Vec::new(); chips],
+        }
+    }
 }
 
 /// One ingress item: an update and its frame-closing tag (0 = none),
@@ -90,12 +127,6 @@ struct Shared {
     journaled: SeqWater,
 }
 
-/// One submitted lookup batch awaiting dispatch.
-struct LookupRequest {
-    addrs: Vec<u32>,
-    reply: Sender<Vec<Option<NextHop>>>,
-}
-
 /// What the update thread hands back when it drains out.
 pub(crate) struct UpdateOutcome {
     pub(crate) final_table: RouteTable,
@@ -113,17 +144,22 @@ pub enum SubmitOutcome {
     Dropped,
 }
 
-/// A live, incrementally-fed router: workers, dispatcher, and update
-/// plane behind a handle. See the module docs for the drain contract.
+/// A live, incrementally-fed router: workers and update plane behind a
+/// handle. See the module docs for the drain contract.
 pub struct RouterService {
-    lookup_tx: Option<Sender<LookupRequest>>,
+    /// One home FIFO per chip; cleared at drain, which stops the
+    /// workers.
+    fifo_tx: Vec<Sender<Job>>,
+    /// The fixed cuts that map an address to its home chip.
+    index: RangeIndex,
+    /// Idle caller scratch, one per concurrent `lookup_batch` so far.
+    scratch: Mutex<Vec<Scratch>>,
     ingress_tx: Option<Sender<Ingress>>,
     overflow: OverflowPolicy,
     shared: Arc<Shared>,
     started: Instant,
     /// Dropped at drain, which wakes the printer at once.
     stop_printer: Option<Sender<()>>,
-    dispatcher: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
     update_thread: Option<JoinHandle<UpdateOutcome>>,
     printer: Option<JoinHandle<()>>,
@@ -214,32 +250,20 @@ impl RouterService {
             journaled: SeqWater::new(seq_hw0),
         });
 
-        let (done_tx, done_rx) = unbounded::<(u64, Option<NextHop>)>();
         let (ingress_tx, ingress_rx) = bounded::<Ingress>(cfg.update_queue);
-        let (lookup_tx, lookup_rx) = unbounded::<LookupRequest>();
 
         // Home FIFOs are unbounded: every caller blocks on its reply, so
-        // in-flight lookups are already bounded by the callers.
+        // a FIFO holds at most one job per concurrent caller.
         let mut fifo_tx: Vec<Sender<Job>> = Vec::with_capacity(cfg.workers);
         let mut workers = Vec::with_capacity(cfg.workers);
         for chip in 0..cfg.workers {
             let (tx, fifo) = unbounded::<Job>();
             fifo_tx.push(tx);
             let shared = Arc::clone(&shared);
-            let done = done_tx.clone();
             workers.push(std::thread::spawn(move || {
-                worker_loop(chip, &shared, &fifo, &done);
+                worker_loop(chip, &shared, &fifo);
             }));
         }
-        drop(done_tx);
-
-        let dispatcher = {
-            let shared = Arc::clone(&shared);
-            let index = index.clone();
-            std::thread::spawn(move || {
-                dispatcher_loop(&shared, &lookup_rx, &done_rx, &fifo_tx, &index);
-            })
-        };
 
         let journal_active = journal.is_some();
         let update_thread = {
@@ -282,13 +306,14 @@ impl RouterService {
         });
 
         RouterService {
-            lookup_tx: Some(lookup_tx),
+            fifo_tx,
+            index,
+            scratch: Mutex::new(Vec::new()),
             ingress_tx: Some(ingress_tx),
             overflow: cfg.overflow,
             shared,
             started: Instant::now(),
             stop_printer: Some(stop_printer),
-            dispatcher: Some(dispatcher),
             workers,
             update_thread: Some(update_thread),
             printer,
@@ -351,23 +376,62 @@ impl RouterService {
         self.shared.journaled.wait_for(seq, timeout)
     }
 
-    /// Dispatches a batch of addresses through the lookup plane and
-    /// blocks until every result is back, in submission order.
+    /// Resolves a batch of addresses on their home chips and blocks
+    /// until every result is back, in submission order.
+    ///
+    /// The batch is split by home chip on the calling thread, and each
+    /// chip it touches gets one job. In steady state the returned
+    /// vector is the only allocation: the slot buffers and the reply
+    /// channel come from a pooled `Scratch`.
     #[must_use]
     pub fn lookup_batch(&self, addrs: Vec<u32>) -> Vec<Option<NextHop>> {
         if addrs.is_empty() {
             return Vec::new();
         }
-        let (reply_tx, reply_rx) = bounded(1);
-        self.lookup_tx
-            .as_ref()
-            .expect("service not drained")
-            .send(LookupRequest {
-                addrs,
-                reply: reply_tx,
-            })
-            .expect("dispatcher alive");
-        reply_rx.recv().expect("dispatcher replies")
+        let mut scratch = self
+            .scratch
+            .lock()
+            .pop()
+            .unwrap_or_else(|| Scratch::new(self.fifo_tx.len()));
+        for (pos, &addr) in addrs.iter().enumerate() {
+            scratch.per_chip[self.index.bucket_of(addr)].push(Slot {
+                pos,
+                addr,
+                nh: None,
+            });
+        }
+        self.shared.stats.count_arrivals(addrs.len() as u64);
+        let t0 = Instant::now();
+        let mut jobs = 0;
+        for (chip, slots) in scratch.per_chip.iter_mut().enumerate() {
+            if slots.is_empty() {
+                continue;
+            }
+            let fifo = &self.fifo_tx[chip];
+            self.shared
+                .stats
+                .worker(chip)
+                .queue_depth
+                .record(fifo.len() as u64);
+            let job = Job {
+                slots: std::mem::take(slots),
+                reply: scratch.reply_tx.clone(),
+                t0,
+            };
+            fifo.send(job).expect("worker alive");
+            jobs += 1;
+        }
+        let mut results = vec![None; addrs.len()];
+        for _ in 0..jobs {
+            let (chip, mut slots) = scratch.reply_rx.recv().expect("worker replies");
+            for s in &slots {
+                results[s.pos] = s.nh;
+            }
+            slots.clear();
+            scratch.per_chip[chip] = slots;
+        }
+        self.scratch.lock().push(scratch);
+        results
     }
 
     /// A point-in-time aggregated stats snapshot, enriched with the
@@ -402,14 +466,11 @@ impl RouterService {
     }
 
     fn shutdown_threads(&mut self) -> RouterReport {
-        // Closing the lookup channel lets the dispatcher finish pending
-        // batches and quiesce the workers; closing the ingress lets the
-        // update thread apply the backlog and exit.
-        self.lookup_tx = None;
+        // No batch is in flight (this runs with the only handle), so
+        // closing the home FIFOs stops the workers; closing the ingress
+        // lets the update thread apply the backlog and exit.
+        self.fifo_tx.clear();
         self.ingress_tx = None;
-        if let Some(d) = self.dispatcher.take() {
-            d.join().expect("dispatcher exits cleanly");
-        }
         for w in self.workers.drain(..) {
             w.join().expect("worker exits cleanly");
         }
@@ -442,100 +503,6 @@ impl Drop for RouterService {
             let _ = self.shutdown_threads();
         }
     }
-}
-
-/// The dispatcher: pulls lookup batches, pushes per-address jobs onto
-/// their home chips' FIFOs, and assembles completions back into
-/// in-order replies. Once the lookup channel closes and the last pending
-/// batch completes, it exits; dropping its FIFO senders stops the
-/// workers.
-fn dispatcher_loop(
-    shared: &Shared,
-    lookup_rx: &Receiver<LookupRequest>,
-    done_rx: &Receiver<(u64, Option<NextHop>)>,
-    fifo_tx: &[Sender<Job>],
-    index: &RangeIndex,
-) {
-    struct Pending {
-        results: Vec<Option<NextHop>>,
-        remaining: usize,
-        reply: Sender<Vec<Option<NextHop>>>,
-    }
-
-    let mut pending: HashMap<u32, Pending> = HashMap::new();
-    let mut next_id: u32 = 0;
-    let mut open = true;
-
-    let complete = |pending: &mut HashMap<u32, Pending>, tag: u64, nh: Option<NextHop>| {
-        let id = (tag >> 32) as u32;
-        let i = (tag & 0xFFFF_FFFF) as usize;
-        if let Some(p) = pending.get_mut(&id) {
-            p.results[i] = nh;
-            p.remaining -= 1;
-            if p.remaining == 0 {
-                let p = pending.remove(&id).expect("just seen");
-                // A caller that gave up on the reply is not an error.
-                let _ = p.reply.send(p.results);
-            }
-        }
-    };
-
-    loop {
-        if open {
-            crossbeam::channel::select! {
-                recv(lookup_rx) -> msg => match msg {
-                    Ok(req) => {
-                        if req.addrs.is_empty() {
-                            let _ = req.reply.send(Vec::new());
-                            continue;
-                        }
-                        let id = next_id;
-                        next_id = next_id.wrapping_add(1);
-                        pending.insert(id, Pending {
-                            results: vec![None; req.addrs.len()],
-                            remaining: req.addrs.len(),
-                            reply: req.reply,
-                        });
-                        for (i, &addr) in req.addrs.iter().enumerate() {
-                            let tag = (u64::from(id) << 32) | i as u64;
-                            dispatch_one(shared, fifo_tx, index, addr, tag);
-                        }
-                    }
-                    Err(_) => open = false,
-                },
-                recv(done_rx) -> msg => match msg {
-                    Ok((tag, nh)) => complete(&mut pending, tag, nh),
-                    Err(_) => break,
-                },
-            }
-        } else {
-            if pending.is_empty() {
-                break;
-            }
-            match done_rx.recv() {
-                Ok((tag, nh)) => complete(&mut pending, tag, nh),
-                Err(_) => break,
-            }
-        }
-    }
-}
-
-/// Dispatches one address to its home chip's FIFO (Figure 1's Indexing
-/// Logic; the clock model in `clue_core::engine` adds the balancer).
-fn dispatch_one(shared: &Shared, fifo_tx: &[Sender<Job>], index: &RangeIndex, addr: u32, tag: u64) {
-    shared.stats.count_arrival();
-    let home = index.bucket_of(addr);
-    shared
-        .stats
-        .worker(home)
-        .queue_depth
-        .record(fifo_tx[home].len() as u64);
-    let job = Job {
-        addr,
-        tag,
-        t0: Instant::now(),
-    };
-    fifo_tx[home].send(job).expect("worker alive");
 }
 
 /// The durability side of the update plane, threaded into the loop.
@@ -692,36 +659,35 @@ fn update_loop(
 }
 
 /// One chip: serves its home FIFO from the current epoch's plane until
-/// the dispatcher drops the FIFO's sender.
-fn worker_loop(
-    chip: usize,
-    shared: &Shared,
-    fifo: &Receiver<Job>,
-    done: &Sender<(u64, Option<NextHop>)>,
-) {
+/// drain drops the FIFO's sender.
+fn worker_loop(chip: usize, shared: &Shared, fifo: &Receiver<Job>) {
     let mut epoch = shared.epochs.load();
-    while let Some(Job { addr, tag, t0 }) = next_job(fifo) {
-        shared.epochs.refresh(&mut epoch);
-        let nh = epoch.planes[chip].next_hop(addr);
+    while let Ok(Job {
+        mut slots,
+        reply,
+        t0,
+    }) = fifo.recv()
+    {
+        for slot in &mut slots {
+            // Per address, so `run`'s one large batch still races the
+            // update stream.
+            shared.epochs.refresh(&mut epoch);
+            slot.nh = epoch.planes[chip].next_hop(slot.addr);
+        }
+        let n = slots.len() as u64;
+        let ns = t0.elapsed().as_nanos() as u64;
         {
             let mut w = shared.stats.worker(chip);
-            w.serviced += 1;
-            w.lookup_ns.record(t0.elapsed().as_nanos() as u64);
+            w.serviced += n;
+            for _ in 0..n {
+                w.lookup_ns.record(ns);
+            }
         }
-        shared.stats.count_completion();
-        done.send((tag, nh)).expect("dispatcher alive");
+        shared.stats.count_completions(n);
+        // The caller waits for every job it sent; a caller that
+        // panicked meanwhile is not this worker's error.
+        let _ = reply.send((chip, slots));
     }
-}
-
-/// The next job on `fifo`, or `None` once the dispatcher has dropped it.
-/// An empty FIFO yields the CPU once before parking: the dispatcher may
-/// still be pushing the rest of this batch, and parking after every job
-/// would cost a wake-up per address.
-fn next_job(fifo: &Receiver<Job>) -> Option<Job> {
-    fifo.try_recv().ok().or_else(|| {
-        std::thread::yield_now();
-        fifo.recv().ok()
-    })
 }
 
 #[cfg(test)]
@@ -771,18 +737,32 @@ mod tests {
         assert_eq!(report.snapshot.completions, packets.len() as u64);
     }
 
+    /// Several batches per thread, so pooled scratch passes between
+    /// callers: a reused buffer must never hand one caller another
+    /// caller's answers.
     #[test]
     fn concurrent_batches_from_many_threads_all_complete() {
         let fib = FibGen::new(31).routes(1_000).generate();
+        let reference = std::sync::Arc::new(onrtc(&fib).to_trie());
         let svc = std::sync::Arc::new(RouterService::start(&fib, &RouterConfig::default()));
         let mut joins = Vec::new();
         for t in 0..4u64 {
             let svc = std::sync::Arc::clone(&svc);
+            let reference = std::sync::Arc::clone(&reference);
             let fib = fib.clone();
             joins.push(std::thread::spawn(move || {
                 let packets = PacketGen::new(100 + t).generate(&fib, 2_000);
-                let got = svc.lookup_batch(packets.clone());
-                assert_eq!(got.len(), packets.len());
+                for (i, chunk) in packets.chunks(250).enumerate() {
+                    let got = svc.lookup_batch(chunk.to_vec());
+                    assert_eq!(got.len(), chunk.len());
+                    for (&addr, nh) in chunk.iter().zip(&got) {
+                        assert_eq!(
+                            *nh,
+                            reference.lookup(addr).map(|(_, &v)| v),
+                            "thread {t} batch {i} addr {addr:#x}"
+                        );
+                    }
+                }
             }));
         }
         for j in joins {
@@ -792,6 +772,34 @@ mod tests {
         let report = svc.drain();
         assert_eq!(report.snapshot.arrivals, 8_000);
         assert_eq!(report.snapshot.completions, 8_000);
+    }
+
+    /// A batch sends one job to each chip it touches, so `queue_depth`
+    /// gets one sample per touched chip, not one per address.
+    #[test]
+    fn a_batch_spanning_k_chips_records_k_queue_depth_samples() {
+        let fib = FibGen::new(33).routes(1_000).generate();
+        let packets = PacketGen::new(34).generate(&fib, 4_000);
+        let svc = RouterService::start(&fib, &RouterConfig::default());
+        let mut recorded = 0;
+        for k in 1..=svc.fifo_tx.len() {
+            // 64 addresses whose home chips are exactly 0..k.
+            let batch: Vec<u32> = packets
+                .iter()
+                .copied()
+                .filter(|&a| svc.index.bucket_of(a) < k)
+                .take(64)
+                .collect();
+            let mut chips: Vec<usize> = batch.iter().map(|&a| svc.index.bucket_of(a)).collect();
+            chips.sort_unstable();
+            chips.dedup();
+            assert_eq!(chips.len(), k, "the trace covers chips 0..{k}");
+            let _ = svc.lookup_batch(batch);
+            recorded += k as u64;
+            assert_eq!(svc.stats().queue_depth.count(), recorded);
+        }
+        let report = svc.drain();
+        assert_eq!(report.snapshot.completions, report.snapshot.arrivals);
     }
 
     #[test]

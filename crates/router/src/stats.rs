@@ -1,8 +1,9 @@
 //! The router's metrics registry and its JSON snapshots.
 //!
 //! Every worker owns a slot of per-thread [`Histogram`]s behind a
-//! `parking_lot` mutex (contended only by the snapshot reader); the
-//! update plane has one more slot; hard counters are atomics. A
+//! `parking_lot` mutex, taken once per job by the worker, once per send
+//! by the caller recording the FIFO depth, and by the snapshot reader;
+//! the update plane has one more slot; hard counters are atomics. A
 //! [`StatsSnapshot`] is a consistent-enough point-in-time aggregation —
 //! worker histograms are merged with [`Histogram::merge`] — rendered to
 //! JSON by hand (the workspace deliberately carries no serde).
@@ -16,9 +17,11 @@ use parking_lot::Mutex;
 /// Per-worker mutable metrics.
 #[derive(Debug, Default)]
 pub struct WorkerStats {
-    /// Enqueue-to-completion latency of each lookup, nanoseconds.
+    /// Per lookup, the send-to-answered latency of the job that carried
+    /// it (every lookup of a job shares its job's sample), nanoseconds.
     pub lookup_ns: Histogram,
-    /// Home-FIFO depth observed at each dispatch to this worker.
+    /// This chip's home-FIFO depth, in jobs, seen as each job was sent
+    /// to it: one sample per chip a batch touches.
     pub queue_depth: Histogram,
     /// Lookups serviced by this worker.
     pub serviced: u64,
@@ -92,14 +95,14 @@ impl RouterStats {
         self.update.lock()
     }
 
-    /// Counts one packet handed to the dispatcher.
-    pub fn count_arrival(&self) {
-        self.arrivals.fetch_add(1, Ordering::Relaxed);
+    /// Counts `n` lookups submitted in one batch.
+    pub fn count_arrivals(&self, n: u64) {
+        self.arrivals.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Counts one completed lookup.
-    pub fn count_completion(&self) {
-        self.completions.fetch_add(1, Ordering::Relaxed);
+    /// Counts `n` lookups completed by one job.
+    pub fn count_completions(&self, n: u64) {
+        self.completions.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Counts one update rejected by the ingress overflow policy.
@@ -212,7 +215,7 @@ pub struct StatsSnapshot {
     pub workers: usize,
     /// Merged lookup-latency histogram (ns).
     pub lookup_ns: Histogram,
-    /// Merged dispatch-time queue-depth histogram.
+    /// Merged home-FIFO depth histogram, in jobs, sampled at each send.
     pub queue_depth: Histogram,
     /// Lookups serviced per worker.
     pub per_worker_serviced: Vec<u64>,
@@ -236,7 +239,7 @@ pub struct StatsSnapshot {
     pub epochs: u64,
     /// Fraction of ingested updates absorbed before the pipeline.
     pub coalesce_ratio: f64,
-    /// Packets handed to the dispatcher.
+    /// Lookups submitted to the service.
     pub arrivals: u64,
     /// Lookups completed.
     pub completions: u64,
@@ -348,8 +351,8 @@ mod tests {
     fn json_is_well_formed_enough() {
         let stats = RouterStats::new(2);
         stats.worker(0).lookup_ns.record(42);
-        stats.count_arrival();
-        stats.count_completion();
+        stats.count_arrivals(1);
+        stats.count_completions(1);
         stats.count_update_drop();
         let json = stats.snapshot().to_json();
         // Balanced braces/brackets and the headline fields present.

@@ -6,7 +6,7 @@
 //!    equals the sequential application of the update trace, and two
 //!    runs of the same seeds agree exactly, regardless of thread
 //!    interleaving;
-//! 2. **conservation** — every packet handed to the dispatcher
+//! 2. **conservation** — every packet submitted in a lookup batch
 //!    completes (arrivals == completions; updates are the only
 //!    droppable input and drops are accounted);
 //! 3. **observability** — the final stats snapshot is non-empty and

@@ -21,6 +21,7 @@ use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use clue::fib::gen::FibGen;
+use clue::net::{ClientConfig, Connection, Server, ServerConfig};
 use clue::router::{RouterConfig, RouterService};
 use clue::traffic::PacketGen;
 
@@ -58,13 +59,21 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static GLOBAL: CountingAlloc = CountingAlloc;
 
 /// OS threads `RouterService::start` spawns with the default config:
-/// one worker per chip, the dispatcher and the update thread.
-const THREADS_PER_SERVICE: usize = 6;
-/// Heap allocations per `lookup_batch`, at any batch size: the reply
-/// channel, its queue buffer, and the result vector.
-const ALLOCS_PER_LOOKUP_BATCH: usize = 3;
-/// Lines under `crates/*/src` that use the vendored polling `select!`.
-const SELECT_SITES: usize = 1;
+/// one worker per chip and the update thread.
+const THREADS_PER_SERVICE: usize = 5;
+/// OS threads `Server::start` spawns with the default config: the
+/// service's, plus the threads transport's accept loop.
+const THREADS_PER_SERVER: usize = THREADS_PER_SERVICE + 1;
+/// Heap allocations per `lookup_batch`, at any batch size: the result
+/// vector (the slot buffers and reply channel are pooled).
+const ALLOCS_PER_LOOKUP_BATCH: usize = 1;
+/// Heap allocations per 64-address `Connection::lookup` over loopback,
+/// client and server together. Client 4: request payload, encoded frame,
+/// reply payload, decoded results. Server 5: request payload, decoded
+/// addresses, `lookup_batch` result, reply payload, encoded frame.
+const ALLOCS_PER_LOOKUP_RTT: usize = 9;
+/// Lines under `crates/*/src` that use a `select!` macro.
+const SELECT_SITES: usize = 0;
 /// Lines under `crates/*/src` that call `thread::sleep`.
 const SLEEP_SITES: usize = 23;
 
@@ -74,24 +83,50 @@ fn os_threads() -> usize {
         .count()
 }
 
+/// The median of `per_call`: the steady-state cost, ignoring the rare
+/// call during which a reused buffer happens to grow.
+fn median(mut per_call: Vec<usize>) -> usize {
+    per_call.sort_unstable();
+    per_call[per_call.len() / 2]
+}
+
+/// Allocations made, by any thread, while `f` runs.
+fn allocs_during(f: impl FnOnce()) -> usize {
+    let before = ALLOCS.load(Ordering::Relaxed);
+    f();
+    ALLOCS.load(Ordering::Relaxed) - before
+}
+
 /// Median allocations per `lookup_batch` over `calls` batches of `size`
-/// addresses: the steady-state cost. The median ignores the rare call
-/// during which a reused queue buffer happens to grow. The address
-/// vectors are built before counting starts.
+/// addresses. The address vectors are built before counting starts.
 fn allocs_per_lookup_batch(svc: &RouterService, addrs: &[u32], size: usize, calls: usize) -> usize {
     let inputs: Vec<Vec<u32>> = addrs
         .chunks(size)
         .take(calls)
         .map(<[u32]>::to_vec)
         .collect();
-    let mut per_call: Vec<usize> = Vec::with_capacity(calls);
-    for b in inputs {
-        let before = ALLOCS.load(Ordering::Relaxed);
-        let _ = svc.lookup_batch(b);
-        per_call.push(ALLOCS.load(Ordering::Relaxed) - before);
-    }
-    per_call.sort_unstable();
-    per_call[calls / 2]
+    median(
+        inputs
+            .into_iter()
+            .map(|b| allocs_during(|| drop(svc.lookup_batch(b))))
+            .collect(),
+    )
+}
+
+/// Median allocations per `Connection::lookup` of `size` addresses over
+/// `calls` round trips to `server`, after one warm-up call.
+fn allocs_per_lookup_rtt(server: &Server, addrs: &[u32], size: usize, calls: usize) -> usize {
+    let mut conn = Connection::connect(ClientConfig::to_addr(server.local_addr().to_string()))
+        .expect("loopback connect");
+    let mut lookup = |b: &[u32]| drop(conn.lookup(b).expect("lookup round trip"));
+    lookup(&addrs[..size]);
+    median(
+        addrs
+            .chunks(size)
+            .take(calls)
+            .map(|b| allocs_during(|| lookup(b)))
+            .collect(),
+    )
 }
 
 /// Lines containing `needle` in the `.rs` files under `dir`.
@@ -133,8 +168,15 @@ fn counts_stay_under_their_ceilings() {
     let b1 = allocs_per_lookup_batch(&svc, &addrs, 1, 400);
     drop(svc.drain());
 
+    let before = os_threads();
+    let server = Server::start(&fib, &ServerConfig::default()).expect("bind loopback");
+    let net_threads = os_threads() - before;
+    let rtt64 = allocs_per_lookup_rtt(&server, &addrs, 64, 200);
+    server.drain().expect("server drains");
+
     let rows = [
         ("router.threads_started", threads, THREADS_PER_SERVICE),
+        ("net.threads_started", net_threads, THREADS_PER_SERVER),
         (
             "router.allocs_per_lookup_batch.b64",
             b64,
@@ -144,6 +186,11 @@ fn counts_stay_under_their_ceilings() {
             "router.allocs_per_lookup_batch.b1",
             b1,
             ALLOCS_PER_LOOKUP_BATCH,
+        ),
+        (
+            "net.allocs_per_lookup_rtt.b64",
+            rtt64,
+            ALLOCS_PER_LOOKUP_RTT,
         ),
         ("src.select_sites", source_sites("select!"), SELECT_SITES),
         (
