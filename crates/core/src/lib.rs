@@ -8,9 +8,10 @@
 //!   CLPL's control-plane logical caches (RRC-ME), and SLPL's static
 //!   redundancy.
 //! * [`lookup`] — the multi-backend lookup data plane: the
-//!   [`LookupPlane`](lookup::LookupPlane) trait with the cycle-cost
-//!   TCAM sim, a flattened 16/8/8 multibit trie, and an entropy-style
-//!   interval-compressed FIB behind one interface.
+//!   [`LookupPlane`](lookup::LookupPlane) trait with the TCAM word
+//!   array in address order, a flattened 16/8/8 multibit trie, and an
+//!   entropy-style interval-compressed FIB behind one interface (plus
+//!   `clue-tile`'s tiled plane, registered at run time).
 //! * [`update_pipeline`] — the whole incremental update path with TTF
 //!   accounting (trie → TCAM → DRed), for both CLUE and CLPL.
 //! * [`theory`] — the Section III-D lower bound `t = (N−1)h + 1`.

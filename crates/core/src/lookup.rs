@@ -1,4 +1,4 @@
-//! The multi-backend lookup data plane: one trait, three engines.
+//! The multi-backend lookup data plane: one trait, four engines.
 //!
 //! Everything that answers "which route matches this address?" at
 //! packet rate sits behind [`LookupPlane`]. The router's epoch
@@ -7,12 +7,15 @@
 //! never sees an in-place mutation — it is built once from a route
 //! snapshot and read concurrently until the epoch is retired.
 //!
-//! Three implementations, selectable by [`BackendKind`]:
+//! Four implementations, selectable by [`BackendKind`]; three live
+//! here, and `tiled` arrives from `clue-tile` through
+//! [`register_tiled_builder`]:
 //!
-//! * [`TcamPlane`] — the paper's cycle-cost TCAM simulator
-//!   ([`clue_tcam::SlotArray`]) moved behind the trait, behavior
-//!   preserving: LPM over the stored ternary entries exactly as the
-//!   encoder-free hardware of the paper resolves it.
+//! * [`TcamPlane`] — the TCAM word array of the paper's encoder-free
+//!   hardware, kept in address order. ONRTC content is
+//!   non-overlapping, so the one word an address can match is the one
+//!   with the greatest start ≤ it; a small first-level index narrows
+//!   the search for it to one binary search over a handful of words.
 //! * [`TriePlane`] — a flattened multibit trie with level-compressed
 //!   16/8/8 strides. The root level is one 2^16 slot array (256 KiB of
 //!   u32 slots, sequential-prefetch friendly); longer prefixes expand
@@ -25,21 +28,23 @@
 //!   are merged, and the per-interval labels are dictionary-coded and
 //!   bit-packed to ⌈log2(distinct labels)⌉ bits each.
 //!
-//! All three resolve the *matched route* (prefix and next hop), not
-//! just the next hop — the router's DRed fill path caches the route so
-//! the update plane's delete-if-present flush stays coherent.
+//! All four resolve the *matched route* (prefix and next hop), not
+//! just the next hop — the oracle's cross-backend tests check that the
+//! matched route itself, not only its hop, is identical on every
+//! backend.
 
 use std::fmt;
 use std::str::FromStr;
 use std::sync::OnceLock;
 
 use clue_fib::{mask, NextHop, Prefix, Route, RouteTable, Trie};
-use clue_tcam::SlotArray;
+use clue_tcam::TernaryEntry;
 
 /// Which lookup backend a router (or bench, or check) runs.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum BackendKind {
-    /// The cycle-cost TCAM simulator (the paper's hardware model).
+    /// The TCAM word array in address order (the paper's hardware
+    /// model).
     #[default]
     Tcam,
     /// The flattened 16/8/8 multibit trie.
@@ -130,9 +135,9 @@ pub trait LookupPlane: fmt::Debug + Send + Sync {
     /// Which backend this is.
     fn kind(&self) -> BackendKind;
 
-    /// The longest-prefix match for `addr`: the matched route itself,
-    /// because callers (the DRed fill path) need the prefix, not just
-    /// the next hop.
+    /// The longest-prefix match for `addr`: the matched route itself
+    /// (prefix and next hop), which every backend must agree on, not
+    /// just the next hop.
     fn lookup(&self, addr: u32) -> Option<Route>;
 
     /// Routes the plane was built from.
@@ -213,25 +218,100 @@ pub fn plane_from_table(kind: BackendKind, table: &RouteTable) -> Box<dyn Lookup
     build_plane(kind, &routes)
 }
 
-/// The cycle-cost TCAM simulator behind the trait: ternary entries in
-/// a [`SlotArray`], resolved through the software mirror exactly as
-/// the rest of the paper pipeline models the hardware.
+/// The end of an `up` chain: no enclosing word.
+const NO_WORD: u32 = u32::MAX;
+
+/// The route a prefix-form ternary word stores.
+fn word_route(w: TernaryEntry) -> Route {
+    Route::new(Prefix::new(w.value, w.mask.leading_ones() as u8), w.action)
+}
+
+/// The TCAM word array in address order, behind a first-level index.
+///
+/// CLUE stores non-overlapping content, which is why its TCAM needs no
+/// priority encoder; it also means an address can match only the word
+/// with the greatest start ≤ it. A lookup finds that word by address —
+/// `root` narrows the search to the words of one index cell, and a
+/// binary search inside the cell finds the first start above `addr` —
+/// then steps back one word and tests it. For overlapping sets, which
+/// the [`LookupPlane`] contract still requires to resolve, a miss walks
+/// the word's `up` chain of enclosing words: the longest match, if
+/// any, is on it.
 #[derive(Debug)]
 pub struct TcamPlane {
-    slots: SlotArray,
+    /// The ternary words, sorted by value; equal values shorter mask
+    /// first, so a word comes after every word enclosing it.
+    words: Vec<TernaryEntry>,
+    /// Per word, the index of its nearest enclosing word, or
+    /// [`NO_WORD`]. Always [`NO_WORD`] for non-overlapping content.
+    up: Vec<u32>,
+    /// `root[k]` is the first word whose `value >> shift` is
+    /// `≥ base + k`; a cell's words end where the next cell's begin.
+    root: Vec<u32>,
+    shift: u32,
+    base: u32,
 }
 
 impl TcamPlane {
-    /// Loads `routes` into consecutive slots (CLUE's unordered mode —
-    /// non-overlapping content needs no priority encoding).
+    /// Sorts `routes` into ternary words and indexes them.
     ///
     /// # Panics
     ///
     /// Panics on duplicate prefixes.
     #[must_use]
     pub fn build(routes: &[Route]) -> Self {
+        let mut words: Vec<TernaryEntry> = routes.iter().map(|&r| r.into()).collect();
+        // Prefix masks order by length, so equal values sort shorter
+        // (enclosing) first.
+        words.sort_unstable_by_key(|w| (w.value, w.mask));
+        if let Some(dup) = words
+            .windows(2)
+            .find(|p| (p[0].value, p[0].mask) == (p[1].value, p[1].mask))
+        {
+            panic!("prefix {} already stored", word_route(dup[0]).prefix);
+        }
+        // Word indices stay below NO_WORD.
+        let n = u32::try_from(words.len()).expect("at most u32::MAX words");
+
+        // Every word enclosing word i also encloses word i - 1 (or is
+        // it), so its nearest one is on i - 1's chain.
+        let mut up: Vec<u32> = Vec::with_capacity(words.len());
+        for (i, w) in words.iter().enumerate() {
+            let mut p = i.checked_sub(1).map_or(NO_WORD, |p| p as u32);
+            while p != NO_WORD && !words[p as usize].matches(w.value) {
+                p = up[p as usize];
+            }
+            up.push(p);
+        }
+
+        // The finest index with at most one cell per two words (a cell
+        // per word measured no faster) and at least two cells, which
+        // shift 31 always meets; one word needs only one cell.
+        let (shift, base, cells) = match (words.first(), words.last()) {
+            (Some(first), Some(last)) => {
+                let max_cells = (n / 2).max(2);
+                let shift = (0..32)
+                    .find(|&s| (last.value >> s) - (first.value >> s) < max_cells)
+                    .expect("shift 31 leaves at most two cells");
+                let base = first.value >> shift;
+                (shift, base, ((last.value >> shift) - base + 1) as usize)
+            }
+            _ => (0, 0, 0),
+        };
+        let mut root: Vec<u32> = Vec::with_capacity(cells);
+        for (i, w) in words.iter().enumerate() {
+            let cell = ((w.value >> shift) - base) as usize;
+            if root.len() <= cell {
+                root.resize(cell + 1, i as u32);
+            }
+        }
+
         TcamPlane {
-            slots: SlotArray::from_routes(routes),
+            words,
+            up,
+            root,
+            shift,
+            base,
         }
     }
 }
@@ -242,17 +322,41 @@ impl LookupPlane for TcamPlane {
     }
 
     fn lookup(&self, addr: u32) -> Option<Route> {
-        self.slots.lookup(addr).map(|(p, nh)| Route::new(p, nh))
+        // Below the first cell every word starts above `addr`.
+        let cell = (addr >> self.shift).checked_sub(self.base)? as usize;
+        // One past the last word starting at or below `addr`; past the
+        // last cell, that is every word.
+        let end = match self.root.get(cell) {
+            Some(&lo) => {
+                let lo = lo as usize;
+                let hi = self
+                    .root
+                    .get(cell + 1)
+                    .map_or(self.words.len(), |&h| h as usize);
+                lo + self.words[lo..hi].partition_point(|w| w.value <= addr)
+            }
+            None => self.words.len(),
+        };
+        let mut i = end.checked_sub(1)?;
+        loop {
+            let w = self.words[i];
+            if w.matches(addr) {
+                return Some(word_route(w));
+            }
+            i = match self.up[i] {
+                NO_WORD => return None,
+                p => p as usize,
+            };
+        }
     }
 
     fn len(&self) -> usize {
-        self.slots.len()
+        self.words.len()
     }
 
     fn heap_bytes(&self) -> usize {
-        // Slot words plus the mirror's (prefix, slot) pairs.
-        self.slots.capacity() * std::mem::size_of::<Option<clue_tcam::TernaryEntry>>()
-            + self.slots.len() * (std::mem::size_of::<Prefix>() + std::mem::size_of::<usize>())
+        self.words.capacity() * std::mem::size_of::<TernaryEntry>()
+            + (self.up.capacity() + self.root.capacity()) * std::mem::size_of::<u32>()
     }
 }
 
@@ -636,6 +740,103 @@ mod tests {
             Route::new(Prefix::new(0xC0A8_01FE, 31), NextHop(5)),
         ];
         assert_all_agree(&routes);
+    }
+
+    fn route(bits: u32, len: u8, nh: u16) -> Route {
+        Route::new(Prefix::new(bits, len), NextHop(nh))
+    }
+
+    /// Probes `routes`' edges plus `extra` on a [`TcamPlane`] against
+    /// the flat scan, and returns the plane.
+    fn tcam_agrees(routes: &[Route], extra: &[u32]) -> TcamPlane {
+        let plane = TcamPlane::build(routes);
+        for addr in probe_addrs(routes).into_iter().chain(extra.iter().copied()) {
+            assert_eq!(
+                plane.lookup(addr),
+                flat_lpm(routes, addr),
+                "{routes:?} at {addr:#010x}"
+            );
+        }
+        plane
+    }
+
+    #[test]
+    fn tcam_walks_up_a_three_deep_nest() {
+        let routes = [
+            route(0x0A01_0200, 24, 3),
+            route(0x0A00_0000, 8, 1),
+            route(0x0A01_0000, 16, 2),
+        ];
+        // One probe in each gap of /8 ⊃ /16 ⊃ /24; the last two step
+        // back onto the /24 and climb one and two enclosing words.
+        let plane = tcam_agrees(
+            &routes,
+            &[
+                0x0A00_0001,
+                0x0A01_0001,
+                0x0A01_0305,
+                0x0A02_0000,
+                0x0B00_0000,
+            ],
+        );
+        assert_eq!(plane.up, [NO_WORD, 0, 1]);
+    }
+
+    #[test]
+    fn tcam_steps_back_across_empty_index_cells() {
+        // 256 host routes packed low make the index fine; the /4 then
+        // spans many empty cells.
+        let mut routes: Vec<Route> = (0..256).map(|i| route(i, 32, 1)).collect();
+        routes.push(route(0x1000_0000, 4, 2));
+        routes.push(route(0xF000_0000, 32, 3));
+        let probe = 0x1FFF_0000;
+        let plane = tcam_agrees(&routes, &[probe, 0x2000_0000, u32::MAX]);
+        let cell = ((probe >> plane.shift) - plane.base) as usize;
+        let home = ((0x1000_0000 >> plane.shift) - plane.base) as usize;
+        assert!(cell > home + 1, "probe cell {cell}, /4 cell {home}");
+        assert_eq!(
+            plane.root[cell],
+            plane.root[cell + 1],
+            "probe cell is empty"
+        );
+    }
+
+    #[test]
+    fn tcam_edge_geometry_agrees_with_flat_scan() {
+        let cases: [&[Route]; 5] = [
+            &[],
+            &[route(0, 0, 7)],
+            &[route(0, 32, 1), route(u32::MAX, 32, 2)],
+            &[route(0x0A00_0000, 8, 1), route(0xC800_0000, 8, 2)],
+            &[route(0, 32, 1), route(0, 0, 2), route(u32::MAX, 32, 3)],
+        ];
+        // Below the first word and above the last, on every case.
+        let edges = [0, 1, 0x09FF_FFFF, 0xC900_0000, u32::MAX - 1, u32::MAX];
+        for routes in cases {
+            tcam_agrees(routes, &edges);
+        }
+    }
+
+    #[test]
+    fn sparse_tcam_index_stays_small() {
+        let routes = [
+            route(0, 8, 1),
+            route(0x8000_0000, 8, 2),
+            route(0xFF00_0000, 8, 3),
+        ];
+        let plane = tcam_agrees(&routes, &[0x0100_0000, 0x7FFF_FFFF, 0xFEFF_FFFF]);
+        assert!(plane.root.len() <= routes.len());
+        assert!(
+            plane.heap_bytes() <= 20 * routes.len() + 64,
+            "{} bytes",
+            plane.heap_bytes()
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "already stored")]
+    fn tcam_rejects_duplicate_prefixes() {
+        let _ = TcamPlane::build(&[route(0x0A00_0000, 8, 1), route(0x0A00_0000, 8, 2)]);
     }
 
     #[test]

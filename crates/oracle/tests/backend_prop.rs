@@ -155,8 +155,9 @@ proptest! {
         }
     }
 
-    /// The matched route (prefix *and* next hop — what the DRed fill
-    /// path caches) is identical across backends, not just the hop.
+    /// The matched route (prefix *and* next hop — what
+    /// `LookupPlane::lookup` returns) is identical across backends,
+    /// not just the hop.
     #[test]
     fn backends_agree_on_the_matched_route_itself(
         entries in prop::collection::vec((any::<u8>(), any::<u8>()), 0..24),

@@ -12,9 +12,10 @@
 //! state.
 //!
 //! Each per-worker plane is one [`LookupPlane`] backend, selected by
-//! [`BackendKind`]: the cycle-cost TCAM sim (the default, the paper's
-//! hardware model), the flattened multibit trie, or the entropy-style
-//! compressed FIB. Because a plane is built fresh from the post-batch
+//! [`BackendKind`]: the TCAM word array in address order (the default,
+//! the paper's hardware model), the flattened multibit trie, the
+//! entropy-style compressed FIB, or the tiled plane. Because a plane is
+//! built fresh from the post-batch
 //! compressed table and never touched again, every backend gets the
 //! paper's update semantics for free — the epoch swap *is* the update.
 //!

@@ -54,22 +54,6 @@ impl SlotArray {
         }
     }
 
-    /// Loads a route snapshot into consecutive slots of a fresh array
-    /// sized to fit exactly (the lookup-plane build path: content is
-    /// placed once and never updated in place).
-    ///
-    /// # Panics
-    ///
-    /// Panics on duplicate prefixes.
-    #[must_use]
-    pub fn from_routes(routes: &[Route]) -> Self {
-        let mut slots = SlotArray::new(routes.len().max(1));
-        for (i, &r) in routes.iter().enumerate() {
-            slots.write(i, r);
-        }
-        slots
-    }
-
     /// Number of slots.
     #[must_use]
     pub fn capacity(&self) -> usize {

@@ -3,10 +3,11 @@
 //!
 //! A wall-clock reading on a shared host moves both sides of an A/B
 //! together; a count does not. This binary counts heap allocations with
-//! a counting global allocator (installed in this test binary only), OS
-//! threads from `/proc/self/task`, and call sites in `crates/*/src`. It
-//! prints one table and fails when any count rises above its ceiling. A
-//! change that lowers a count tightens the ceiling in the same diff.
+//! a counting global allocator (installed in this test binary only),
+//! lookup-plane heap bytes, OS threads from `/proc/self/task`, and call
+//! sites in `crates/*/src`. It prints one table and fails when any
+//! count rises above its ceiling. A change that lowers a count tightens
+//! the ceiling in the same diff.
 //!
 //! It holds exactly one `#[test]`: a second test running in parallel
 //! would add its own threads and allocations to the counts.
@@ -20,7 +21,10 @@ use std::fs;
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
+use clue::compress::onrtc;
+use clue::core::{build_plane, BackendKind};
 use clue::fib::gen::FibGen;
+use clue::fib::Route;
 use clue::net::{ClientConfig, Connection, Server, ServerConfig};
 use clue::router::{RouterConfig, RouterService};
 use clue::traffic::PacketGen;
@@ -72,6 +76,13 @@ const ALLOCS_PER_LOOKUP_BATCH: usize = 1;
 /// reply payload, decoded results. Server 5: request payload, decoded
 /// addresses, `lookup_batch` result, reply payload, encoded frame.
 const ALLOCS_PER_LOOKUP_RTT: usize = 9;
+/// Heap bytes per entry of the default `tcam` plane over a compressed
+/// table: a 12-byte ternary word, its 4-byte `up` link, and at most
+/// half of a 4-byte index cell.
+const PLANE_HEAP_BYTES_PER_ENTRY: usize = 17;
+/// Allocations building that plane: the words, the `up` links, the
+/// index, and the box.
+const ALLOCS_PER_PLANE_BUILD: usize = 4;
 /// Lines under `crates/*/src` that use a `select!` macro.
 const SELECT_SITES: usize = 0;
 /// Lines under `crates/*/src` that call `thread::sleep`.
@@ -160,6 +171,12 @@ fn counts_stay_under_their_ceilings() {
     let fib = FibGen::new(91).routes(2_000).generate();
     let addrs = PacketGen::new(92).generate(&fib, 20_000);
 
+    let routes: Vec<Route> = onrtc(&fib).iter().collect();
+    let mut plane = None;
+    let plane_allocs = allocs_during(|| plane = Some(build_plane(BackendKind::Tcam, &routes)));
+    let plane = plane.expect("plane built");
+    let plane_bytes = plane.heap_bytes() / plane.len();
+
     let before = os_threads();
     let svc = RouterService::start(&fib, &RouterConfig::default());
     let threads = os_threads() - before;
@@ -191,6 +208,16 @@ fn counts_stay_under_their_ceilings() {
             "net.allocs_per_lookup_rtt.b64",
             rtt64,
             ALLOCS_PER_LOOKUP_RTT,
+        ),
+        (
+            "core.plane_heap_bytes_per_entry.tcam",
+            plane_bytes,
+            PLANE_HEAP_BYTES_PER_ENTRY,
+        ),
+        (
+            "core.allocs_per_plane_build.tcam",
+            plane_allocs,
+            ALLOCS_PER_PLANE_BUILD,
         ),
         ("src.select_sites", source_sites("select!"), SELECT_SITES),
         (
