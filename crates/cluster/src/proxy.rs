@@ -6,6 +6,18 @@
 //! interval the prefix touches ([`ShardMap::shards_for_prefix`]), so
 //! each shard keeps the full slice of routes matching its addresses.
 //!
+//! ## Overlapped fan-out
+//!
+//! A frame's sub-batches all go out before any reply is read
+//! ([`Connection::start_lookup`], [`Connection::send_updates`]), and
+//! the replies are then collected in shard order, so a frame waits for
+//! its slowest shard rather than for the sum of its shards. A sub-batch
+//! is a few hundred bytes, far below a socket buffer, so writing all of
+//! them before reading cannot deadlock. A shard whose send or reply
+//! fails alone goes through the promote-and-retry path below, and every
+//! sub-batch started is collected before the handler returns, so no
+//! stale reply is left on a backend stream.
+//!
 //! ## Exactly-once across the proxy
 //!
 //! Each client connection gets its own set of backend
@@ -48,7 +60,7 @@ use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use clue_core::codec::bad_data;
-use clue_fib::Update;
+use clue_fib::{NextHop, Update};
 use clue_net::frame::{Frame, FrameType};
 use clue_net::wire;
 use clue_net::{
@@ -399,17 +411,59 @@ fn monitor_loop(cfg: &ProxyConfig, shared: &Arc<Shared>, shutdown: &AtomicBool) 
     }
 }
 
+/// One shard's share of a lookup frame.
+#[derive(Default)]
+struct SubLookup {
+    /// Where each address sits in the client's batch.
+    positions: Vec<usize>,
+    addrs: Vec<u32>,
+    /// The sub-lookup on the wire, if sending it succeeded.
+    token: Option<u64>,
+}
+
+/// One shard's share of an update frame.
+#[derive(Default)]
+struct SubUpdate {
+    ops: Vec<Update>,
+    /// Whether the sub-batch is on the wire.
+    sent: bool,
+}
+
 /// Per-client backend connections, opened lazily, re-pointed on
-/// failover.
+/// failover, plus the per-shard grouping buffers every frame reuses.
 struct Backends {
     conns: Vec<Option<Connection>>,
+    lookups: Vec<SubLookup>,
+    updates: Vec<SubUpdate>,
+    results: Vec<Option<NextHop>>,
 }
 
 impl Backends {
     fn new(n: usize) -> Backends {
         Backends {
             conns: (0..n).map(|_| None).collect(),
+            lookups: (0..n).map(|_| SubLookup::default()).collect(),
+            updates: (0..n).map(|_| SubUpdate::default()).collect(),
+            results: Vec::new(),
         }
+    }
+
+    /// Shard `i`'s backend connection, dialed on first use and
+    /// re-pointed once the shard has been promoted.
+    fn conn(&mut self, i: usize, shared: &Shared) -> io::Result<&mut Connection> {
+        if self.conns[i].is_none() {
+            self.conns[i] = Some(Connection::connect(backend_cfg(&shared.active(i)))?);
+        }
+        let conn = self.conns[i].as_mut().expect("dialed above");
+        // Only a promotion moves a shard's active address.
+        let shard = &shared.shards[i];
+        if shard.promoted.load(Ordering::Acquire) {
+            let active = shard.active.lock().expect("active lock");
+            if conn.addr() != *active {
+                conn.redirect(active.as_str());
+            }
+        }
+        Ok(conn)
     }
 
     /// Runs `op` against shard `i`'s active backend, promoting the
@@ -425,24 +479,7 @@ impl Backends {
             if attempt > 0 {
                 thread::sleep(Duration::from_millis(25));
             }
-            let active = shared.active(i);
-            let conn = match self.conns[i].as_mut() {
-                Some(c) => {
-                    if c.addr() != active {
-                        c.redirect(active.clone());
-                    }
-                    c
-                }
-                None => match Connection::connect(backend_cfg(&active)) {
-                    Ok(c) => self.conns[i].insert(c),
-                    Err(e) => {
-                        last_err = Some(e);
-                        let _ = shared.promote(i);
-                        continue;
-                    }
-                },
-            };
-            match op(conn) {
+            match self.conn(i, shared).and_then(&mut op) {
                 Ok(v) => return Ok(v),
                 Err(e) => {
                     last_err = Some(e);
@@ -452,6 +489,28 @@ impl Backends {
             }
         }
         Err(last_err.unwrap_or_else(|| io::Error::other("backend op failed")))
+    }
+
+    /// The second half of an overlapped exchange with shard `i`:
+    /// `finish` on the connection the first half used, if that half
+    /// succeeded; otherwise, or if `finish` fails, the whole exchange
+    /// `op` through [`Backends::op`]'s promote-and-retry path.
+    fn settle<T>(
+        &mut self,
+        i: usize,
+        shared: &Shared,
+        started: bool,
+        finish: impl FnOnce(&mut Connection) -> io::Result<T>,
+        op: impl FnMut(&mut Connection) -> io::Result<T>,
+    ) -> io::Result<T> {
+        if started {
+            if let Some(Ok(v)) = self.conns[i].as_mut().map(finish) {
+                return Ok(v);
+            }
+        }
+        // Eager failover, as in `op`.
+        let _ = shared.promote(i);
+        self.op(i, shared, op)
     }
 
     fn close_all(&mut self) {
@@ -523,33 +582,48 @@ impl FrameHandler for Shared {
 
 /// Fans an update batch out by range intersection and acks the client
 /// only after every involved shard acked its sub-batch (each shard ack
-/// meaning journaled + replicated).
+/// meaning journaled + replicated). Every sub-batch is sent before any
+/// ack is awaited, so the frame waits for its slowest shard.
 fn handle_update(seq: u64, batch: &[Update], shared: &Shared, backends: &mut Backends) -> Frame {
-    let mut groups: Vec<Vec<Update>> = vec![Vec::new(); shared.shards.len()];
+    let mut subs = std::mem::take(&mut backends.updates);
+    for sub in &mut subs {
+        sub.ops.clear();
+    }
     for u in batch {
         for s in shared.map.shards_for_prefix(u.prefix()) {
-            groups[s].push(*u);
+            subs[s].ops.push(*u);
         }
     }
-    for (i, group) in groups.iter().enumerate() {
-        if group.is_empty() {
+    for (i, sub) in subs.iter_mut().enumerate() {
+        sub.sent = !sub.ops.is_empty()
+            && backends
+                .conn(i, shared)
+                .and_then(|c| c.send_updates(&sub.ops))
+                .is_ok();
+    }
+    let mut failed = None;
+    for (i, sub) in subs.iter().enumerate() {
+        if sub.ops.is_empty() {
             continue;
         }
-        let sent = backends.op(i, shared, |c| {
-            c.send_updates(group)?;
+        let acked = backends.settle(i, shared, sub.sent, Connection::flush_acks, |c| {
+            c.send_updates(&sub.ops)?;
             c.flush_acks()
         });
-        if let Err(e) = sent {
-            // No ack: the client's resume machinery will retransmit the
-            // whole frame, which is safe (last-op-wins per prefix).
-            return Frame::error(seq, format_args!("shard {i}: {e}"));
+        match acked {
+            Ok(()) => {
+                let n = sub.ops.len() as u64;
+                shared.shards[i].updates.fetch_add(n, Ordering::Relaxed);
+                shared.update_fanout.fetch_add(n, Ordering::Relaxed);
+            }
+            Err(e) => failed = failed.or(Some((i, e))),
         }
-        shared.shards[i]
-            .updates
-            .fetch_add(group.len() as u64, Ordering::Relaxed);
-        shared
-            .update_fanout
-            .fetch_add(group.len() as u64, Ordering::Relaxed);
+    }
+    backends.updates = subs;
+    if let Some((i, e)) = failed {
+        // No ack: the client's resume machinery will retransmit the
+        // whole frame, which is safe (last-op-wins per prefix).
+        return Frame::error(seq, format_args!("shard {i}: {e}"));
     }
     shared
         .updates
@@ -566,38 +640,72 @@ fn handle_update(seq: u64, batch: &[Update], shared: &Shared, backends: &mut Bac
 }
 
 /// Routes each address to its owning shard and reassembles the answers
-/// in request order.
+/// in request order. Every sub-batch is sent before any reply is read,
+/// so the frame waits for its slowest shard, not for the sum of them.
 fn handle_lookup(seq: u64, addrs: &[u32], shared: &Shared, backends: &mut Backends) -> Frame {
-    let mut groups: Vec<(Vec<usize>, Vec<u32>)> =
-        vec![(Vec::new(), Vec::new()); shared.shards.len()];
-    for (pos, &addr) in addrs.iter().enumerate() {
-        let s = shared.map.shard_of(addr);
-        groups[s].0.push(pos);
-        groups[s].1.push(addr);
+    let mut subs = std::mem::take(&mut backends.lookups);
+    for sub in &mut subs {
+        sub.positions.clear();
+        sub.addrs.clear();
     }
-    let mut results = vec![None; addrs.len()];
-    for (i, (positions, sub)) in groups.iter().enumerate() {
-        if sub.is_empty() {
+    for (pos, &addr) in addrs.iter().enumerate() {
+        let sub = &mut subs[shared.map.shard_of(addr)];
+        sub.positions.push(pos);
+        sub.addrs.push(addr);
+    }
+    for (i, sub) in subs.iter_mut().enumerate() {
+        sub.token = if sub.addrs.is_empty() {
+            None
+        } else {
+            backends
+                .conn(i, shared)
+                .and_then(|c| c.start_lookup(&sub.addrs))
+                .ok()
+        };
+    }
+    // Collect every started sub-lookup, even past a failed one, so no
+    // reply is left unread on a backend stream.
+    let mut results = std::mem::take(&mut backends.results);
+    results.clear();
+    results.resize(addrs.len(), None);
+    let mut failed = None;
+    for (i, sub) in subs.iter().enumerate() {
+        if sub.addrs.is_empty() {
             continue;
         }
-        match backends.op(i, shared, |c| c.lookup(sub)) {
+        let answers = backends.settle(
+            i,
+            shared,
+            sub.token.is_some(),
+            |c| c.finish_lookup(sub.token.expect("started"), &sub.addrs),
+            |c| c.lookup(&sub.addrs),
+        );
+        match answers {
             Ok(answers) => {
-                for (&pos, answer) in positions.iter().zip(answers) {
+                for (&pos, answer) in sub.positions.iter().zip(answers) {
                     results[pos] = answer;
                 }
                 shared.shards[i]
                     .lookups
-                    .fetch_add(sub.len() as u64, Ordering::Relaxed);
+                    .fetch_add(sub.addrs.len() as u64, Ordering::Relaxed);
             }
-            Err(e) => return Frame::error(seq, format_args!("shard {i}: {e}")),
+            Err(e) => failed = failed.or(Some((i, e))),
         }
     }
-    shared
-        .lookups
-        .fetch_add(addrs.len() as u64, Ordering::Relaxed);
-    Frame {
-        kind: FrameType::LookupResult,
-        seq,
-        payload: wire::encode_results(&results),
-    }
+    backends.lookups = subs;
+    let reply = match failed {
+        Some((i, e)) => Frame::error(seq, format_args!("shard {i}: {e}")),
+        None => {
+            shared
+                .lookups
+                .fetch_add(addrs.len() as u64, Ordering::Relaxed);
+            Frame {
+                kind: FrameType::LookupResult,
+                seq,
+                payload: wire::encode_results(&results),
+            }
+        }
+    };
+    backends.results = results;
+    reply
 }

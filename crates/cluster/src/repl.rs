@@ -38,7 +38,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use clue_net::frame::{Frame, FrameType, MAX_PAYLOAD};
+use clue_net::frame::{Frame, FrameDecoder, FrameType, MAX_PAYLOAD};
 use clue_net::{wire, NetStats};
 use clue_router::{CheckpointView, JournalBatch, UpdateJournal};
 use clue_store::{encode_record, Store, StreamBase, WalRecord};
@@ -411,7 +411,9 @@ fn serve_follower(
     stream.set_read_timeout(Some(cfg.io_timeout))?;
     stream.set_write_timeout(Some(cfg.io_timeout))?;
 
-    let hello = Frame::read_from(&mut &*stream)?;
+    // The follower's acks are read through one decoder for the session.
+    let mut decoder = FrameDecoder::new();
+    let hello = decoder.read_frame(&mut &*stream)?;
     if hello.kind != FrameType::ReplicaHello {
         let msg = format!("expected ReplicaHello, got {:?}", hello.kind);
         Frame {
@@ -425,7 +427,7 @@ fn serve_follower(
     let applied = wire::decode_u64(&hello.payload)?;
 
     let session = hub.attach(applied);
-    let result = stream_to_follower(stream, cfg, hub, shutdown, &session);
+    let result = stream_to_follower(stream, &mut decoder, cfg, hub, shutdown, &session);
     session.alive.store(false, Ordering::Release);
     hub.detach(session.id);
     result
@@ -433,6 +435,7 @@ fn serve_follower(
 
 fn stream_to_follower(
     stream: &TcpStream,
+    decoder: &mut FrameDecoder,
     cfg: &ReplConfig,
     hub: &Arc<ReplicationHub>,
     shutdown: &Arc<AtomicBool>,
@@ -464,7 +467,7 @@ fn stream_to_follower(
     }
 
     for rec in &session.backlog {
-        ship_record(stream, session, hub, rec)?;
+        ship_record(stream, decoder, session, hub, rec)?;
     }
     session.caught_up.store(true, Ordering::Release);
     hub.note_progress();
@@ -479,7 +482,7 @@ fn stream_to_follower(
                 // The live channel only carries records published after
                 // attach, but guard anyway: never re-ship an applied one.
                 if rec.jseq > session.acked.load(Ordering::Acquire) {
-                    ship_record(stream, session, hub, &rec)?;
+                    ship_record(stream, decoder, session, hub, &rec)?;
                 }
             }
             Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {}
@@ -490,6 +493,7 @@ fn stream_to_follower(
 
 fn ship_record(
     stream: &TcpStream,
+    decoder: &mut FrameDecoder,
     session: &FollowerSession,
     hub: &Arc<ReplicationHub>,
     rec: &ShippedRecord,
@@ -500,7 +504,7 @@ fn ship_record(
         payload: rec.bytes.as_ref().clone(),
     }
     .write_to(&mut &*stream)?;
-    let ack = Frame::read_from(&mut &*stream)?;
+    let ack = decoder.read_frame(&mut &*stream)?;
     if ack.kind != FrameType::UpdateAck || ack.seq != rec.jseq {
         return Err(io::Error::new(
             ErrorKind::InvalidData,

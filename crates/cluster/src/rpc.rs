@@ -9,7 +9,7 @@ use std::io::{self, ErrorKind};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
-use clue_net::frame::{Frame, FrameType};
+use clue_net::frame::{Frame, FrameDecoder, FrameType};
 
 /// Dials `addr`, sends `frame`, and returns the single reply frame.
 ///
@@ -35,7 +35,7 @@ pub fn call(
     stream.set_read_timeout(Some(io_timeout))?;
     stream.set_write_timeout(Some(io_timeout))?;
     frame.write_to(&mut &stream)?;
-    let reply = Frame::read_from(&mut &stream)?;
+    let reply = FrameDecoder::new().read_frame(&mut &stream)?;
     if reply.kind == FrameType::Error {
         return Err(io::Error::other(format!(
             "{addr}: {}",

@@ -33,7 +33,7 @@ use clue_fib::RouteTable;
 use clue_net::frame::{Frame, FrameType};
 use clue_net::wire;
 use clue_net::{
-    poll_frame, FrameHandler, Listener, ListenerConfig, NetStats, Polled, Server, ServerConfig,
+    FrameHandler, FrameReader, Listener, ListenerConfig, NetStats, Polled, Server, ServerConfig,
     Transport,
 };
 use clue_router::{RecoveredState, RouterConfig, RouterReport, RouterService};
@@ -415,8 +415,10 @@ fn follow_once(
         payload: wire::encode_u64(applied),
     }
     .write_to(&mut &stream)?;
-    stream.set_read_timeout(Some(cfg.io_timeout))?;
-    let ack = Frame::read_from(&mut &stream)?;
+    // One reader for the whole session: the snapshot may follow the
+    // HelloAck within the same recv.
+    let mut reader = FrameReader::new();
+    let ack = reader.read_frame(&stream, cfg.io_timeout)?;
     if ack.kind != FrameType::HelloAck {
         return Err(io::Error::new(
             ErrorKind::InvalidData,
@@ -429,7 +431,7 @@ fn follow_once(
         if stop() {
             return Ok(());
         }
-        let frame = match poll_frame(&stream, cfg.idle_poll, cfg.io_timeout)? {
+        let frame = match reader.poll_frame(&stream, cfg.idle_poll, cfg.io_timeout)? {
             Polled::Frame(f) => f,
             Polled::Idle => continue,
             Polled::Eof => return Err(ErrorKind::UnexpectedEof.into()),

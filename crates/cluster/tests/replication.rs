@@ -5,7 +5,6 @@
 //! instead of halting the update plane.
 
 use std::fs;
-use std::io::Read;
 use std::net::TcpStream;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
@@ -14,7 +13,7 @@ use clue_cluster::{Primary, PrimaryConfig, ReplConfig, Standby, StandbyConfig, S
 use clue_fib::gen::FibGen;
 use clue_fib::{RouteTable, Update};
 use clue_net::frame::{Frame, FrameType};
-use clue_net::{wire, ClientConfig, Connection};
+use clue_net::{wire, ClientConfig, Connection, FrameReader, Polled};
 use clue_store::StoreConfig;
 use clue_traffic::UpdateGen;
 
@@ -167,15 +166,13 @@ fn late_joiner_catches_up_from_snapshot_and_tail() {
 /// laggard-demotion path without a full `Standby`.
 struct RawFollower {
     stream: TcpStream,
+    reader: FrameReader,
 }
 
 impl RawFollower {
     fn connect(addr: std::net::SocketAddr, applied: u64) -> RawFollower {
         let stream = TcpStream::connect(addr).unwrap();
         stream.set_nodelay(true).unwrap();
-        stream
-            .set_read_timeout(Some(Duration::from_secs(5)))
-            .unwrap();
         Frame {
             kind: FrameType::ReplicaHello,
             seq: 0,
@@ -183,11 +180,16 @@ impl RawFollower {
         }
         .write_to(&mut &stream)
         .unwrap();
-        RawFollower { stream }
+        RawFollower {
+            stream,
+            reader: FrameReader::new(),
+        }
     }
 
     fn read_frame(&mut self) -> Frame {
-        Frame::read_from(&mut &self.stream).unwrap()
+        self.reader
+            .read_frame(&self.stream, Duration::from_secs(5))
+            .unwrap()
     }
 
     fn expect_hello_ack(&mut self) -> u64 {
@@ -228,15 +230,10 @@ impl RawFollower {
     /// acking each; returns the jseqs seen.
     fn drain_ships(&mut self, idle: Duration) -> Vec<u64> {
         let mut seen = Vec::new();
-        self.stream.set_read_timeout(Some(idle)).unwrap();
-        loop {
-            let mut lead = [0u8; 1];
-            match (&mut &self.stream).read(&mut lead) {
-                Ok(0) => break,
-                Ok(_) => {}
-                Err(_) => break,
-            }
-            let f = Frame::read_after_lead(lead[0], &mut &self.stream).unwrap();
+        while let Ok(Polled::Frame(f)) =
+            self.reader
+                .poll_frame(&self.stream, idle, Duration::from_secs(5))
+        {
             assert_eq!(f.kind, FrameType::WalShip);
             let (rec, _) = clue_store::decode_record(&f.payload).unwrap();
             assert_eq!(rec.jseq, f.seq);

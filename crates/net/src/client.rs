@@ -11,6 +11,14 @@
 //! work is safe because route updates are last-op-wins per prefix:
 //! re-applying a sequence the server has already seen cannot change the
 //! final table.
+//!
+//! A lookup is two halves, [`Connection::start_lookup`] (write the
+//! frame, get its token) and [`Connection::finish_lookup`] (wait for
+//! that token's reply), so a caller fanning one batch out over several
+//! connections — the cluster proxy — has every request on the wire
+//! before it reads any reply. [`Connection::lookup`] is the two in a
+//! row. Replies are read through a per-connection [`FrameDecoder`], so
+//! a reply that arrived whole costs one `recv`.
 
 use std::collections::VecDeque;
 use std::io::{self, ErrorKind};
@@ -19,7 +27,7 @@ use std::time::{Duration, Instant};
 
 use clue_fib::{NextHop, Update};
 
-use crate::frame::{Frame, FrameType};
+use crate::frame::{Frame, FrameDecoder, FrameType};
 use crate::wire;
 
 /// Client tuning knobs.
@@ -91,6 +99,9 @@ pub struct ClientReport {
 pub struct Connection {
     cfg: ClientConfig,
     stream: TcpStream,
+    /// Bytes read from `stream` beyond the last frame taken; replaced
+    /// with the stream on every reconnect.
+    decoder: FrameDecoder,
     /// Next update frame seq to assign (seqs start at 1).
     next_seq: u64,
     /// Correlation counter for lookups/stats/heartbeats.
@@ -115,10 +126,11 @@ impl Connection {
     /// Fails if the server is unreachable within the connect timeout or
     /// the handshake does not complete.
     pub fn connect(cfg: ClientConfig) -> io::Result<Connection> {
-        let (stream, server_acked) = dial(&cfg, 0)?;
+        let (stream, decoder, server_acked) = dial(&cfg, 0)?;
         Ok(Connection {
             cfg,
             stream,
+            decoder,
             next_seq: server_acked + 1,
             next_token: 0,
             last_acked: server_acked,
@@ -204,7 +216,7 @@ impl Connection {
     fn drain_acks_to(&mut self, target: usize) -> io::Result<()> {
         let mut recoveries = 0u32;
         while self.unacked.len() > target {
-            match Frame::read_from(&mut &self.stream) {
+            match self.read_frame() {
                 Ok(frame) => {
                     self.absorb(&frame)?;
                     self.last_io = Instant::now();
@@ -220,21 +232,50 @@ impl Connection {
         Ok(())
     }
 
-    /// Resolves a batch of addresses. Safe to retry across reconnects
-    /// (lookups are read-only).
+    /// Resolves a batch of addresses: [`start_lookup`](Self::start_lookup)
+    /// then [`finish_lookup`](Self::finish_lookup). Safe to retry across
+    /// reconnects (lookups are read-only).
     ///
     /// # Errors
     ///
     /// Fails after reconnect attempts are exhausted or on a protocol
     /// violation.
     pub fn lookup(&mut self, addrs: &[u32]) -> io::Result<Vec<Option<NextHop>>> {
+        let token = self.start_lookup(addrs)?;
+        self.finish_lookup(token, addrs)
+    }
+
+    /// Sends a lookup without waiting for its answer and returns the
+    /// token [`finish_lookup`](Self::finish_lookup) takes. A caller
+    /// holding several connections starts a lookup on each before it
+    /// finishes any, so it waits for the slowest peer rather than for
+    /// the sum of them. A small batch cannot block here on an unread
+    /// reply: a request of a few hundred bytes is far below a socket
+    /// buffer.
+    ///
+    /// # Errors
+    ///
+    /// The write failed, and so did one reconnect and rewrite.
+    pub fn start_lookup(&mut self, addrs: &[u32]) -> io::Result<u64> {
         let token = self.fresh_token();
-        let frame = Frame {
-            kind: FrameType::Lookup,
-            seq: token,
-            payload: wire::encode_lookup(addrs),
-        };
-        let reply = self.request(&frame, FrameType::LookupResult)?;
+        self.send_request(&lookup_frame(token, addrs))?;
+        Ok(token)
+    }
+
+    /// Waits for the answer to the lookup `token` started with the same
+    /// `addrs`. On a socket error it reconnects and asks again, which
+    /// is safe because lookups are read-only. A reply to an earlier
+    /// token this line gave up on is skipped, so finish lookups in the
+    /// order they were started.
+    ///
+    /// # Errors
+    ///
+    /// Fails after reconnect attempts are exhausted or on a protocol
+    /// violation (including an `Error` reply).
+    pub fn finish_lookup(&mut self, token: u64, addrs: &[u32]) -> io::Result<Vec<Option<NextHop>>> {
+        let reply = self.await_reply(FrameType::LookupResult, token, || {
+            lookup_frame(token, addrs)
+        })?;
         wire::decode_results(&reply.payload)
     }
 
@@ -300,14 +341,34 @@ impl Connection {
     }
 
     /// Writes `frame` and pumps replies until `want` (matching seq)
-    /// arrives, reconnect-retrying the whole exchange on socket errors.
+    /// arrives, reconnect-retrying on socket errors.
     fn request(&mut self, frame: &Frame, want: FrameType) -> io::Result<Frame> {
+        self.send_request(frame)?;
+        self.await_reply(want, frame.seq, || frame.clone())
+    }
+
+    /// Writes a request; a failed write reconnects (which resumes the
+    /// update window) and writes it once more.
+    fn send_request(&mut self, frame: &Frame) -> io::Result<()> {
+        if frame.write_to(&mut &self.stream).is_err() {
+            self.reconnect()?;
+            frame.write_to(&mut &self.stream)?;
+        }
+        Ok(())
+    }
+
+    /// Pumps replies until `want` with seq `seq` arrives. On a socket
+    /// error it reconnects and writes the request `resend` rebuilds, up
+    /// to three times.
+    fn await_reply(
+        &mut self,
+        want: FrameType,
+        seq: u64,
+        resend: impl Fn() -> Frame,
+    ) -> io::Result<Frame> {
         let mut recoveries = 0u32;
         loop {
-            let attempt = frame
-                .write_to(&mut &self.stream)
-                .and_then(|()| self.wait_for(want, frame.seq));
-            match attempt {
+            match self.wait_for(want, seq) {
                 Ok(reply) => {
                     self.last_io = Instant::now();
                     return Ok(reply);
@@ -316,19 +377,32 @@ impl Connection {
                 Err(_) if recoveries < 3 => {
                     recoveries += 1;
                     self.reconnect()?;
+                    // A failed write surfaces as the next wait's error.
+                    let _ = resend().write_to(&mut &self.stream);
                 }
                 Err(e) => return Err(e),
             }
         }
     }
 
+    fn read_frame(&mut self) -> io::Result<Frame> {
+        self.decoder.read_frame(&mut &self.stream)
+    }
+
     fn wait_for(&mut self, want: FrameType, want_seq: u64) -> io::Result<Frame> {
         loop {
-            let frame = Frame::read_from(&mut &self.stream)?;
+            let frame = self.read_frame()?;
             if frame.kind == want && frame.seq == want_seq {
                 // Acks absorbed below never match here: `want` is always
                 // a reply type with a fresh token.
                 return Ok(frame);
+            }
+            if matches!(frame.kind, FrameType::LookupResult | FrameType::StatsReply)
+                && frame.seq < want_seq
+            {
+                // The answer to an earlier request this line gave up on
+                // (tokens only grow).
+                continue;
             }
             self.absorb(&frame)?;
         }
@@ -394,7 +468,7 @@ impl Connection {
     }
 
     fn try_resume(&mut self) -> io::Result<()> {
-        let (stream, server_acked) = dial(&self.cfg, self.last_acked)?;
+        let (stream, decoder, server_acked) = dial(&self.cfg, self.last_acked)?;
         if server_acked > self.last_acked {
             // Processed before the line dropped, ack lost in flight. The
             // ack's accepted/dropped split is gone with it; count the
@@ -419,14 +493,23 @@ impl Connection {
             .write_to(&mut &stream)?;
         }
         self.stream = stream;
+        self.decoder = decoder;
         Ok(())
+    }
+}
+
+fn lookup_frame(token: u64, addrs: &[u32]) -> Frame {
+    Frame {
+        kind: FrameType::Lookup,
+        seq: token,
+        payload: wire::encode_lookup(addrs),
     }
 }
 
 /// One dial + handshake. `my_acked` tells the server where this client
 /// believes the update stream stands; the reply is the server's own
-/// high-water mark.
-fn dial(cfg: &ClientConfig, my_acked: u64) -> io::Result<(TcpStream, u64)> {
+/// high-water mark. The decoder holds the stream's read-ahead.
+fn dial(cfg: &ClientConfig, my_acked: u64) -> io::Result<(TcpStream, FrameDecoder, u64)> {
     let addr =
         cfg.addr.to_socket_addrs()?.next().ok_or_else(|| {
             io::Error::new(ErrorKind::InvalidInput, "address resolved to nothing")
@@ -441,7 +524,8 @@ fn dial(cfg: &ClientConfig, my_acked: u64) -> io::Result<(TcpStream, u64)> {
         payload: wire::encode_u64(my_acked),
     }
     .write_to(&mut &stream)?;
-    let reply = Frame::read_from(&mut &stream)?;
+    let mut decoder = FrameDecoder::new();
+    let reply = decoder.read_frame(&mut &stream)?;
     if reply.kind != FrameType::HelloAck {
         return Err(io::Error::new(
             ErrorKind::InvalidData,
@@ -449,5 +533,5 @@ fn dial(cfg: &ClientConfig, my_acked: u64) -> io::Result<(TcpStream, u64)> {
         ));
     }
     let server_acked = wire::decode_u64(&reply.payload)?;
-    Ok((stream, server_acked))
+    Ok((stream, decoder, server_acked))
 }

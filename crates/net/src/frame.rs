@@ -183,18 +183,8 @@ impl Frame {
     /// boundary and `ErrorKind::InvalidData` on bad magic/version/type,
     /// an oversized length, or a CRC mismatch.
     pub fn read_from<R: Read>(r: &mut R) -> io::Result<Frame> {
-        let mut first = [0u8; 1];
-        r.read_exact(&mut first)?;
-        Frame::read_after_lead(first[0], r)
-    }
-
-    /// Reads the remainder of a frame whose first byte was already
-    /// consumed (the server's idle-poll reads one byte with a short
-    /// timeout, then finishes the frame with a longer one).
-    pub fn read_after_lead<R: Read>(lead: u8, r: &mut R) -> io::Result<Frame> {
         let mut header = [0u8; HEADER_LEN];
-        header[0] = lead;
-        r.read_exact(&mut header[1..])?;
+        r.read_exact(&mut header)?;
 
         let magic = u32::from_be_bytes(header[0..4].try_into().unwrap());
         if magic != MAGIC {
@@ -247,7 +237,7 @@ impl Frame {
     ///
     /// # Errors
     ///
-    /// `ErrorKind::InvalidData` exactly where [`Frame::read_after_lead`]
+    /// `ErrorKind::InvalidData` exactly where [`Frame::read_from`]
     /// would fail: bad magic/version/type, oversized length, or CRC
     /// mismatch.
     pub fn try_decode(buf: &[u8]) -> io::Result<Option<(Frame, usize)>> {
@@ -305,6 +295,12 @@ impl Frame {
     }
 }
 
+/// What one [`FrameDecoder::fill_from`] asks the socket for beyond the
+/// frame being decoded: a dozen 64-address lookups or replies (≤ 342 B
+/// each), and so also the most a blocking reader holds undecoded while
+/// its connection is paused.
+const READ_CHUNK: usize = 4096;
+
 /// Per-connection incremental frame decoder: feed byte slices as the
 /// socket produces them, pull complete frames out.
 ///
@@ -315,12 +311,21 @@ impl Frame {
 /// stream has lost framing every subsequent poll reports the same
 /// error, matching the connection-fatal semantics of the blocking
 /// path.
+///
+/// It also backs every blocking read: [`FrameDecoder::read_frame`]
+/// pulls whatever the socket has ready in one `read` call per chunk,
+/// so a frame that arrived whole costs one `recv`, not the three
+/// (header, payload, CRC) of [`Frame::read_from`].
 #[derive(Debug, Default)]
 pub struct FrameDecoder {
+    /// `[pos, end)` is fed and not yet decoded; `[end, len)` is read
+    /// space kept for [`FrameDecoder::fill_from`] (its contents are
+    /// meaningless).
     buf: Vec<u8>,
     /// Consumed prefix, compacted lazily so per-frame drains stay O(1)
     /// amortized.
     pos: usize,
+    end: usize,
     poisoned: bool,
 }
 
@@ -333,13 +338,76 @@ impl FrameDecoder {
 
     /// Appends raw socket bytes.
     pub fn extend(&mut self, bytes: &[u8]) {
+        self.buf.truncate(self.end);
         self.buf.extend_from_slice(bytes);
+        self.end = self.buf.len();
+    }
+
+    /// Makes exactly one `read` call on `r`, appending what it returns:
+    /// the rest of the frame at the front if its header is in, and at
+    /// least one chunk. `Ok(0)` is end of stream.
+    ///
+    /// # Errors
+    ///
+    /// Whatever the `read` call returns.
+    pub fn fill_from<R: Read>(&mut self, r: &mut R) -> io::Result<usize> {
+        if self.pos > 0 {
+            // Only a partial frame is left: move it to the front so the
+            // read space is reused instead of grown.
+            self.buf.copy_within(self.pos..self.end, 0);
+            self.end -= self.pos;
+            self.pos = 0;
+        }
+        let want = READ_CHUNK.max(self.missing());
+        if self.buf.len() < self.end + want {
+            self.buf.resize(self.end + want, 0);
+        }
+        let n = r.read(&mut self.buf[self.end..self.end + want])?;
+        self.end += n;
+        Ok(n)
+    }
+
+    /// Bytes still missing from the frame at the front once its header
+    /// has arrived (0 before that, and for a length
+    /// [`FrameDecoder::poll_frame`] will refuse).
+    fn missing(&self) -> usize {
+        let pending = &self.buf[self.pos..self.end];
+        if pending.len() < HEADER_LEN {
+            return 0;
+        }
+        let len = u32::from_be_bytes(pending[14..18].try_into().unwrap());
+        if len > MAX_PAYLOAD {
+            return 0;
+        }
+        (HEADER_LEN + len as usize + 4).saturating_sub(pending.len())
+    }
+
+    /// Reads the next frame from a blocking `r`: a frame already
+    /// buffered costs no `read` call, one that arrives whole costs one.
+    ///
+    /// # Errors
+    ///
+    /// `UnexpectedEof` when the stream ends (at a frame boundary or
+    /// not), `InvalidData` when it has lost framing, and any other
+    /// error of the `read` call (`Interrupted` is retried).
+    pub fn read_frame<R: Read>(&mut self, r: &mut R) -> io::Result<Frame> {
+        loop {
+            if let Some(frame) = self.poll_frame()? {
+                return Ok(frame);
+            }
+            match self.fill_from(r) {
+                Ok(0) => return Err(io::ErrorKind::UnexpectedEof.into()),
+                Ok(_) => {}
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
     }
 
     /// Bytes fed but not yet decoded into frames.
     #[must_use]
     pub fn buffered(&self) -> usize {
-        self.buf.len() - self.pos
+        self.end - self.pos
     }
 
     /// Pulls the next complete frame, `Ok(None)` if more bytes are
@@ -353,11 +421,14 @@ impl FrameDecoder {
         if self.poisoned {
             return Err(bad("frame stream previously lost framing".to_string()));
         }
-        match Frame::try_decode(&self.buf[self.pos..]) {
+        match Frame::try_decode(&self.buf[self.pos..self.end]) {
             Ok(Some((frame, used))) => {
                 self.pos += used;
-                if self.pos > 4096 && self.pos * 2 >= self.buf.len() {
-                    self.buf.drain(..self.pos);
+                if self.pos == self.end {
+                    (self.pos, self.end) = (0, 0);
+                } else if self.pos > 4096 && self.pos * 2 >= self.end {
+                    self.buf.copy_within(self.pos..self.end, 0);
+                    self.end -= self.pos;
                     self.pos = 0;
                 }
                 Ok(Some(frame))

@@ -12,7 +12,10 @@
 //! can rely on them without knowing which [`Transport`] is running:
 //!
 //! 1. **One frame in flight per connection.** The next frame is not
-//!    read until the previous reply has been handed to the socket.
+//!    decoded until the previous reply has been handed to the socket.
+//!    Both drivers read ahead through a [`FrameDecoder`]: whatever one
+//!    `recv` returned beyond the current frame waits, undecoded, in the
+//!    connection's decoder.
 //! 2. **Reply before read.** The threads driver writes the reply on the
 //!    reading thread; the evloop driver queues it on the connection's
 //!    outbound buffer before it re-arms read interest.
@@ -30,16 +33,19 @@
 //! 5. **Backpressure is a paused read.** While `handle` blocks (a full
 //!    `Block` ingress, a slow shard) the connection's socket is not
 //!    read — the thread is busy, or the reactor dropped read interest —
-//!    so the kernel buffer fills and the peer's TCP window closes.
+//!    so the kernel buffer fills and the peer's TCP window closes. The
+//!    read-ahead of rule 1 is bounded — one 4 KiB chunk under threads,
+//!    the reactor's read budget under evloop — so it does not change
+//!    this.
 
-use std::io::{self, ErrorKind, Read};
+use std::io::{self, ErrorKind};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::{JoinHandle, ScopedJoinHandle};
 use std::time::Duration;
 
-use crate::frame::{Frame, FrameType};
+use crate::frame::{Frame, FrameDecoder, FrameType};
 use crate::server::Transport;
 use crate::stats::NetStats;
 
@@ -300,43 +306,88 @@ pub enum Polled {
     Eof,
 }
 
-/// Reads one frame, but blocks at most `idle_poll` while the line is
-/// quiet: the first byte is read under the short timeout (so the caller
-/// can re-check its stop flag), and the remainder of the frame under
-/// the longer `io_timeout`.
-///
-/// # Errors
-///
-/// `InvalidData` when the stream has lost framing; any other error is a
-/// socket-level failure — including a timeout or EOF *mid-frame*.
-pub fn poll_frame(
-    stream: &TcpStream,
-    idle_poll: Duration,
-    io_timeout: Duration,
-) -> io::Result<Polled> {
-    stream.set_read_timeout(Some(idle_poll))?;
-    let mut lead = [0u8; 1];
-    match (&mut &*stream).read(&mut lead) {
-        Ok(0) => Ok(Polled::Eof),
-        Ok(_) => {
-            stream.set_read_timeout(Some(io_timeout))?;
-            Frame::read_after_lead(lead[0], &mut &*stream).map(Polled::Frame)
+/// The read side of one blocking connection: a [`FrameDecoder`] holding
+/// whatever a `recv` returned beyond the frame it was for, and the read
+/// timeout last set on the socket, so the timeout is set only when the
+/// wanted one changes.
+#[derive(Debug, Default)]
+pub struct FrameReader {
+    decoder: FrameDecoder,
+    timeout: Option<Duration>,
+}
+
+impl FrameReader {
+    /// A reader for a socket whose read timeout is not yet known.
+    #[must_use]
+    pub fn new() -> FrameReader {
+        FrameReader::default()
+    }
+
+    fn wait_at_most(&mut self, stream: &TcpStream, timeout: Duration) -> io::Result<()> {
+        if self.timeout != Some(timeout) {
+            stream.set_read_timeout(Some(timeout))?;
+            self.timeout = Some(timeout);
         }
-        Err(e)
-            if matches!(
-                e.kind(),
-                ErrorKind::WouldBlock | ErrorKind::TimedOut | ErrorKind::Interrupted
-            ) =>
-        {
-            Ok(Polled::Idle)
+        Ok(())
+    }
+
+    /// Reads one frame, waiting at most `timeout` per `recv`.
+    ///
+    /// # Errors
+    ///
+    /// As [`FrameDecoder::read_frame`]; a timeout is `WouldBlock` or
+    /// `TimedOut`.
+    pub fn read_frame(&mut self, stream: &TcpStream, timeout: Duration) -> io::Result<Frame> {
+        self.wait_at_most(stream, timeout)?;
+        self.decoder.read_frame(&mut &*stream)
+    }
+
+    /// Reads one frame, but blocks at most `idle_poll` while the line is
+    /// quiet, so the caller can re-check its stop flag: a `recv` with
+    /// nothing buffered waits `idle_poll`, one that finishes a frame
+    /// waits `io_timeout`. A frame already buffered costs no `recv`;
+    /// one that arrives whole costs one, and no `setsockopt` while the
+    /// line stays in that rhythm.
+    ///
+    /// # Errors
+    ///
+    /// `InvalidData` when the stream has lost framing; any other error is a
+    /// socket-level failure — including a timeout or EOF *mid-frame*.
+    pub fn poll_frame(
+        &mut self,
+        stream: &TcpStream,
+        idle_poll: Duration,
+        io_timeout: Duration,
+    ) -> io::Result<Polled> {
+        loop {
+            if let Some(frame) = self.decoder.poll_frame()? {
+                return Ok(Polled::Frame(frame));
+            }
+            let idle = self.decoder.buffered() == 0;
+            self.wait_at_most(stream, if idle { idle_poll } else { io_timeout })?;
+            match self.decoder.fill_from(&mut &*stream) {
+                Ok(0) if idle => return Ok(Polled::Eof),
+                Ok(0) => return Err(ErrorKind::UnexpectedEof.into()),
+                Ok(_) => {}
+                Err(e)
+                    if idle
+                        && matches!(
+                            e.kind(),
+                            ErrorKind::WouldBlock | ErrorKind::TimedOut | ErrorKind::Interrupted
+                        ) =>
+                {
+                    return Ok(Polled::Idle)
+                }
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
         }
-        Err(e) => Err(e),
     }
 }
 
 /// The threads driver: one connection served to completion on the
 /// calling thread — decode a frame, run the handler, write the reply,
-/// and only then read the next frame.
+/// and only then decode the next frame.
 fn serve_conn<H: FrameHandler>(
     stream: &TcpStream,
     peer: SocketAddr,
@@ -354,13 +405,14 @@ fn serve_conn<H: FrameHandler>(
         Ok(())
     };
     let mut conn = handler.open(id);
+    let mut reader = FrameReader::new();
     loop {
         if shutdown.load(Ordering::SeqCst) {
             // Stop taking new work; tell the peer why the line closes.
             let _ = send(&Frame::empty(FrameType::Shutdown, 0));
             break;
         }
-        let frame = match poll_frame(stream, cfg.idle_poll, cfg.io_timeout) {
+        let frame = match reader.poll_frame(stream, cfg.idle_poll, cfg.io_timeout) {
             Ok(Polled::Frame(f)) => f,
             Ok(Polled::Idle) => continue,
             Ok(Polled::Eof) => break,

@@ -332,6 +332,62 @@ fn truncated_length_header_fuzz_corpus() {
     }
 }
 
+/// A reader that hands out at most `step` bytes per `read` call.
+struct Trickle<'a> {
+    bytes: &'a [u8],
+    step: usize,
+}
+
+impl std::io::Read for Trickle<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let n = buf.len().min(self.step).min(self.bytes.len());
+        buf[..n].copy_from_slice(&self.bytes[..n]);
+        self.bytes = &self.bytes[n..];
+        Ok(n)
+    }
+}
+
+#[test]
+fn blocking_reads_through_the_decoder_equal_the_blocking_reader() {
+    // A frame larger than one read chunk, between small ones, read back
+    // through `read_frame` however the socket slices the stream.
+    let mut frames = sample_frames();
+    frames.insert(
+        2,
+        Frame {
+            kind: FrameType::SnapshotChunk,
+            seq: 5,
+            payload: (0..20_000u32).map(|i| i as u8).collect(),
+        },
+    );
+    let bytes = stream_of(&frames);
+    for step in [1, 7, 300, 4096, usize::MAX] {
+        let mut r = Trickle {
+            bytes: &bytes,
+            step,
+        };
+        let mut dec = FrameDecoder::new();
+        for f in &frames {
+            assert_eq!(&dec.read_frame(&mut r).expect("valid stream"), f, "{step}");
+        }
+        let end = dec.read_frame(&mut r).expect_err("stream is over");
+        assert_eq!(end.kind(), ErrorKind::UnexpectedEof, "step {step}");
+    }
+
+    // Cut mid-frame: end of stream, as from the blocking reader.
+    let cut = &bytes[..bytes.len() - 1];
+    let mut r = Trickle {
+        bytes: cut,
+        step: usize::MAX,
+    };
+    let mut dec = FrameDecoder::new();
+    for _ in 1..frames.len() {
+        dec.read_frame(&mut r).expect("whole frames before the cut");
+    }
+    let err = dec.read_frame(&mut r).expect_err("last frame is cut");
+    assert_eq!(err.kind(), ErrorKind::UnexpectedEof);
+}
+
 #[test]
 fn decode_errors_are_sticky() {
     let mut dec = FrameDecoder::new();

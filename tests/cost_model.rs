@@ -4,8 +4,8 @@
 //! A wall-clock reading on a shared host moves both sides of an A/B
 //! together; a count does not. This binary counts heap allocations with
 //! a counting global allocator (installed in this test binary only),
-//! lookup-plane heap bytes, OS threads from `/proc/self/task`, and call
-//! sites in `crates/*/src`. It prints one table and fails when any
+//! lookup-plane heap bytes, OS threads from `/proc/self/task`, `read`
+//! calls per frame, and call sites in `crates/*/src`. It prints one table and fails when any
 //! count rises above its ceiling. A change that lowers a count tightens
 //! the ceiling in the same diff.
 //!
@@ -18,14 +18,18 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::fs;
+use std::io::Read;
+use std::net::SocketAddr;
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
+use clue::cluster::{Primary, PrimaryConfig, Proxy, ProxyConfig, ShardMap, ShardSpec};
 use clue::compress::onrtc;
 use clue::core::{build_plane, BackendKind};
 use clue::fib::gen::FibGen;
-use clue::fib::Route;
-use clue::net::{ClientConfig, Connection, Server, ServerConfig};
+use clue::fib::{NextHop, Route, RouteTable};
+use clue::net::frame::{Frame, FrameDecoder, FrameType};
+use clue::net::{wire, ClientConfig, Connection, Server, ServerConfig};
 use clue::router::{RouterConfig, RouterService};
 use clue::traffic::PacketGen;
 
@@ -76,6 +80,18 @@ const ALLOCS_PER_LOOKUP_BATCH: usize = 1;
 /// reply payload, decoded results. Server 5: request payload, decoded
 /// addresses, `lookup_batch` result, reply payload, encoded frame.
 const ALLOCS_PER_LOOKUP_RTT: usize = 9;
+/// Heap allocations per 64-address `Connection::lookup` through a
+/// `Proxy` over two `Primary` shards, client, proxy and shards
+/// together: the client's 4 and each shard's 5 as above, plus the
+/// proxy's own — request payload, decoded addresses, and per shard the
+/// sub-request payload, its frame, the reply payload and the decoded
+/// answers, then the reply payload and frame (grouping buffers and
+/// backend read buffers are reused across frames).
+const ALLOCS_PER_PROXY_LOOKUP_RTT: usize = 26;
+/// `read` calls that take one 64-address `Lookup` or its
+/// `LookupResult` off a socket that holds the whole frame, through the
+/// decoder every blocking reader uses (`Frame::read_from` makes 3).
+const READS_PER_FRAME: usize = 1;
 /// Heap bytes per entry of the default `tcam` plane over a compressed
 /// table: a 12-byte ternary word, its 4-byte `up` link, and at most
 /// half of a 4-byte index cell.
@@ -126,9 +142,9 @@ fn allocs_per_lookup_batch(svc: &RouterService, addrs: &[u32], size: usize, call
 
 /// Median allocations per `Connection::lookup` of `size` addresses over
 /// `calls` round trips to `server`, after one warm-up call.
-fn allocs_per_lookup_rtt(server: &Server, addrs: &[u32], size: usize, calls: usize) -> usize {
-    let mut conn = Connection::connect(ClientConfig::to_addr(server.local_addr().to_string()))
-        .expect("loopback connect");
+fn allocs_per_lookup_rtt(server: SocketAddr, addrs: &[u32], size: usize, calls: usize) -> usize {
+    let mut conn =
+        Connection::connect(ClientConfig::to_addr(server.to_string())).expect("loopback connect");
     let mut lookup = |b: &[u32]| drop(conn.lookup(b).expect("lookup round trip"));
     lookup(&addrs[..size]);
     median(
@@ -138,6 +154,80 @@ fn allocs_per_lookup_rtt(server: &Server, addrs: &[u32], size: usize, calls: usi
             .map(|b| allocs_during(|| lookup(b)))
             .collect(),
     )
+}
+
+/// [`allocs_per_lookup_rtt`] of 64 addresses through a `Proxy` over
+/// two `Primary` shards without standbys.
+fn allocs_per_proxy_lookup_rtt(fib: &RouteTable, addrs: &[u32], calls: usize) -> usize {
+    let dir =
+        Path::new(env!("CARGO_TARGET_TMPDIR")).join(format!("cost-model-{}", std::process::id()));
+    let cuts = ShardMap::derive(fib, vec![ShardSpec::primary_only("x:0"); 2]).expect("two shards");
+    let primaries: Vec<Primary> = (0..2)
+        .map(|i| {
+            let slice = cuts.filter_table(fib, i);
+            Primary::start(
+                &dir.join(i.to_string()),
+                Some(&slice),
+                &PrimaryConfig::default(),
+            )
+            .expect("start shard")
+        })
+        .collect();
+    let specs = primaries
+        .iter()
+        .map(|p| ShardSpec::primary_only(p.local_addr().to_string()))
+        .collect();
+    let map = ShardMap::from_cuts(cuts.cuts().to_vec(), specs).expect("shard map");
+    let proxy = Proxy::start(ProxyConfig::new(map)).expect("start proxy");
+    let rtt = allocs_per_lookup_rtt(proxy.local_addr(), addrs, 64, calls);
+    drop(proxy);
+    for p in primaries {
+        p.stop().expect("shard stops");
+    }
+    let _ = fs::remove_dir_all(&dir);
+    rtt
+}
+
+/// A reader that counts its `read` calls.
+struct CountingRead<'a> {
+    bytes: &'a [u8],
+    reads: usize,
+}
+
+impl Read for CountingRead<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        self.reads += 1;
+        self.bytes.read(buf)
+    }
+}
+
+/// The most `read` calls [`FrameDecoder::read_frame`] makes for a
+/// 64-address `Lookup` or its `LookupResult`, each alone on the wire.
+fn reads_per_frame(addrs: &[u32]) -> usize {
+    let lookup = Frame {
+        kind: FrameType::Lookup,
+        seq: 1,
+        payload: wire::encode_lookup(&addrs[..64]),
+    };
+    let reply = Frame {
+        kind: FrameType::LookupResult,
+        seq: 1,
+        payload: wire::encode_results(&[Some(NextHop(1)); 64]),
+    };
+    [lookup, reply]
+        .iter()
+        .map(|frame| {
+            let bytes = frame.encode();
+            let mut socket = CountingRead {
+                bytes: &bytes,
+                reads: 0,
+            };
+            let got = FrameDecoder::new().read_frame(&mut socket);
+            assert_eq!(got.expect("whole frame"), *frame);
+            socket.reads
+        })
+        .max()
+        .expect("two frames")
 }
 
 /// Lines containing `needle` in the `.rs` files under `dir`.
@@ -188,8 +278,9 @@ fn counts_stay_under_their_ceilings() {
     let before = os_threads();
     let server = Server::start(&fib, &ServerConfig::default()).expect("bind loopback");
     let net_threads = os_threads() - before;
-    let rtt64 = allocs_per_lookup_rtt(&server, &addrs, 64, 200);
+    let rtt64 = allocs_per_lookup_rtt(server.local_addr(), &addrs, 64, 200);
     server.drain().expect("server drains");
+    let proxy_rtt64 = allocs_per_proxy_lookup_rtt(&fib, &addrs, 200);
 
     let rows = [
         ("router.threads_started", threads, THREADS_PER_SERVICE),
@@ -210,6 +301,16 @@ fn counts_stay_under_their_ceilings() {
             ALLOCS_PER_LOOKUP_RTT,
         ),
         (
+            "cluster.allocs_per_proxy_lookup_rtt.b64",
+            proxy_rtt64,
+            ALLOCS_PER_PROXY_LOOKUP_RTT,
+        ),
+        (
+            "net.reads_per_frame",
+            reads_per_frame(&addrs),
+            READS_PER_FRAME,
+        ),
+        (
             "core.plane_heap_bytes_per_entry.tcam",
             plane_bytes,
             PLANE_HEAP_BYTES_PER_ENTRY,
@@ -226,9 +327,9 @@ fn counts_stay_under_their_ceilings() {
             SLEEP_SITES,
         ),
     ];
-    println!("{:<36} {:>8} {:>8}", "cost", "count", "ceiling");
+    println!("{:<40} {:>8} {:>8}", "cost", "count", "ceiling");
     for (name, count, ceiling) in rows {
-        println!("{name:<36} {count:>8} {ceiling:>8}");
+        println!("{name:<40} {count:>8} {ceiling:>8}");
     }
     for (name, count, ceiling) in rows {
         assert!(count <= ceiling, "{name}: {count} > ceiling {ceiling}");
