@@ -237,6 +237,70 @@ fn help_prints_usage() {
 }
 
 #[test]
+fn replay_data_dir_reports_snapshot_records_and_summary_as_json() {
+    use clue::fib::{NextHop, Prefix, Update};
+    use clue::router::{JournalBatch, UpdateJournal};
+    use clue::store::{snapshot_name, Store, StoreConfig};
+
+    let dir = tmp("replay_data_dir");
+    let _ = std::fs::remove_dir_all(&dir);
+    let fib = clue::fib::gen::FibGen::new(5).routes(500).generate();
+    let (mut store, recovered) = Store::open(&dir, StoreConfig::default()).unwrap();
+    assert!(recovered.is_none(), "fresh dir");
+    store.init_from_table(&fib, 4).unwrap();
+    let raws = [5u32, 3, 2];
+    for (i, &raw) in raws.iter().enumerate() {
+        let ops = [Update::Announce {
+            prefix: Prefix::new(0x0A00_0000 + ((i as u32) << 16), 16),
+            next_hop: NextHop(7),
+        }];
+        store
+            .append(&JournalBatch {
+                epoch: i as u64,
+                seq_hw: 10 * (i as u64 + 1),
+                raw,
+                ops: &ops,
+            })
+            .unwrap();
+    }
+    drop(store);
+    std::fs::write(dir.join(snapshot_name(99)), b"not a snapshot").unwrap();
+
+    let out = run_ok(clue().args([
+        "replay",
+        "--data-dir",
+        dir.to_str().unwrap(),
+        "--json",
+        "true",
+    ]));
+    let kinds: Vec<&str> = out
+        .lines()
+        .map(|l| {
+            ["snapshot", "record", "summary"]
+                .into_iter()
+                .find(|k| l.starts_with(&format!("{{\"kind\":\"{k}\"")))
+                .unwrap_or_else(|| panic!("unexpected line {l:?} in {out}"))
+        })
+        .collect();
+    assert_eq!(
+        kinds,
+        ["snapshot", "record", "record", "record", "summary"],
+        "{out}"
+    );
+    let lines: Vec<&str> = out.lines().collect();
+    assert!(lines[0].contains("\"corrupt_skipped\":1"), "{out}");
+    assert!(
+        lines[0].contains(&format!("\"routes\":{}", fib.len())),
+        "{out}"
+    );
+    let raw_total: u32 = raws.iter().sum();
+    assert!(
+        lines[4].contains(&format!("\"raw_updates\":{raw_total}")),
+        "{out}"
+    );
+}
+
+#[test]
 fn bad_input_file_is_a_clean_error() {
     let bad = tmp("bad_fib.txt");
     std::fs::write(&bad, "this is not a fib\n").unwrap();
