@@ -43,5 +43,5 @@ mod ready;
 pub mod rlimit;
 
 pub use polling::Backend;
-pub use reactor::{CloseReason, ConnId, Ctl, Driver, EventLoop, LoopConfig, LoopHandle, TimerId};
+pub use reactor::{CloseReason, ConnId, Ctl, Driver, EventLoop, LoopConfig, LoopHandle};
 pub use ready::ReadyWait;

@@ -56,13 +56,6 @@ pub enum CloseReason {
     Local,
 }
 
-/// Cancellable handle for one pending timer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TimerId {
-    at: Instant,
-    seq: u64,
-}
-
 /// Loop tuning knobs.
 #[derive(Debug, Clone)]
 pub struct LoopConfig {
@@ -150,14 +143,9 @@ impl<M> Ctl<'_, M> {
 
     /// Arms a one-shot timer `after` from now; [`Driver::on_timer`]
     /// fires with `tag`.
-    pub fn set_timer(&mut self, after: Duration, tag: u64) -> TimerId {
+    pub fn set_timer(&mut self, after: Duration, tag: u64) {
         self.core
-            .set_timer(Instant::now() + after, TimerKind::Driver(tag))
-    }
-
-    /// Cancels a pending timer (no-op if it already fired).
-    pub fn cancel_timer(&mut self, id: TimerId) {
-        self.core.timers.remove(&(id.at, id.seq));
+            .set_timer(Instant::now() + after, TimerKind::Driver(tag));
     }
 
     /// Stops accepting new connections (existing ones keep running);
@@ -172,12 +160,6 @@ impl<M> Ctl<'_, M> {
     /// the last [`Driver::on_close`].
     pub fn stop(&mut self) {
         self.core.stop = true;
-    }
-
-    /// Is `conn` still registered (and not closing)?
-    #[must_use]
-    pub fn is_open(&self, conn: ConnId) -> bool {
-        self.core.conn(conn).is_some_and(|c| !c.closing)
     }
 
     /// Open connections (including ones mid-close).
@@ -370,11 +352,9 @@ impl Core {
         }
     }
 
-    fn set_timer(&mut self, at: Instant, kind: TimerKind) -> TimerId {
+    fn set_timer(&mut self, at: Instant, kind: TimerKind) {
         self.timer_seq += 1;
-        let seq = self.timer_seq;
-        self.timers.insert((at, seq), kind);
-        TimerId { at, seq }
+        self.timers.insert((at, self.timer_seq), kind);
     }
 
     fn register_conn(&mut self, stream: TcpStream, peer: SocketAddr) -> io::Result<ConnId> {
@@ -670,9 +650,9 @@ impl<D: Driver> EventLoop<D> {
     /// uses to schedule its first periodic tick (heartbeat sweep,
     /// shutdown poll) when no [`Ctl`] exists yet. Identical to
     /// [`Ctl::set_timer`].
-    pub fn set_timer(&mut self, after: Duration, tag: u64) -> TimerId {
+    pub fn set_timer(&mut self, after: Duration, tag: u64) {
         self.core
-            .set_timer(Instant::now() + after, TimerKind::Driver(tag))
+            .set_timer(Instant::now() + after, TimerKind::Driver(tag));
     }
 
     /// Runs until a driver calls [`Ctl::stop`]; returns the driver for

@@ -293,14 +293,6 @@ impl Proxy {
             .collect()
     }
 
-    /// Each shard's currently active address.
-    #[must_use]
-    pub fn active_addrs(&self) -> Vec<String> {
-        (0..self.shared.shards.len())
-            .map(|i| self.shared.active(i))
-            .collect()
-    }
-
     /// The proxy's own stats JSON (no backend embeds — query through a
     /// client connection for the full per-shard breakdown).
     #[must_use]

@@ -514,47 +514,10 @@ impl Engine {
         }
     }
 
-    /// Injects a routing-update interruption on `chip`: the chip is
-    /// kept busy for `ops` extra write cycles (each costing one
-    /// `service_clocks`-equivalent of lookup time is *not* assumed —
-    /// TCAM writes take one clock each in this model).
-    ///
-    /// This models premise 1 of Section III-D: route updates steal
-    /// lookup slots. Use between [`run`](Engine::run) calls or interleave
-    /// by splitting the trace.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chip` is out of range.
-    pub fn inject_update_stall(&mut self, chip: usize, ops: u32) {
-        assert!(chip < self.cfg.chips, "no such chip {chip}");
-        self.busy[chip] += ops;
-        self.report.update_stall_clocks += u64::from(ops);
-    }
-
     /// The redundancy scheme's counters so far.
     #[must_use]
     pub fn scheme_stats(&self) -> SchemeStats {
         self.scheme.stats()
-    }
-
-    /// Pre-warms the redundancy scheme by resolving each address as if
-    /// it had missed (fills DReds without running the clock model).
-    pub fn warm_dreds(&mut self, addrs: &[u32]) {
-        for &addr in addrs {
-            let home = self.home_chip(addr);
-            if let Some((p, &nh)) = self.chip_tables[home].lookup(addr) {
-                self.scheme.on_miss_resolved(home, addr, Route::new(p, nh));
-            }
-        }
-        self.scheme.reset_stats();
-    }
-
-    /// Reference lookup against the engine's union table (test hook).
-    #[must_use]
-    pub fn reference_lookup(&self, addr: u32) -> Option<NextHop> {
-        let chip = self.home_chip(addr);
-        self.chip_tables[chip].lookup(addr).map(|(_, &nh)| nh)
     }
 
     /// Entries stored per chip (home partitions, without DRed).
@@ -579,19 +542,6 @@ pub fn balanced_mapping(bucket_sizes: &[usize], chips: usize) -> Vec<usize> {
         load[chip] += bucket_sizes[b];
     }
     mapping
-}
-
-/// A `Prefix`-keyed helper: returns the union table a set of buckets
-/// represents (test/debug aid).
-#[must_use]
-pub fn union_table(buckets: &[Vec<Route>]) -> Trie<NextHop> {
-    let mut t = Trie::new();
-    for bucket in buckets {
-        for r in bucket {
-            t.insert(r.prefix, r.next_hop);
-        }
-    }
-    t
 }
 
 #[cfg(test)]

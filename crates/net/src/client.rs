@@ -170,12 +170,6 @@ impl Connection {
         self.last_acked
     }
 
-    /// Update frames sent but not yet acknowledged.
-    #[must_use]
-    pub fn in_flight(&self) -> usize {
-        self.unacked.len()
-    }
-
     /// Submits one batch of updates. Returns once the frame is written
     /// and the in-flight window is back under `ack_window`; earlier
     /// frames may be acked as a side effect.

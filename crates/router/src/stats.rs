@@ -79,12 +79,6 @@ impl RouterStats {
         }
     }
 
-    /// Number of worker slots.
-    #[must_use]
-    pub fn worker_count(&self) -> usize {
-        self.workers.len()
-    }
-
     /// Locks worker `i`'s slot for recording.
     pub fn worker(&self, i: usize) -> parking_lot::MutexGuard<'_, WorkerStats> {
         self.workers[i].lock()
