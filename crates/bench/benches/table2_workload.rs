@@ -6,6 +6,8 @@
 //! groups of 8 to chips gives per-chip shares of 77.88 / 17.43 / 4.54 /
 //! 0.16 %.
 
+use std::net::Ipv4Addr;
+
 use clue_bench::{adversarial, banner, pct};
 use clue_traffic::workload::{chip_shares, shares};
 
@@ -38,8 +40,8 @@ fn main() {
                 "{:>5} {:>8} {:<18} {:<18} {:>10}",
                 chip,
                 b,
-                dotted(low),
-                dotted(high),
+                Ipv4Addr::from(low),
+                Ipv4Addr::from(high),
                 pct(bucket_shares[b])
             );
         } else if rank % 8 == 3 {
@@ -56,9 +58,4 @@ fn main() {
         println!("  TCAM {}: {}", i + 1, pct(*s));
     }
     assert!(cs[0] > cs[1] && cs[1] > cs[2] && cs[2] >= cs[3]);
-}
-
-fn dotted(addr: u32) -> String {
-    let o = addr.to_be_bytes();
-    format!("{}.{}.{}.{}", o[0], o[1], o[2], o[3])
 }

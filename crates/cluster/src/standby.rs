@@ -118,6 +118,7 @@ struct Flags {
 /// A running standby (replication client + control frontend).
 pub struct Standby {
     local_addr: SocketAddr,
+    primary_repl: String,
     state: Arc<Mutex<ReplicaState>>,
     net: Arc<NetStats>,
     flags: Arc<Flags>,
@@ -161,12 +162,14 @@ impl Standby {
                 flags.repl_stopped.store(true, Ordering::Release);
             })
         };
+        let primary_repl = cfg.primary_repl.clone();
         let frontend = {
             let (state, flags) = (Arc::clone(&state), Arc::clone(&flags));
             thread::spawn(move || frontend_loop(listener, &cfg, &state, &flags))
         };
         Ok(Standby {
             local_addr,
+            primary_repl,
             state,
             net,
             flags,
@@ -200,6 +203,13 @@ impl Standby {
     /// proxy's failover RPC, for tests and benches.
     pub fn request_promote(&self) {
         self.flags.promote_req.store(true, Ordering::Release);
+    }
+
+    /// The stats object the control endpoint answers a `StatsQuery`
+    /// with: role, primary, replication position and counters.
+    #[must_use]
+    pub fn stats_json(&self) -> String {
+        stats_json(&self.state.lock().expect("state lock"), &self.primary_repl)
     }
 
     /// A copy of the replica's current state and counters.

@@ -7,7 +7,12 @@
 //! * packet traces — one dotted-quad destination per line.
 //!
 //! Reader/writer functions take `R: Read` / `W: Write` by value, so a
-//! `&mut` reference works too (the std blanket impls apply).
+//! `&mut` reference works too (the std blanket impls apply). Malformed
+//! lines are reported by 1-based line number.
+//!
+//! The `clue` CLI reads and writes every FIB, packet trace and update
+//! trace through this module (`gen-*`, `compress`, `simulate`, `replay`,
+//! `serve`, `shardmap`, `restore`, `loadgen`, `trace info --export-*`).
 
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::Ipv4Addr;
@@ -59,24 +64,12 @@ pub fn write_route_table<W: Write>(mut writer: W, table: &RouteTable) -> io::Res
 ///
 /// # Errors
 ///
-/// Returns an error for I/O failures or malformed lines.
+/// Returns an error for I/O failures or malformed lines (reported with
+/// their 1-based line number).
 pub fn read_updates<R: Read>(reader: R) -> io::Result<Vec<Update>> {
-    let mut out = Vec::new();
-    for (lineno, line) in BufReader::new(reader).lines().enumerate() {
-        let line = line?;
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let update: Update = line.parse().map_err(|e| {
-            io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("line {}: {e}", lineno + 1),
-            )
-        })?;
-        out.push(update);
-    }
-    Ok(out)
+    parse_lines(reader, |line| {
+        line.parse::<Update>().map_err(|e| e.to_string())
+    })
 }
 
 /// Writes an update trace in the text format.
@@ -84,35 +77,27 @@ pub fn read_updates<R: Read>(reader: R) -> io::Result<Vec<Update>> {
 /// # Errors
 ///
 /// Propagates I/O failures.
-pub fn write_updates<W: Write>(mut writer: W, updates: &[Update]) -> io::Result<()> {
+pub fn write_updates<W: Write>(writer: W, updates: &[Update]) -> io::Result<()> {
+    let mut w = io::BufWriter::new(writer);
     for u in updates {
-        writeln!(writer, "{u}")?;
+        writeln!(w, "{u}")?;
     }
-    Ok(())
+    w.flush()
 }
 
-/// Reads a packet trace: one dotted-quad destination per line.
+/// Reads a packet trace: one dotted-quad destination per line, parsed
+/// by [`Ipv4Addr`] (so an octet with a leading zero is rejected).
 ///
 /// # Errors
 ///
-/// Returns an error for I/O failures or malformed lines.
+/// Returns an error for I/O failures or malformed lines (reported with
+/// their 1-based line number).
 pub fn read_packets<R: Read>(reader: R) -> io::Result<Vec<u32>> {
-    let mut out = Vec::new();
-    for (lineno, line) in BufReader::new(reader).lines().enumerate() {
-        let line = line?;
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let addr: Ipv4Addr = line.parse().map_err(|_| {
-            io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("line {}: invalid address {line:?}", lineno + 1),
-            )
-        })?;
-        out.push(u32::from(addr));
-    }
-    Ok(out)
+    parse_lines(reader, |line| {
+        line.parse::<Ipv4Addr>()
+            .map(u32::from)
+            .map_err(|_| format!("invalid address {line:?}"))
+    })
 }
 
 /// Writes a packet trace: one dotted-quad destination per line.
@@ -132,6 +117,34 @@ fn read_all<R: Read>(mut reader: R) -> io::Result<String> {
     let mut text = String::new();
     reader.read_to_string(&mut text)?;
     Ok(text)
+}
+
+/// Parses every line of `reader` but blanks and `#` comments, trimmed,
+/// through one reused buffer; a rejected line becomes `InvalidData`
+/// prefixed with its 1-based number.
+fn parse_lines<R: Read, T>(
+    reader: R,
+    mut parse: impl FnMut(&str) -> Result<T, String>,
+) -> io::Result<Vec<T>> {
+    let mut reader = BufReader::new(reader);
+    let mut buf = String::new();
+    let mut out = Vec::new();
+    let mut lineno = 0;
+    loop {
+        buf.clear();
+        if reader.read_line(&mut buf)? == 0 {
+            return Ok(out);
+        }
+        lineno += 1;
+        let line = buf.trim();
+        if line.is_empty() || line.starts_with('#') {
+            continue;
+        }
+        let item = parse(line).map_err(|e| {
+            io::Error::new(io::ErrorKind::InvalidData, format!("line {lineno}: {e}"))
+        })?;
+        out.push(item);
+    }
 }
 
 #[cfg(test)]

@@ -30,6 +30,7 @@
 //! [`Reproducer`].
 
 use std::fmt;
+use std::net::Ipv4Addr;
 
 use clue_compress::onrtc;
 use clue_core::lookup::{plane_from_table, BackendKind};
@@ -214,11 +215,6 @@ impl Divergence {
     }
 }
 
-fn dotted(addr: u32) -> String {
-    let o = addr.to_be_bytes();
-    format!("{}.{}.{}.{}", o[0], o[1], o[2], o[3])
-}
-
 impl fmt::Display for Divergence {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -231,7 +227,7 @@ impl fmt::Display for Divergence {
             } => write!(
                 f,
                 "lookup divergence ({stage}, batch {batch}): addr {} -> {got:?}, oracle says {expected:?}",
-                dotted(*addr)
+                Ipv4Addr::from(*addr)
             ),
             Divergence::Invariant { batch, what } => {
                 write!(f, "invariant violation (batch {batch}): {what}")

@@ -30,8 +30,8 @@ pub mod store;
 pub mod wal;
 
 pub use snapshot::{
-    decode_snapshot, encode_snapshot, list_snapshots, load_snapshot, snapshot_name, write_snapshot,
-    Snapshot,
+    decode_snapshot, encode_snapshot, list_snapshots, load_snapshot, newest_valid_snapshot,
+    snapshot_name, write_snapshot, Snapshot,
 };
 pub use store::{Recovery, Store, StoreConfig, StreamBase};
 pub use wal::{

@@ -209,6 +209,24 @@ pub fn list_snapshots(dir: &Path) -> io::Result<Vec<PathBuf>> {
     Ok(snaps)
 }
 
+/// The newest snapshot in `dir` that validates, with its path, and how
+/// many newer ones failed to (recovery falls back past those).
+///
+/// # Errors
+///
+/// Propagates directory-read errors; an unreadable or corrupt snapshot
+/// file is counted, not returned.
+pub fn newest_valid_snapshot(dir: &Path) -> io::Result<(Option<(PathBuf, Snapshot)>, u64)> {
+    let mut skipped = 0;
+    for path in list_snapshots(dir)? {
+        match load_snapshot(&path) {
+            Ok(snap) => return Ok((Some((path, snap)), skipped)),
+            Err(_) => skipped += 1,
+        }
+    }
+    Ok((None, skipped))
+}
+
 /// Atomically writes `snap` into `dir`: tmp file → `sync_all` → rename
 /// → best-effort directory sync.
 ///

@@ -12,7 +12,7 @@ use clue_fib::RouteTable;
 use clue_partition::EvenRangePartition;
 use clue_router::{CheckpointView, JournalBatch, RecoveredState, UpdateJournal};
 
-use crate::snapshot::{list_snapshots, load_snapshot, write_snapshot, Snapshot};
+use crate::snapshot::{list_snapshots, newest_valid_snapshot, write_snapshot, Snapshot};
 use crate::wal::{encode_record, list_segments, scan_dir, segment_name, WalRecord};
 
 /// Tunables for a [`Store`].
@@ -134,21 +134,9 @@ impl Store {
     /// no snapshot validates (the base state is unrecoverable).
     pub fn open(dir: &Path, cfg: StoreConfig) -> io::Result<(Store, Option<Recovery>)> {
         fs::create_dir_all(dir)?;
-        let snaps = list_snapshots(dir)?;
-        let mut skipped = 0u64;
-        let mut snapshot = None;
-        for path in &snaps {
-            match load_snapshot(path) {
-                Ok(s) => {
-                    snapshot = Some(s);
-                    break;
-                }
-                Err(_) => skipped += 1,
-            }
-        }
-
-        let Some(snap) = snapshot else {
-            if !list_segments(dir)?.is_empty() || !snaps.is_empty() {
+        let (newest, skipped) = newest_valid_snapshot(dir)?;
+        let Some((_, snap)) = newest else {
+            if skipped > 0 || !list_segments(dir)?.is_empty() {
                 return Err(io::Error::new(
                     ErrorKind::InvalidData,
                     "data dir has journal segments but no valid snapshot to base them on",

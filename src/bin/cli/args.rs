@@ -83,6 +83,15 @@ impl Args {
             .map_err(|_| ArgError(format!("--{key}: cannot parse {raw:?}")))
     }
 
+    /// Fails with `why(flag)` for the first of `flags` that was given:
+    /// flags that conflict with the mode the others chose.
+    pub fn reject(&self, flags: &[&str], why: impl FnOnce(&str) -> String) -> Result<(), ArgError> {
+        match flags.iter().find(|f| self.flags.contains_key(**f)) {
+            Some(f) => Err(ArgError(why(f))),
+            None => Ok(()),
+        }
+    }
+
     /// Rejects flags outside `allowed` (typo protection).
     pub fn check_known(&self, allowed: &[&str]) -> Result<(), ArgError> {
         for key in self.flags.keys() {

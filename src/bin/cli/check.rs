@@ -1,10 +1,10 @@
 //! `clue check`: the differential conformance check.
 
 use crate::args::{ArgError, Args};
-use crate::{io_err, parse_backend, parse_transport, write_file};
+use crate::{io_err, parse_backend, parse_transport};
 
 use clue::oracle::harness;
-use clue::oracle::{run_check, run_scenario_check, CheckConfig, Reproducer};
+use clue::oracle::{run_check, run_scenario_check, CheckConfig, CheckFailure, Reproducer};
 use clue::router::FaultPlan;
 use clue::trace::ScenarioKind;
 
@@ -40,25 +40,13 @@ pub fn check(args: &Args) -> Result<(), ArgError> {
     cfg.packets = args.get_or("packets", cfg.packets)?;
     cfg.probe_sample = args.get_or("probe-sample", cfg.probe_sample)?;
     cfg.probe_random = args.get_or("probe-random", cfg.probe_random)?;
-    cfg.faults = match args.optional("faults").unwrap_or("off") {
-        "on" => Some(FaultPlan::chaos(args.get_or("fault-seed", seed)?)),
-        "off" => None,
-        other => return Err(ArgError(format!("unknown faults mode {other:?} (on|off)"))),
+    cfg.faults = if on_off(args, "faults")? {
+        Some(FaultPlan::chaos(args.get_or("fault-seed", seed)?))
+    } else {
+        None
     };
-    cfg.net = match args.optional("net").unwrap_or("off") {
-        "on" => true,
-        "off" => false,
-        other => return Err(ArgError(format!("unknown net mode {other:?} (on|off)"))),
-    };
-    cfg.recovery = match args.optional("recovery").unwrap_or("off") {
-        "on" => true,
-        "off" => false,
-        other => {
-            return Err(ArgError(format!(
-                "unknown recovery mode {other:?} (on|off)"
-            )))
-        }
-    };
+    cfg.net = on_off(args, "net")?;
+    cfg.recovery = on_off(args, "recovery")?;
     cfg.backend = parse_backend(args)?;
     cfg.transport = parse_transport(args)?;
     cfg.shards = args.get_or("shards", 1)?;
@@ -134,26 +122,7 @@ pub fn check(args: &Args) -> Result<(), ArgError> {
             }
             Ok(())
         }
-        Err(failure) => {
-            eprintln!("FAIL: {}", failure.divergence);
-            eprintln!(
-                "minimizing a {}-update trace (this re-runs the failing phase)...",
-                failure.trace.len()
-            );
-            let repro = harness::minimize_failure(&failure, &cfg);
-            let out = args.optional("out").unwrap_or("clue-reproducer.txt");
-            write_file(out, &repro.to_text())?;
-            eprintln!(
-                "wrote minimized reproducer ({} routes, {} updates) to {out}; \
-                 replay it with `clue check --replay {out}`",
-                repro.table.len(),
-                repro.trace.len()
-            );
-            Err(ArgError(format!(
-                "conformance divergence: {}",
-                failure.divergence
-            )))
-        }
+        Err(failure) => Err(minimize(args, &cfg, &failure, "conformance")),
     }
 }
 
@@ -194,25 +163,37 @@ fn check_scenario(args: &Args, cfg: &CheckConfig, name: &str) -> Result<(), ArgE
             }
             Ok(())
         }
-        Err(failure) => {
-            eprintln!("FAIL: {}", failure.divergence);
-            eprintln!(
-                "minimizing a {}-update trace (this re-runs the failing phase)...",
-                failure.trace.len()
-            );
-            let repro = harness::minimize_failure(&failure, cfg);
-            let out = args.optional("out").unwrap_or("clue-reproducer.txt");
-            write_file(out, &repro.to_text())?;
-            eprintln!(
-                "wrote minimized reproducer ({} routes, {} updates) to {out}; \
-                 replay it with `clue check --replay {out}`",
-                repro.table.len(),
-                repro.trace.len()
-            );
-            Err(ArgError(format!(
-                "scenario divergence: {}",
-                failure.divergence
-            )))
-        }
+        Err(failure) => Err(minimize(args, cfg, &failure, "scenario")),
     }
+}
+
+/// Parses an `--KEY on|off` flag (default off).
+fn on_off(args: &Args, key: &str) -> Result<bool, ArgError> {
+    match args.optional(key).unwrap_or("off") {
+        "on" => Ok(true),
+        "off" => Ok(false),
+        other => Err(ArgError(format!("unknown {key} mode {other:?} (on|off)"))),
+    }
+}
+
+/// Shrinks a failing check's trace, writes the reproducer to `--out`,
+/// and returns the error `clue check` exits with.
+fn minimize(args: &Args, cfg: &CheckConfig, failure: &CheckFailure, what: &str) -> ArgError {
+    eprintln!("FAIL: {}", failure.divergence);
+    eprintln!(
+        "minimizing a {}-update trace (this re-runs the failing phase)...",
+        failure.trace.len()
+    );
+    let repro = harness::minimize_failure(failure, cfg);
+    let out = args.optional("out").unwrap_or("clue-reproducer.txt");
+    if let Err(e) = std::fs::write(out, repro.to_text()) {
+        return io_err(out, &e);
+    }
+    eprintln!(
+        "wrote minimized reproducer ({} routes, {} updates) to {out}; \
+         replay it with `clue check --replay {out}`",
+        repro.table.len(),
+        repro.trace.len()
+    );
+    ArgError(format!("{what} divergence: {}", failure.divergence))
 }

@@ -1,10 +1,15 @@
 //! `clue shardmap`, `proxy` and `promote`: the sharded tier.
 
 use crate::args::{ArgError, Args};
-use crate::{io_err, load_fib, parse_transport, write_file};
+use std::net::Ipv4Addr;
+use std::path::Path;
+use std::time::Duration;
+
+use crate::{io_err, load_fib, parse_transport, serve_until_stopped, write_text};
 
 use clue::cluster::{rpc, Proxy, ProxyConfig, ShardMap, ShardSpec};
-use clue::net::{signal, wire, Frame, FrameType};
+use clue::fib::io::write_route_table;
+use clue::net::{wire, Frame, FrameType};
 
 /// Parses `--shards a,b,c` (+ optional `--standbys x,y,z`) into
 /// per-shard endpoint specs. Shared by `shardmap` and `proxy`.
@@ -48,13 +53,13 @@ pub fn shardmap(args: &Args) -> Result<(), ArgError> {
     let fib = load_fib(args.required("fib")?)?;
     let specs = parse_shard_specs(args)?;
     let map = ShardMap::derive(&fib, specs).map_err(|e| io_err("shard map", &e))?;
-    for (i, spec) in map.shards().iter().enumerate() {
+    let subs: Vec<_> = (0..map.len()).map(|i| map.filter_table(&fib, i)).collect();
+    for (i, (spec, sub)) in map.shards().iter().zip(&subs).enumerate() {
         let range = map.shard_range(i);
-        let sub = map.filter_table(&fib, i);
         println!(
             "shard {i}: {}..{} ({} routes) -> {}{}",
-            std::net::Ipv4Addr::from(*range.start()),
-            std::net::Ipv4Addr::from(*range.end()),
+            Ipv4Addr::from(*range.start()),
+            Ipv4Addr::from(*range.end()),
             sub.len(),
             spec.primary,
             spec.standby
@@ -64,7 +69,7 @@ pub fn shardmap(args: &Args) -> Result<(), ArgError> {
         );
     }
     if let Some(out) = args.optional("out") {
-        map.write_file(std::path::Path::new(out))
+        map.write_file(Path::new(out))
             .map_err(|e| io_err(out, &e))?;
         println!(
             "wrote shard map ({} shards, {} bytes) to {out}",
@@ -74,10 +79,9 @@ pub fn shardmap(args: &Args) -> Result<(), ArgError> {
     }
     if let Some(dir) = args.optional("split-dir") {
         std::fs::create_dir_all(dir).map_err(|e| io_err(dir, &e))?;
-        for i in 0..map.len() {
-            let sub = map.filter_table(&fib, i);
+        for (i, sub) in subs.iter().enumerate() {
             let path = format!("{dir}/shard{i}.txt");
-            write_file(&path, &sub.to_text())?;
+            write_text(&path, |f| write_route_table(f, sub))?;
             println!("wrote {} routes to {path}", sub.len());
         }
     }
@@ -102,14 +106,10 @@ pub fn proxy(args: &Args) -> Result<(), ArgError> {
     ])?;
     let map = match args.optional("map") {
         Some(path) => {
-            for bad in ["fib", "shards", "standbys"] {
-                if args.optional(bad).is_some() {
-                    return Err(ArgError(format!(
-                        "--map already carries the cuts and endpoints; drop --{bad}"
-                    )));
-                }
-            }
-            ShardMap::read_file(std::path::Path::new(path)).map_err(|e| io_err(path, &e))?
+            args.reject(&["fib", "shards", "standbys"], |bad| {
+                format!("--map already carries the cuts and endpoints; drop --{bad}")
+            })?;
+            ShardMap::read_file(Path::new(path)).map_err(|e| io_err(path, &e))?
         }
         None => {
             let fib = load_fib(args.required("fib").map_err(|_| {
@@ -121,7 +121,7 @@ pub fn proxy(args: &Args) -> Result<(), ArgError> {
     let shards = map.len();
     let mut cfg = ProxyConfig::new(map);
     cfg.listen = args.optional("listen").unwrap_or("127.0.0.1:0").to_owned();
-    cfg.heartbeat_every = std::time::Duration::from_millis(args.get_or("heartbeat-ms", 150)?);
+    cfg.heartbeat_every = Duration::from_millis(args.get_or("heartbeat-ms", 150)?);
     cfg.fail_after = args.get_or("fail-after", 2)?;
     if cfg.fail_after == 0 {
         return Err(ArgError("--fail-after must be positive".into()));
@@ -135,23 +135,16 @@ pub fn proxy(args: &Args) -> Result<(), ArgError> {
     let transport = cfg.transport;
     let listen = cfg.listen.clone();
     let proxy = Proxy::start(cfg).map_err(|e| io_err(&listen, &e))?;
-    signal::install();
-    println!(
-        "proxy on {} ({} transport) fronting {shards} shards; SIGINT/SIGTERM stops",
-        proxy.local_addr(),
-        transport.name(),
+    serve_until_stopped(
+        &format!(
+            "proxy on {} ({} transport) fronting {shards} shards; SIGINT/SIGTERM stops",
+            proxy.local_addr(),
+            transport.name(),
+        ),
+        stats_ms,
+        || true,
+        || Some(proxy.stats_json()),
     );
-    let every = (stats_ms > 0).then(|| std::time::Duration::from_millis(stats_ms));
-    let mut last = std::time::Instant::now();
-    while !signal::triggered() {
-        std::thread::sleep(std::time::Duration::from_millis(25));
-        if let Some(every) = every {
-            if last.elapsed() >= every {
-                println!("{}", proxy.stats_json());
-                last = std::time::Instant::now();
-            }
-        }
-    }
     println!("{}", proxy.stats_json());
     proxy.stop();
     Ok(())
@@ -166,8 +159,8 @@ pub fn promote(args: &Args) -> Result<(), ArgError> {
         addr,
         &Frame::empty(FrameType::Promote, 0),
         FrameType::PromoteAck,
-        std::time::Duration::from_secs(2),
-        std::time::Duration::from_secs(10),
+        Duration::from_secs(2),
+        Duration::from_secs(10),
     )
     .map_err(|e| io_err(addr, &e))?;
     let seq_hw = wire::decode_u64(&reply.payload).map_err(|e| io_err(addr, &e))?;

@@ -1,9 +1,10 @@
 //! `clue gen-fib`, `gen-packets`, `gen-updates`: the synthetic inputs.
 
 use crate::args::{ArgError, Args};
-use crate::{load_fib, write_file};
+use crate::{load_fib, write_text};
 
 use clue::fib::gen::FibGen;
+use clue::fib::io::{write_packets, write_route_table, write_updates};
 use clue::traffic::{PacketGen, UpdateGen};
 
 pub fn gen_fib(args: &Args) -> Result<(), ArgError> {
@@ -16,7 +17,7 @@ pub fn gen_fib(args: &Args) -> Result<(), ArgError> {
         .routes(routes)
         .next_hops(next_hops)
         .generate();
-    write_file(out, &fib.to_text())?;
+    write_text(out, |f| write_route_table(f, &fib))?;
     println!("wrote {} routes to {out}", fib.len());
     Ok(())
 }
@@ -31,12 +32,7 @@ pub fn gen_packets(args: &Args) -> Result<(), ArgError> {
     let trace = PacketGen::new(seed)
         .zipf_exponent(zipf)
         .generate(&fib, count);
-    let mut text = String::with_capacity(count * 16);
-    for addr in trace {
-        let o = addr.to_be_bytes();
-        text.push_str(&format!("{}.{}.{}.{}\n", o[0], o[1], o[2], o[3]));
-    }
-    write_file(out, &text)?;
+    write_text(out, |f| write_packets(f, &trace))?;
     println!("wrote {count} packets to {out}");
     Ok(())
 }
@@ -48,12 +44,7 @@ pub fn gen_updates(args: &Args) -> Result<(), ArgError> {
     let count: usize = args.get_or("count", 10_000)?;
     let seed: u64 = args.get_or("seed", 3)?;
     let updates = UpdateGen::new(seed).generate(&fib, count);
-    let mut text = String::with_capacity(count * 24);
-    for u in &updates {
-        text.push_str(&u.to_string());
-        text.push('\n');
-    }
-    write_file(out, &text)?;
+    write_text(out, |f| write_updates(f, &updates))?;
     println!("wrote {count} updates to {out}");
     Ok(())
 }

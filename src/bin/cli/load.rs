@@ -1,10 +1,11 @@
 //! `clue loadgen` and `stats`: clients of a running server.
 
 use crate::args::{ArgError, Args};
+use crate::trace::scenario_config;
 use crate::{io_err, load_packets, load_updates};
 
 use clue::net::{run_load, run_swarm, ClientConfig, Connection, LoadConfig, SwarmConfig};
-use clue::trace::{Scenario, ScenarioConfig, ScenarioKind};
+use clue::trace::{Scenario, ScenarioKind};
 
 pub fn loadgen(args: &Args) -> Result<(), ArgError> {
     args.check_known(&[
@@ -23,21 +24,11 @@ pub fn loadgen(args: &Args) -> Result<(), ArgError> {
     ])?;
     let addr = args.required("addr")?;
     let (packets, updates) = if let Some(name) = args.optional("scenario") {
-        for bad in ["packets", "updates"] {
-            if args.optional(bad).is_some() {
-                return Err(ArgError(format!(
-                    "--{bad} loads a trace file; it conflicts with --scenario"
-                )));
-            }
-        }
+        args.reject(&["packets", "updates"], |bad| {
+            format!("--{bad} loads a trace file; it conflicts with --scenario")
+        })?;
         let kind: ScenarioKind = name.parse().map_err(ArgError)?;
-        let d = ScenarioConfig::default();
-        let cfg = ScenarioConfig {
-            seed: args.get_or("seed", d.seed)?,
-            routes: args.get_or("routes", d.routes)?,
-            ..d
-        };
-        let s = Scenario::build(kind, &cfg);
+        let s = Scenario::build(kind, &scenario_config(args)?);
         eprintln!(
             "scenario {kind}: {} updates + {} lookups over a {}-route base \
              (install it with `clue trace info --scenario {kind} --export-fib ...`)",
@@ -48,20 +39,12 @@ pub fn loadgen(args: &Args) -> Result<(), ArgError> {
         let ups = s.updates();
         (s.packets, ups)
     } else {
-        for bad in ["seed", "routes"] {
-            if args.optional(bad).is_some() {
-                return Err(ArgError(format!("--{bad} applies to --scenario workloads")));
-            }
-        }
-        let packets = match args.optional("packets") {
-            Some(path) => load_packets(path)?,
-            None => Vec::new(),
-        };
-        let updates = match args.optional("updates") {
-            Some(path) => load_updates(path)?,
-            None => Vec::new(),
-        };
-        (packets, updates)
+        args.reject(&["seed", "routes"], |bad| {
+            format!("--{bad} applies to --scenario workloads")
+        })?;
+        let packets = args.optional("packets").map(load_packets).transpose()?;
+        let updates = args.optional("updates").map(load_updates).transpose()?;
+        (packets.unwrap_or_default(), updates.unwrap_or_default())
     };
     if packets.is_empty() && updates.is_empty() {
         return Err(ArgError(
@@ -72,13 +55,9 @@ pub fn loadgen(args: &Args) -> Result<(), ArgError> {
     if connections > 0 {
         // Swarm mode: N concurrent connections on one reactor, the
         // whole traces swept once across them.
-        for bad in ["rate", "update-rate", "threads"] {
-            if args.optional(bad).is_some() {
-                return Err(ArgError(format!(
-                    "--{bad} applies to the paced load generator, not --connections"
-                )));
-            }
-        }
+        args.reject(&["rate", "update-rate", "threads"], |bad| {
+            format!("--{bad} applies to the paced load generator, not --connections")
+        })?;
         let lookup_batch: usize = args.get_or("lookup-batch", 64)?;
         if lookup_batch == 0 {
             return Err(ArgError("all sizes must be positive".into()));
@@ -138,55 +117,29 @@ pub fn stats(args: &Args) -> Result<(), ArgError> {
     let json = conn.stats_json().map_err(|e| io_err(addr, &e))?;
     println!("{json}");
     // A human-readable line for the active lookup plane, pulled out of
-    // the JSON (the workspace carries no serde; the fields are ours).
-    if let Some(plane) = json_object(&json, "\"plane\":") {
-        if plane != "null" {
-            let field = |key: &str| json_scalar(plane, key).unwrap_or("?");
-            let heap: f64 = field("\"heap_bytes\":").parse().unwrap_or(0.0);
-            println!(
-                "plane: backend={} epoch={} entries={} heap={:.1} KiB replicated={}",
-                field("\"backend\":\"").trim_end_matches('"'),
-                field("\"epoch\":"),
-                field("\"entries\":"),
-                heap / 1024.0,
-                field("\"replicated\":"),
-            );
-        }
+    // the JSON (the workspace carries no serde; the fields are ours, and
+    // the plane object is flat).
+    let plane = json
+        .split_once("\"plane\":{")
+        .and_then(|(_, rest)| rest.split_once('}'));
+    if let Some((plane, _)) = plane {
+        let field = |key: &str| {
+            let key = format!("\"{key}\":");
+            let value = plane
+                .split(',')
+                .find_map(|kv| kv.strip_prefix(key.as_str()));
+            value.unwrap_or("?").trim_matches('"')
+        };
+        let heap: f64 = field("heap_bytes").parse().unwrap_or(0.0);
+        println!(
+            "plane: backend={} epoch={} entries={} heap={:.1} KiB replicated={}",
+            field("backend"),
+            field("epoch"),
+            field("entries"),
+            heap / 1024.0,
+            field("replicated"),
+        );
     }
     let _ = conn.close();
     Ok(())
-}
-
-/// Extracts the value following `key` in `json`: a brace-balanced
-/// object, or a bare scalar up to the next `,`/`}`.
-fn json_object<'a>(json: &'a str, key: &str) -> Option<&'a str> {
-    let start = json.find(key)? + key.len();
-    let rest = &json[start..];
-    if rest.starts_with('{') {
-        let mut depth = 0usize;
-        for (i, c) in rest.char_indices() {
-            match c {
-                '{' => depth += 1,
-                '}' => {
-                    depth -= 1;
-                    if depth == 0 {
-                        return Some(&rest[..=i]);
-                    }
-                }
-                _ => {}
-            }
-        }
-        None
-    } else {
-        let end = rest.find([',', '}']).unwrap_or(rest.len());
-        Some(&rest[..end])
-    }
-}
-
-/// Extracts a scalar field (number or string) after `key`.
-fn json_scalar<'a>(json: &'a str, key: &str) -> Option<&'a str> {
-    let start = json.find(key)? + key.len();
-    let rest = &json[start..];
-    let end = rest.find([',', '}', '"']).unwrap_or(rest.len());
-    Some(&rest[..end])
 }

@@ -1,56 +1,16 @@
 //! `clue` — command-line front end for the CLUE reproduction.
 //!
-//! ```text
-//! clue gen-fib      --out fib.txt [--routes N] [--seed S] [--next-hops K]
-//! clue gen-packets  --fib fib.txt --out trace.txt [--count N] [--seed S] [--zipf X]
-//! clue gen-updates  --fib fib.txt --out updates.txt [--count N] [--seed S]
-//! clue compress     --fib fib.txt [--algorithm onrtc|ortc|leaf-push] [--out out.txt]
-//! clue partition    --fib fib.txt [--scheme clue|subtree|idbit] [--n N]
-//! clue simulate     --fib fib.txt --packets trace.txt [--chips N] [--dred N]
-//!                   [--fifo N] [--service N] [--scheme clue|clpl] [--adversarial true]
-//! clue replay       --fib fib.txt --updates updates.txt [--pipeline clue|clpl] [--window N]
-//! clue replay       --data-dir DIR [--json true]   (journal inspection: snapshot + WAL records)
-//! clue trace gen    --out-rib rib.mrt --out-updates upd.mrt [--seed S] [--routes N]
-//!                   [--updates N]             (canonical MRT fixtures, round-trip verified)
-//! clue trace info   --scenario NAME | --rib rib.mrt [--updates-mrt upd.mrt]
-//!                   [--seed S] [--routes N] [--updates N] [--packets N]
-//!                   [--export-fib F] [--export-updates F] [--export-packets F]
-//! clue trace replay --scenario NAME | --rib rib.mrt --updates-mrt upd.mrt
-//!                   [--speed X] [--addr HOST:PORT] [--workers N] [--dred N] [--batch K]
-//! clue serve        --fib fib.txt --packets trace.txt --updates updates.txt [--workers N]
-//!                   [--dred N] [--batch K] [--queue N] [--overflow block|drop]
-//!                   [--stats-ms N] [--backend tcam|trie|cfib|tiled]
-//! clue serve        --fib fib.txt --listen ADDR [--data-dir DIR] [--workers N] [--dred N]
-//!                   [--batch K] [--queue N] [--overflow block|drop] [--stats-ms N]
-//!                   [--transport threads|evloop]
-//! clue serve        --listen ADDR --data-dir DIR --repl-listen ADDR [--fib fib.txt]
-//!                   [--sync-ms N] [router flags]   (shard primary: WAL-shipping replication)
-//! clue serve        --listen ADDR --follow PRIMARY_REPL [router flags]   (warm standby)
-//! clue shardmap     --fib fib.txt --shards a,b,c [--standbys x,y,z] [--out map.bin]
-//!                   [--split-dir DIR]          (derive cuts, write map + per-shard FIBs)
-//! clue proxy        --map map.bin | --fib fib.txt --shards a,b,c [--standbys x,y,z]
-//!                   [--listen ADDR] [--heartbeat-ms N] [--fail-after N] [--stats-ms N]
-//!                   [--transport threads|evloop] [--bridge-threads N]
-//! clue promote      --addr HOST:PORT           (promote a standby to a serving primary)
-//! clue snapshot     --data-dir DIR            (fold the journal into a snapshot, prune WAL)
-//! clue restore      --data-dir DIR [--fib out.txt] [--verify-fib fib.txt
-//!                   --verify-updates updates.txt]
-//! clue loadgen      --addr HOST:PORT [--packets trace.txt] [--updates updates.txt]
-//!                   [--scenario NAME] [--seed S] [--routes N]
-//!                   [--rate PPS] [--update-rate UPS] [--threads N]
-//!                   [--lookup-batch K] [--update-batch K]
-//!                   [--connections N]         (swarm mode: N concurrent reactor clients)
-//! clue stats        --addr HOST:PORT
-//! clue check        [--seed S] [--updates N] [--routes N] [--batch K] [--chips N]
-//!                   [--dred N] [--packets N] [--faults on|off] [--fault-seed S]
-//!                   [--net on|off] [--recovery on|off] [--shards N] [--scenario NAME]
-//!                   [--backend tcam|trie|cfib|tiled] [--transport threads|evloop]
-//!                   [--out repro.txt] [--replay repro.txt]
-//! ```
+//! `clue --help` prints [`USAGE`]: every subcommand with its required and
+//! optional flags, each given as `--key value`.
 //!
 //! All file formats are plain text: FIBs are `a.b.c.d/len nh` lines,
 //! packet traces are one dotted-quad address per line, update traces are
-//! `A prefix nh` / `W prefix` lines.
+//! `A prefix nh` / `W prefix` lines. [`clue::fib::io`] reads and writes
+//! all three.
+//!
+//! One module per subcommand group (`gen`, `paper`, `serve`, `cluster`,
+//! `store`, `load`, `check`, `trace`); this file keeps the usage text,
+//! the dispatch and the helpers they share.
 
 mod args;
 mod check;
@@ -62,13 +22,18 @@ mod serve;
 mod store;
 mod trace;
 
+use std::fs::File;
+use std::io;
 use std::process::ExitCode;
+use std::time::{Duration, Instant};
 
 use args::{ArgError, Args};
 
 use clue::core::BackendKind;
+use clue::fib::io::{read_packets, read_route_table, read_updates};
 use clue::fib::{RouteTable, Update};
-use clue::net::Transport;
+use clue::net::{signal, Transport};
+use clue::router::{OverflowPolicy, RouterConfig};
 
 const USAGE: &str = "\
 usage: clue <command> [flags]
@@ -164,58 +129,35 @@ fn dispatch(command: &str, args: &Args) -> Result<(), ArgError> {
     }
 }
 
-fn io_err(context: &str, e: &std::io::Error) -> ArgError {
+fn io_err(context: &str, e: &io::Error) -> ArgError {
     ArgError(format!("{context}: {e}"))
 }
 
-fn load_fib(path: &str) -> Result<RouteTable, ArgError> {
-    let text = std::fs::read_to_string(path).map_err(|e| io_err(path, &e))?;
-    RouteTable::from_text(&text).map_err(|e| ArgError(format!("{path}: {e}")))
+/// Opens `path` for one of the [`clue::fib::io`] readers; an error names
+/// the path (and, for a malformed line, its number).
+fn read_text<T>(path: &str, read: impl FnOnce(File) -> io::Result<T>) -> Result<T, ArgError> {
+    File::open(path)
+        .and_then(read)
+        .map_err(|e| io_err(path, &e))
 }
 
-fn write_file(path: &str, contents: &str) -> Result<(), ArgError> {
-    std::fs::write(path, contents).map_err(|e| io_err(path, &e))
+/// Creates `path` for one of the [`clue::fib::io`] writers.
+fn write_text(path: &str, write: impl FnOnce(File) -> io::Result<()>) -> Result<(), ArgError> {
+    File::create(path)
+        .and_then(write)
+        .map_err(|e| io_err(path, &e))
+}
+
+fn load_fib(path: &str) -> Result<RouteTable, ArgError> {
+    read_text(path, read_route_table)
 }
 
 fn load_packets(path: &str) -> Result<Vec<u32>, ArgError> {
-    let text = std::fs::read_to_string(path).map_err(|e| io_err(path, &e))?;
-    let mut out = Vec::new();
-    for (lineno, line) in text.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let mut addr: u32 = 0;
-        let mut octets = 0;
-        for part in line.split('.') {
-            let o: u8 = part
-                .parse()
-                .map_err(|_| ArgError(format!("{path}:{}: bad address", lineno + 1)))?;
-            addr = (addr << 8) | u32::from(o);
-            octets += 1;
-        }
-        if octets != 4 {
-            return Err(ArgError(format!("{path}:{}: bad address", lineno + 1)));
-        }
-        out.push(addr);
-    }
-    Ok(out)
+    read_text(path, read_packets)
 }
 
 fn load_updates(path: &str) -> Result<Vec<Update>, ArgError> {
-    let text = std::fs::read_to_string(path).map_err(|e| io_err(path, &e))?;
-    let mut updates = Vec::new();
-    for (lineno, line) in text.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let u: Update = line
-            .parse()
-            .map_err(|_| ArgError(format!("{path}:{}: bad update", lineno + 1)))?;
-        updates.push(u);
-    }
-    Ok(updates)
+    read_text(path, read_updates)
 }
 
 /// Parses `--backend tcam|trie|cfib|tiled` (default: the TCAM sim).
@@ -231,5 +173,54 @@ fn parse_transport(args: &Args) -> Result<Transport, ArgError> {
     match args.optional("transport") {
         None => Ok(Transport::default()),
         Some(name) => name.parse().map_err(ArgError),
+    }
+}
+
+/// The router flags `serve` and `trace replay` share (`--workers --dred
+/// --batch --queue --overflow --backend`) over [`RouterConfig::default`].
+fn router_config(args: &Args) -> Result<RouterConfig, ArgError> {
+    let d = RouterConfig::default();
+    let overflow = match args.optional("overflow").unwrap_or("block") {
+        "block" => OverflowPolicy::Block,
+        "drop" => OverflowPolicy::DropNewest,
+        other => return Err(ArgError(format!("unknown overflow {other:?} (block|drop)"))),
+    };
+    let cfg = RouterConfig {
+        workers: args.get_or("workers", d.workers)?,
+        dred_capacity: args.get_or("dred", d.dred_capacity)?,
+        batch_size: args.get_or("batch", d.batch_size)?,
+        update_queue: args.get_or("queue", d.update_queue)?,
+        overflow,
+        backend: parse_backend(args)?,
+        ..d
+    };
+    if cfg.workers == 0 || cfg.dred_capacity == 0 || cfg.batch_size == 0 || cfg.update_queue == 0 {
+        return Err(ArgError("all sizes must be positive".into()));
+    }
+    Ok(cfg)
+}
+
+/// The loop every long-running tier (`serve`, `proxy`) runs once it is
+/// up: install the SIGINT/SIGTERM handler, print `banner`, then wake
+/// every 25 ms until a signal arrives or `tick` returns `false`. Every
+/// `stats_ms` (when positive) it prints the line `stats` yields, if any.
+fn serve_until_stopped(
+    banner: &str,
+    stats_ms: u64,
+    mut tick: impl FnMut() -> bool,
+    stats: impl Fn() -> Option<String>,
+) {
+    signal::install();
+    println!("{banner}");
+    let every = (stats_ms > 0).then(|| Duration::from_millis(stats_ms));
+    let mut last = Instant::now();
+    while !signal::triggered() && tick() {
+        std::thread::sleep(Duration::from_millis(25));
+        if every.is_some_and(|every| last.elapsed() >= every) {
+            if let Some(line) = stats() {
+                println!("{line}");
+            }
+            last = Instant::now();
+        }
     }
 }

@@ -2,12 +2,13 @@
 //! `simulate` and `replay`.
 
 use crate::args::{ArgError, Args};
-use crate::{load_fib, load_packets, load_updates, write_file};
+use crate::{load_fib, load_packets, load_updates, write_text};
 
 use clue::compress::{compress_with_stats, leaf_push, onrtc, ortc};
 use clue::core::engine::{Engine, EngineConfig};
 use clue::core::update_pipeline::{mean_ttf, ClplPipeline, CluePipeline, TtfSample};
 use clue::core::DredConfig;
+use clue::fib::io::write_route_table;
 use clue::fib::{RouteTable, Update};
 use clue::partition::{
     EvenRangePartition, IdBitPartition, Indexer, PartitionStats, SubTreePartition,
@@ -72,7 +73,7 @@ pub fn compress(args: &Args) -> Result<(), ArgError> {
         }
     };
     if let Some(out) = args.optional("out") {
-        write_file(out, &result.to_text())?;
+        write_text(out, |f| write_route_table(f, &result))?;
         println!("wrote {label} table ({} entries) to {out}", result.len());
     }
     Ok(())
@@ -222,11 +223,9 @@ pub fn replay(args: &Args) -> Result<(), ArgError> {
     if let Some(dir) = args.optional("data-dir") {
         return crate::store::replay_journal(dir, args.get_or("json", false)?);
     }
-    if args.optional("json").is_some() {
-        return Err(ArgError(
-            "--json applies to --data-dir journal inspection".into(),
-        ));
-    }
+    args.reject(&["json"], |_| {
+        "--json applies to --data-dir journal inspection".into()
+    })?;
     let fib = load_fib(args.required("fib")?)?;
     let updates = load_updates(args.required("updates")?)?;
     let window: usize = args.get_or("window", 1_000)?;

@@ -1,13 +1,19 @@
 //! `clue serve`: the file-driven run, the networked server, the shard
 //! primary and the warm standby.
 
+use std::path::Path;
+use std::time::Duration;
+
 use crate::args::{ArgError, Args};
-use crate::{io_err, load_fib, load_packets, load_updates, parse_backend, parse_transport};
+use crate::{
+    io_err, load_fib, load_packets, load_updates, parse_transport, router_config,
+    serve_until_stopped,
+};
 
 use clue::cluster::{Primary, PrimaryConfig, ReplConfig, Standby, StandbyConfig, StandbyOutcome};
 use clue::fib::RouteTable;
-use clue::net::{signal, Server, ServerConfig, Transport};
-use clue::router::{OverflowPolicy, RouterConfig, RouterService};
+use clue::net::{Server, ServerConfig};
+use clue::router::RouterService;
 use clue::store::{Store, StoreConfig};
 
 pub fn serve(args: &Args) -> Result<(), ArgError> {
@@ -29,50 +35,42 @@ pub fn serve(args: &Args) -> Result<(), ArgError> {
         "backend",
         "transport",
     ])?;
-    let overflow = match args.optional("overflow").unwrap_or("block") {
-        "block" => OverflowPolicy::Block,
-        "drop" => OverflowPolicy::DropNewest,
-        other => return Err(ArgError(format!("unknown overflow {other:?} (block|drop)"))),
-    };
     let stats_ms: u64 = args.get_or("stats-ms", 0)?;
-    let backend = parse_backend(args)?;
+    let mut router = router_config(args)?;
     let transport = parse_transport(args)?;
-    let cfg = RouterConfig {
-        workers: args.get_or("workers", 4)?,
-        dred_capacity: args.get_or("dred", 1024)?,
-        batch_size: args.get_or("batch", 64)?,
-        update_queue: args.get_or("queue", 1024)?,
-        overflow,
-        snapshot_every: (stats_ms > 0).then(|| std::time::Duration::from_millis(stats_ms)),
-        faults: None,
-        backend,
-    };
-    if cfg.workers == 0 || cfg.dred_capacity == 0 || cfg.batch_size == 0 || cfg.update_queue == 0 {
-        return Err(ArgError("all sizes must be positive".into()));
-    }
     if let Some(primary_repl) = args.optional("follow") {
-        for bad in [
+        let state = [
             "fib",
             "packets",
             "updates",
             "data-dir",
             "repl-listen",
             "sync-ms",
-        ] {
-            if args.optional(bad).is_some() {
-                return Err(ArgError(format!(
-                    "--follow conflicts with --{bad} (a standby mirrors its primary's state)"
-                )));
-            }
-        }
-        if args.optional("transport").is_some() {
-            return Err(ArgError(
-                "--transport applies to a serving endpoint, not a standby follower".into(),
-            ));
-        }
-        let listen = args.required("listen")?;
-        return serve_follow(listen, primary_repl, cfg, stats_ms);
+        ];
+        args.reject(&state, |bad| {
+            format!("--follow conflicts with --{bad} (a standby mirrors its primary's state)")
+        })?;
+        args.reject(&["transport"], |_| {
+            "--transport applies to a serving endpoint, not a standby follower".into()
+        })?;
+        let cfg = StandbyConfig {
+            listen: args.required("listen")?.to_owned(),
+            primary_repl: primary_repl.to_owned(),
+            router,
+            ..StandbyConfig::default()
+        };
+        return serve_follow(cfg, stats_ms);
     }
+    // The networked tiers report through their own stats JSON, and with
+    // --data-dir an existing directory's state wins: --fib is only needed
+    // (and only read) to seed a fresh one.
+    let server = |listen: &str| ServerConfig {
+        listen: listen.to_owned(),
+        router,
+        transport,
+        ..ServerConfig::default()
+    };
+    let fib = || args.optional("fib").map(load_fib).transpose();
     if let Some(repl_listen) = args.optional("repl-listen") {
         let listen = args.optional("listen").ok_or_else(|| {
             ArgError("--repl-listen needs --listen (the client/proxy-facing address)".into())
@@ -80,62 +78,48 @@ pub fn serve(args: &Args) -> Result<(), ArgError> {
         let dir = args.optional("data-dir").ok_or_else(|| {
             ArgError("--repl-listen needs --data-dir (a replicated ack implies journaled)".into())
         })?;
-        let fib = match args.optional("fib") {
-            Some(path) => Some(load_fib(path)?),
-            None => None,
+        let fib = fib()?;
+        let cfg = PrimaryConfig {
+            server: server(listen),
+            repl: ReplConfig {
+                listen: repl_listen.to_owned(),
+                ..ReplConfig::default()
+            },
+            store: StoreConfig::default(),
+            sync_timeout: Duration::from_millis(args.get_or("sync-ms", 2_000u64)?.max(1)),
         };
-        let sync_ms: u64 = args.get_or("sync-ms", 2_000)?;
-        return serve_primary(
-            fib.as_ref(),
-            listen,
-            repl_listen,
-            dir,
-            cfg,
-            stats_ms,
-            sync_ms,
-            transport,
-        );
+        return serve_primary(&cfg, dir, fib.as_ref(), stats_ms);
     }
-    if args.optional("sync-ms").is_some() {
-        return Err(ArgError(
-            "--sync-ms applies only to a shard primary (--repl-listen)".into(),
-        ));
-    }
+    args.reject(&["sync-ms"], |_| {
+        "--sync-ms applies only to a shard primary (--repl-listen)".into()
+    })?;
     if let Some(listen) = args.optional("listen") {
-        // With --data-dir an existing directory's state wins and --fib
-        // is only needed (and only read) to seed a fresh one.
-        let fib = match args.optional("fib") {
-            Some(path) => Some(load_fib(path)?),
-            None => None,
-        };
+        let fib = fib()?;
         return serve_net(
-            fib.as_ref(),
-            listen,
+            &server(listen),
             args.optional("data-dir"),
-            cfg,
+            fib.as_ref(),
             stats_ms,
-            transport,
         );
     }
-    if args.optional("data-dir").is_some() {
-        return Err(ArgError(
-            "--data-dir needs --listen (durability belongs to the live server)".into(),
-        ));
-    }
+    args.reject(&["data-dir"], |_| {
+        "--data-dir needs --listen (durability belongs to the live server)".into()
+    })?;
     let fib = load_fib(args.required("fib")?)?;
     let packets = load_packets(args.required("packets")?)?;
     let updates = load_updates(args.required("updates")?)?;
+    router.snapshot_every = (stats_ms > 0).then(|| Duration::from_millis(stats_ms));
 
     println!(
         "serving {} packets + {} updates over {} workers (batch {}, queue {}, {:?})",
         packets.len(),
         updates.len(),
-        cfg.workers,
-        cfg.batch_size,
-        cfg.update_queue,
-        cfg.overflow,
+        router.workers,
+        router.batch_size,
+        router.update_queue,
+        router.overflow,
     );
-    let report = clue::router::run(&fib, &packets, &updates, &cfg);
+    let report = clue::router::run(&fib, &packets, &updates, &router);
     let s = &report.snapshot;
     println!(
         "completed {}/{} lookups in {:.1} ms ({:.0} pps) | epochs {} | dynamic redundancy {}",
@@ -166,31 +150,21 @@ pub fn serve(args: &Args) -> Result<(), ArgError> {
 /// data directory and boots from whatever state that directory already
 /// holds (acks then wait for the journal write — see DESIGN.md §2.11).
 fn serve_net(
-    fib: Option<&RouteTable>,
-    listen: &str,
+    scfg: &ServerConfig,
     data_dir: Option<&str>,
-    mut router: RouterConfig,
+    fib: Option<&RouteTable>,
     stats_ms: u64,
-    transport: Transport,
 ) -> Result<(), ArgError> {
-    // Periodic reporting in network mode goes through the combined
-    // uptime/router/net JSON below, not the runtime's own printer.
-    router.snapshot_every = None;
-    let scfg = ServerConfig {
-        listen: listen.to_owned(),
-        router,
-        transport,
-        ..ServerConfig::default()
-    };
+    let listen = scfg.listen.as_str();
     let (server, routes) = match data_dir {
         None => {
             let fib = fib.ok_or_else(|| ArgError("missing required flag --fib".into()))?;
-            let server = Server::start(fib, &scfg).map_err(|e| io_err(listen, &e))?;
+            let server = Server::start(fib, scfg).map_err(|e| io_err(listen, &e))?;
             (server, fib.len())
         }
         Some(dir) => {
             let (store, state, recovered) = Store::open_or_seed(
-                std::path::Path::new(dir),
+                Path::new(dir),
                 StoreConfig::default(),
                 fib,
                 scfg.router.workers,
@@ -213,33 +187,26 @@ fn serve_net(
                 );
             }
             let svc = RouterService::start_recovered(&state, &scfg.router, Some(Box::new(store)));
-            let server = Server::start_with_service(svc, state.seq_hw, &scfg)
+            let server = Server::start_with_service(svc, state.seq_hw, scfg)
                 .map_err(|e| io_err(listen, &e))?;
             (server, state.table.len())
         }
     };
-    signal::install();
-    println!(
-        "listening on {} ({} routes, {} workers, batch {}, queue {}, {:?}); \
-         SIGINT/SIGTERM drains",
-        server.local_addr(),
-        routes,
-        scfg.router.workers,
-        scfg.router.batch_size,
-        scfg.router.update_queue,
-        scfg.router.overflow,
+    serve_until_stopped(
+        &format!(
+            "listening on {} ({} routes, {} workers, batch {}, queue {}, {:?}); \
+             SIGINT/SIGTERM drains",
+            server.local_addr(),
+            routes,
+            scfg.router.workers,
+            scfg.router.batch_size,
+            scfg.router.update_queue,
+            scfg.router.overflow,
+        ),
+        stats_ms,
+        || !server.shutdown_requested(),
+        || Some(server.stats_json()),
     );
-    let every = (stats_ms > 0).then(|| std::time::Duration::from_millis(stats_ms));
-    let mut last = std::time::Instant::now();
-    while !signal::triggered() && !server.shutdown_requested() {
-        std::thread::sleep(std::time::Duration::from_millis(25));
-        if let Some(every) = every {
-            if last.elapsed() >= every {
-                println!("{}", server.stats_json());
-                last = std::time::Instant::now();
-            }
-        }
-    }
     eprintln!("clue serve: draining (new connections refused, update batches flushing)");
     println!("{}", server.stats_json());
     let report = server.drain().map_err(|e| io_err("drain", &e))?;
@@ -263,66 +230,41 @@ fn serve_net(
 /// The shard-primary `serve` path: durable store + replication
 /// endpoint + serving frontend, composed by [`Primary`] so a client
 /// ack implies journaled *and* applied on every live standby.
-#[allow(clippy::too_many_arguments)]
 fn serve_primary(
-    fib: Option<&RouteTable>,
-    listen: &str,
-    repl_listen: &str,
+    cfg: &PrimaryConfig,
     dir: &str,
-    mut router: RouterConfig,
+    fib: Option<&RouteTable>,
     stats_ms: u64,
-    sync_ms: u64,
-    transport: Transport,
 ) -> Result<(), ArgError> {
-    router.snapshot_every = None;
-    let cfg = PrimaryConfig {
-        server: ServerConfig {
-            listen: listen.to_owned(),
-            router,
-            transport,
-            ..ServerConfig::default()
-        },
-        repl: ReplConfig {
-            listen: repl_listen.to_owned(),
-            ..ReplConfig::default()
-        },
-        store: StoreConfig::default(),
-        sync_timeout: std::time::Duration::from_millis(sync_ms.max(1)),
-    };
     let primary =
-        Primary::start(std::path::Path::new(dir), fib, &cfg).map_err(|e| io_err(listen, &e))?;
-    signal::install();
-    println!(
-        "shard primary on {} ({} routes, {}), shipping WAL on {}; SIGINT/SIGTERM drains",
-        primary.local_addr(),
-        primary.routes(),
-        if primary.recovered() {
-            "recovered"
-        } else {
-            "seeded"
+        Primary::start(Path::new(dir), fib, cfg).map_err(|e| io_err(&cfg.server.listen, &e))?;
+    serve_until_stopped(
+        &format!(
+            "shard primary on {} ({} routes, {}), shipping WAL on {}; SIGINT/SIGTERM drains",
+            primary.local_addr(),
+            primary.routes(),
+            if primary.recovered() {
+                "recovered"
+            } else {
+                "seeded"
+            },
+            primary.repl_addr(),
+        ),
+        stats_ms,
+        || !primary.shutdown_requested(),
+        || {
+            let r = primary.repl_stats();
+            Some(format!(
+                "{{\"repl\":{{\"followers\":{},\"synced\":{},\"base_jseq\":{},\"tail_len\":{},\"accept_errors\":{}}},\"server\":{}}}",
+                r.followers,
+                r.synced,
+                r.base_jseq,
+                r.tail_len,
+                r.accept_errors,
+                primary.stats_json(),
+            ))
         },
-        primary.repl_addr(),
     );
-    let every = (stats_ms > 0).then(|| std::time::Duration::from_millis(stats_ms));
-    let mut last = std::time::Instant::now();
-    while !signal::triggered() && !primary.shutdown_requested() {
-        std::thread::sleep(std::time::Duration::from_millis(25));
-        if let Some(every) = every {
-            if last.elapsed() >= every {
-                let r = primary.repl_stats();
-                println!(
-                    "{{\"repl\":{{\"followers\":{},\"synced\":{},\"base_jseq\":{},\"tail_len\":{},\"accept_errors\":{}}},\"server\":{}}}",
-                    r.followers,
-                    r.synced,
-                    r.base_jseq,
-                    r.tail_len,
-                    r.accept_errors,
-                    primary.stats_json(),
-                );
-                last = std::time::Instant::now();
-            }
-        }
-    }
     eprintln!("clue serve: draining shard primary (journal flush + checkpoint)");
     let report = primary.stop().map_err(|e| io_err("drain", &e))?;
     let s = &report.snapshot;
@@ -342,59 +284,32 @@ fn serve_primary(
 /// The warm-standby `serve` path: follow a primary's replication
 /// stream, apply-then-ack every record, and reboot as a full server on
 /// the same address when promoted (Promote frame or proxy failover).
-fn serve_follow(
-    listen: &str,
-    primary_repl: &str,
-    mut router: RouterConfig,
-    stats_ms: u64,
-) -> Result<(), ArgError> {
-    router.snapshot_every = None;
-    let standby = Standby::start(StandbyConfig {
-        listen: listen.to_owned(),
-        primary_repl: primary_repl.to_owned(),
-        router,
-        ..StandbyConfig::default()
-    })
-    .map_err(|e| io_err(listen, &e))?;
-    signal::install();
-    println!(
-        "standby on {} following {primary_repl}; promote with `clue promote --addr {}`; \
-         SIGINT/SIGTERM stops",
-        standby.local_addr(),
-        standby.local_addr(),
-    );
-    let every = (stats_ms > 0).then(|| std::time::Duration::from_millis(stats_ms));
-    let mut last = std::time::Instant::now();
+fn serve_follow(cfg: StandbyConfig, stats_ms: u64) -> Result<(), ArgError> {
+    let listen = cfg.listen.clone();
+    let primary_repl = cfg.primary_repl.clone();
+    let standby = Standby::start(cfg).map_err(|e| io_err(&listen, &e))?;
     let mut announced = false;
-    while !signal::triggered() {
-        std::thread::sleep(std::time::Duration::from_millis(25));
-        if standby.is_promoted() && !announced {
-            announced = true;
-            println!(
-                "promoted: serving lookups and updates on {}",
-                standby.local_addr()
-            );
-        }
-        if let Some(every) = every {
-            if last.elapsed() >= every && !standby.is_promoted() {
-                let s = standby.replica_state();
+    serve_until_stopped(
+        &format!(
+            "standby on {} following {primary_repl}; promote with `clue promote --addr {}`; \
+             SIGINT/SIGTERM stops",
+            standby.local_addr(),
+            standby.local_addr(),
+        ),
+        stats_ms,
+        || {
+            if standby.is_promoted() && !announced {
+                announced = true;
                 println!(
-                    "{{\"role\":\"standby\",\"applied_jseq\":{},\"seq_hw\":{},\"routes\":{},\
-                     \"records_applied\":{},\"snapshots_loaded\":{},\"skipped\":{},\
-                     \"reconnects\":{}}}",
-                    s.applied_jseq.map_or(-1i64, |j| j as i64),
-                    s.seq_hw,
-                    s.table.len(),
-                    s.records_applied,
-                    s.snapshots_loaded,
-                    s.skipped,
-                    s.reconnects,
+                    "promoted: serving lookups and updates on {}",
+                    standby.local_addr()
                 );
-                last = std::time::Instant::now();
             }
-        }
-    }
-    match standby.stop().map_err(|e| io_err(listen, &e))? {
+            true
+        },
+        || (!standby.is_promoted()).then(|| standby.stats_json()),
+    );
+    match standby.stop().map_err(|e| io_err(&listen, &e))? {
         StandbyOutcome::Standby(s) => {
             println!(
                 "stopped as standby: {} routes mirrored, applied_jseq {}, seq high-water {}, \

@@ -1,9 +1,10 @@
 //! `clue snapshot`, `restore` and `replay --data-dir`: a data dir offline.
 
 use crate::args::{ArgError, Args};
-use crate::{io_err, load_fib, load_updates, write_file};
+use crate::{io_err, load_fib, load_updates, write_text};
 
-use clue::store::{Store, StoreConfig};
+use clue::fib::io::write_route_table;
+use clue::store::{newest_valid_snapshot, scan_dir, Store, StoreConfig};
 
 /// `clue snapshot`: offline compaction — recover a data dir, fold the
 /// journal tail into a fresh snapshot, prune the WAL segments.
@@ -60,7 +61,7 @@ pub fn restore(args: &Args) -> Result<(), ArgError> {
         rec.snapshots_skipped,
     );
     if let Some(out) = args.optional("fib") {
-        write_file(out, &rec.table.to_text())?;
+        write_text(out, |f| write_route_table(f, &rec.table))?;
         println!("wrote recovered FIB ({} routes) to {out}", rec.table.len());
     }
     match (args.optional("verify-fib"), args.optional("verify-updates")) {
@@ -108,18 +109,7 @@ pub fn restore(args: &Args) -> Result<(), ArgError> {
 /// `"summary"` object — machine-diffable without scraping the table.
 pub fn replay_journal(dir: &str, json: bool) -> Result<(), ArgError> {
     let path = std::path::Path::new(dir);
-    let snaps = clue::store::list_snapshots(path).map_err(|e| io_err(dir, &e))?;
-    let mut base = None;
-    let mut skipped = 0u64;
-    for p in &snaps {
-        match clue::store::load_snapshot(p) {
-            Ok(s) => {
-                base = Some((p, s));
-                break;
-            }
-            Err(_) => skipped += 1,
-        }
-    }
+    let (base, skipped) = newest_valid_snapshot(path).map_err(|e| io_err(dir, &e))?;
     let (snap_path, snap) =
         base.ok_or_else(|| ArgError(format!("{dir} holds no valid snapshot")))?;
     let snap_name = snap_path
@@ -154,7 +144,7 @@ pub fn replay_journal(dir: &str, json: bool) -> Result<(), ArgError> {
             println!("({skipped} newer corrupt snapshot(s) skipped)");
         }
     }
-    let scan = clue::store::scan_dir(path, snap.jseq).map_err(|e| io_err(dir, &e))?;
+    let scan = scan_dir(path, snap.jseq).map_err(|e| io_err(dir, &e))?;
     if json {
         for rec in &scan.records {
             println!(

@@ -1,12 +1,13 @@
 //! `clue trace gen|info|replay`: MRT fixtures and named scenarios.
 
 use crate::args::{ArgError, Args};
-use crate::{io_err, write_file};
+use crate::{io_err, router_config, write_text};
 
 use clue::fib::gen::FibGen;
+use clue::fib::io::{write_packets, write_route_table, write_updates};
 use clue::fib::Update;
 use clue::net::{ClientConfig, Connection};
-use clue::router::{RouterConfig, RouterService};
+use clue::router::RouterService;
 use clue::trace::{
     parse_rib, parse_updates, MrtRib, MrtUpdates, Scenario, ScenarioConfig, ScenarioKind,
     UpdateTrace,
@@ -31,28 +32,35 @@ pub fn trace_cmd(args: &Args) -> Result<(), ArgError> {
     }
 }
 
+/// `--seed` and `--routes` over the scenario defaults: what `loadgen
+/// --scenario` reads, where `--updates`/`--packets` name trace files.
+pub fn scenario_config(args: &Args) -> Result<ScenarioConfig, ArgError> {
+    let d = ScenarioConfig::default();
+    Ok(ScenarioConfig {
+        seed: args.get_or("seed", d.seed)?,
+        routes: args.get_or("routes", d.routes)?,
+        ..d
+    })
+}
+
 /// Builds the scenario a `trace` action operates on: either a named
 /// synthetic workload (`--scenario`) or real MRT bytes (`--rib`, with
 /// an optional `--updates-mrt` stream). Shared by `info` and `replay`.
 fn scenario_from_args(args: &Args) -> Result<Scenario, ArgError> {
-    let d = ScenarioConfig::default();
+    let base = scenario_config(args)?;
     let cfg = ScenarioConfig {
-        seed: args.get_or("seed", d.seed)?,
-        routes: args.get_or("routes", d.routes)?,
-        updates: args.get_or("updates", d.updates)?,
-        packets: args.get_or("packets", d.packets)?,
-        ..d
+        updates: args.get_or("updates", base.updates)?,
+        packets: args.get_or("packets", base.packets)?,
+        ..base
     };
     match (args.optional("scenario"), args.optional("rib")) {
         (Some(_), Some(_)) => Err(ArgError(
             "--scenario and --rib are mutually exclusive".into(),
         )),
         (Some(name), None) => {
-            if args.optional("updates-mrt").is_some() {
-                return Err(ArgError(
-                    "--updates-mrt pairs with --rib, not --scenario".into(),
-                ));
-            }
+            args.reject(&["updates-mrt"], |_| {
+                "--updates-mrt pairs with --rib, not --scenario".into()
+            })?;
             let kind: ScenarioKind = name.parse().map_err(ArgError)?;
             Ok(Scenario::build(kind, &cfg))
         }
@@ -153,25 +161,15 @@ fn trace_info(args: &Args) -> Result<(), ArgError> {
     let scenario = scenario_from_args(args)?;
     println!("{}", scenario.describe());
     if let Some(path) = args.optional("export-fib") {
-        write_file(path, &scenario.base.to_text())?;
+        write_text(path, |f| write_route_table(f, &scenario.base))?;
         println!("wrote {} routes to {path}", scenario.base.len());
     }
     if let Some(path) = args.optional("export-updates") {
-        let mut text = String::new();
-        for u in scenario.updates() {
-            text.push_str(&u.to_string());
-            text.push('\n');
-        }
-        write_file(path, &text)?;
+        write_text(path, |f| write_updates(f, &scenario.updates()))?;
         println!("wrote {} updates to {path}", scenario.schedule.len());
     }
     if let Some(path) = args.optional("export-packets") {
-        let mut text = String::with_capacity(scenario.packets.len() * 16);
-        for &addr in &scenario.packets {
-            let o = addr.to_be_bytes();
-            text.push_str(&format!("{}.{}.{}.{}\n", o[0], o[1], o[2], o[3]));
-        }
-        write_file(path, &text)?;
+        write_text(path, |f| write_packets(f, &scenario.packets))?;
         println!("wrote {} packets to {path}", scenario.packets.len());
     }
     Ok(())
@@ -232,15 +230,7 @@ fn trace_replay_local(
     schedule: &UpdateTrace,
     batch: usize,
 ) -> Result<(), ArgError> {
-    let cfg = RouterConfig {
-        workers: args.get_or("workers", 4)?,
-        dred_capacity: args.get_or("dred", 1024)?,
-        batch_size: batch,
-        ..RouterConfig::default()
-    };
-    if cfg.workers == 0 || cfg.dred_capacity == 0 {
-        return Err(ArgError("all sizes must be positive".into()));
-    }
+    let cfg = router_config(args)?;
     let svc = RouterService::start(&scenario.base, &cfg);
     let t0 = std::time::Instant::now();
     let mut dropped = 0usize;
@@ -298,25 +288,13 @@ fn trace_replay_wire(
     let mut conn =
         Connection::connect(ClientConfig::to_addr(addr)).map_err(|e| io_err(addr, &e))?;
     let t0 = std::time::Instant::now();
-    let mut pending: Vec<Update> = Vec::new();
-    let mut due_ms = 0u64;
-    for ev in &schedule.events {
-        if ev.at_ms != due_ms && !pending.is_empty() {
-            pace(t0, due_ms);
-            conn.send_updates(&pending).map_err(|e| io_err(addr, &e))?;
-            pending.clear();
+    // One frame per run of equal timestamps, split at `batch` updates.
+    for run in schedule.events.chunk_by(|a, b| a.at_ms == b.at_ms) {
+        for frame in run.chunks(batch) {
+            pace(t0, frame[0].at_ms);
+            let updates: Vec<Update> = frame.iter().map(|ev| ev.update).collect();
+            conn.send_updates(&updates).map_err(|e| io_err(addr, &e))?;
         }
-        due_ms = ev.at_ms;
-        pending.push(ev.update);
-        if pending.len() >= batch {
-            pace(t0, due_ms);
-            conn.send_updates(&pending).map_err(|e| io_err(addr, &e))?;
-            pending.clear();
-        }
-    }
-    if !pending.is_empty() {
-        pace(t0, due_ms);
-        conn.send_updates(&pending).map_err(|e| io_err(addr, &e))?;
     }
     conn.flush_acks().map_err(|e| io_err(addr, &e))?;
     let fed = t0.elapsed();

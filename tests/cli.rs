@@ -302,13 +302,124 @@ fn replay_data_dir_reports_snapshot_records_and_summary_as_json() {
 
 #[test]
 fn bad_input_file_is_a_clean_error() {
-    let bad = tmp("bad_fib.txt");
-    std::fs::write(&bad, "this is not a fib\n").unwrap();
-    let out = clue()
-        .args(["compress", "--fib", bad.to_str().unwrap()])
-        .output()
-        .expect("spawn");
-    assert!(!out.status.success());
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("line 1"), "{stderr}");
+    let fib = tmp("bad_input_base_fib.txt");
+    std::fs::write(&fib, "10.0.0.0/8 1\n").unwrap();
+    let fib = fib.to_str().unwrap();
+    // (file, contents, the malformed line, the command that reads it)
+    let cases: [(&str, &str, usize, &[&str]); 5] = [
+        (
+            "bad_fib.txt",
+            "this is not a fib\n",
+            1,
+            &["compress", "--fib"],
+        ),
+        (
+            "bad_fib_len.txt",
+            "10.0.0.0/8 1\n# comment\n10.0.0.0/33 2\n",
+            3,
+            &["compress", "--fib"],
+        ),
+        (
+            "bad_packets.txt",
+            "10.0.0.1\n\n10.0.0.256\n",
+            3,
+            &["simulate", "--fib", fib, "--packets"],
+        ),
+        // Octets with leading zeros are rejected, as `Ipv4Addr` does.
+        (
+            "bad_packets_zero.txt",
+            "010.0.0.1\n",
+            1,
+            &["simulate", "--fib", fib, "--packets"],
+        ),
+        (
+            "bad_updates.txt",
+            "A 10.0.0.0/8 1\nX 10.0.0.0/8\n",
+            2,
+            &["replay", "--fib", fib, "--updates"],
+        ),
+    ];
+    for (name, contents, line, cmd) in cases {
+        let bad = tmp(name);
+        std::fs::write(&bad, contents).unwrap();
+        let out = clue().args(cmd).arg(&bad).output().expect("spawn");
+        assert!(!out.status.success(), "{name} was accepted");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(bad.to_str().unwrap()), "{stderr}");
+        assert!(stderr.contains(&format!("line {line}")), "{stderr}");
+    }
+}
+
+#[test]
+fn generated_text_files_read_back_through_clue_fib_io() {
+    use clue::fib::gen::FibGen;
+    use clue::fib::io::{read_packets, read_route_table, read_updates};
+    use clue::trace::{Scenario, ScenarioConfig, ScenarioKind};
+    use clue::traffic::{PacketGen, UpdateGen};
+
+    let path = |name: &str| tmp(name).to_str().unwrap().to_owned();
+    let open = |p: &str| std::fs::File::open(p).expect("written file");
+    let (fib, packets, updates) = (path("rt_fib.txt"), path("rt_pk.txt"), path("rt_up.txt"));
+    run_ok(clue().args(["gen-fib", "--out", &fib, "--routes", "2000", "--seed", "31"]));
+    run_ok(clue().args([
+        "gen-packets",
+        "--fib",
+        &fib,
+        "--out",
+        &packets,
+        "--count",
+        "3000",
+    ]));
+    run_ok(clue().args([
+        "gen-updates",
+        "--fib",
+        &fib,
+        "--out",
+        &updates,
+        "--count",
+        "400",
+    ]));
+    let table = read_route_table(open(&fib)).unwrap();
+    assert_eq!(table, FibGen::new(31).routes(2000).next_hops(24).generate());
+    assert_eq!(
+        read_packets(open(&packets)).unwrap(),
+        PacketGen::new(2).zipf_exponent(1.1).generate(&table, 3000)
+    );
+    assert_eq!(
+        read_updates(open(&updates)).unwrap(),
+        UpdateGen::new(3).generate(&table, 400)
+    );
+
+    let (xfib, xpk, xup) = (path("rt_xfib.txt"), path("rt_xpk.txt"), path("rt_xup.txt"));
+    run_ok(clue().args([
+        "trace",
+        "info",
+        "--scenario",
+        "update-storm",
+        "--seed",
+        "5",
+        "--routes",
+        "2000",
+        "--updates",
+        "300",
+        "--packets",
+        "1000",
+        "--export-fib",
+        &xfib,
+        "--export-updates",
+        &xup,
+        "--export-packets",
+        &xpk,
+    ]));
+    let cfg = ScenarioConfig {
+        seed: 5,
+        routes: 2000,
+        updates: 300,
+        packets: 1000,
+        ..ScenarioConfig::default()
+    };
+    let s = Scenario::build(ScenarioKind::UpdateStorm, &cfg);
+    assert_eq!(read_route_table(open(&xfib)).unwrap(), s.base);
+    assert_eq!(read_updates(open(&xup)).unwrap(), s.updates());
+    assert_eq!(read_packets(open(&xpk)).unwrap(), s.packets);
 }

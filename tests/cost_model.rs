@@ -5,9 +5,10 @@
 //! together; a count does not. This binary counts heap allocations with
 //! a counting global allocator (installed in this test binary only),
 //! lookup-plane heap bytes, OS threads from `/proc/self/task`, `read`
-//! calls per frame, and call sites in `crates/*/src`. It prints one table and fails when any
-//! count rises above its ceiling. A change that lowers a count tightens
-//! the ceiling in the same diff.
+//! calls per frame, call sites in `crates/*/src`, and the CLI's longest
+//! file. It prints one table and fails when any count rises above its
+//! ceiling. A change that lowers a count tightens the ceiling in the
+//! same diff.
 //!
 //! It holds exactly one `#[test]`: a second test running in parallel
 //! would add its own threads and allocations to the counts.
@@ -103,6 +104,9 @@ const ALLOCS_PER_PLANE_BUILD: usize = 4;
 const SELECT_SITES: usize = 0;
 /// Lines under `crates/*/src` that call `thread::sleep`.
 const SLEEP_SITES: usize = 23;
+/// Lines in the longest file under `src/bin/cli`: one module per
+/// subcommand group keeps the CLI from growing back into one file.
+const CLI_MAX_FILE_LINES: usize = 348;
 
 fn os_threads() -> usize {
     fs::read_dir("/proc/self/task")
@@ -245,6 +249,22 @@ fn lines_containing(dir: &Path, needle: &str) -> usize {
     n
 }
 
+/// Lines in the longest `.rs` file directly under `dir`.
+fn max_file_lines(dir: &Path) -> usize {
+    fs::read_dir(dir)
+        .expect("readable source dir")
+        .map(|e| e.expect("dir entry").path())
+        .filter(|p| p.extension().is_some_and(|e| e == "rs"))
+        .map(|p| {
+            fs::read_to_string(p)
+                .expect("readable source file")
+                .lines()
+                .count()
+        })
+        .max()
+        .unwrap_or(0)
+}
+
 /// Lines containing `needle` across every `crates/*/src`.
 fn source_sites(needle: &str) -> usize {
     let crates = Path::new(env!("CARGO_MANIFEST_DIR")).join("crates");
@@ -325,6 +345,11 @@ fn counts_stay_under_their_ceilings() {
             "src.thread_sleep_sites",
             source_sites("thread::sleep"),
             SLEEP_SITES,
+        ),
+        (
+            "src.cli_max_file_lines",
+            max_file_lines(&Path::new(env!("CARGO_MANIFEST_DIR")).join("src/bin/cli")),
+            CLI_MAX_FILE_LINES,
         ),
     ];
     println!("{:<40} {:>8} {:>8}", "cost", "count", "ceiling");
