@@ -99,7 +99,6 @@ fn point(
         rounds: 4,
         updates_per_conn: 2,
         gap,
-        ..SwarmConfig::default()
     };
     let report = run_swarm(&cfg, addrs, updates).expect("swarm runs");
     assert_eq!(report.connected, n, "{t} at {n}: connect shortfall");

@@ -10,8 +10,7 @@
 //! | [`primary`] | Boots one shard primary: store + replication endpoint + serving frontend, acks gated on journal *and* standby apply. |
 //! | [`repl`] | The replication plane: snapshot + WAL-record shipping from a primary's store to followers, with seq/ack resume. |
 //! | [`standby`] | A warm follower: applies the shipped stream into an in-memory table and promotes into a full server on demand. |
-//! | [`proxy`] | The client-facing fan-out tier: routes lookups to owning shards, fans updates out by range intersection, and fails over to standbys. |
-//! | [`rpc`] | One-shot raw frame exchanges (heartbeats, promotion). |
+//! | [`proxy`] | The client-facing fan-out tier: routes lookups to owning shards, fans updates out by range intersection, and fails over to standbys (health probes and promotion are one-shot `clue_net::client::call`s). |
 //!
 //! ## Correctness sketch
 //!
@@ -38,7 +37,6 @@
 pub mod primary;
 pub mod proxy;
 pub mod repl;
-pub mod rpc;
 pub mod shardmap;
 pub mod standby;
 

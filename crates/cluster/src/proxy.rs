@@ -64,10 +64,9 @@ use clue_fib::{NextHop, Update};
 use clue_net::frame::{Frame, FrameType};
 use clue_net::wire;
 use clue_net::{
-    ClientConfig, Connection, FrameHandler, Listener, ListenerConfig, NetStats, Transport,
+    client, ClientConfig, Connection, FrameHandler, Listener, ListenerConfig, NetStats, Transport,
 };
 
-use crate::rpc;
 use crate::shardmap::ShardMap;
 
 /// Tunables for a [`Proxy`].
@@ -118,13 +117,10 @@ fn backend_cfg(addr: &str) -> ClientConfig {
     ClientConfig {
         addr: addr.to_owned(),
         connect_timeout: Duration::from_millis(500),
-        read_timeout: Duration::from_secs(10),
-        write_timeout: Duration::from_secs(10),
-        heartbeat_every: Duration::from_secs(1),
+        io_timeout: Duration::from_secs(10),
         initial_backoff: Duration::from_millis(10),
         max_backoff: Duration::from_millis(100),
         max_reconnect_attempts: 4,
-        ack_window: 32,
     }
 }
 
@@ -176,7 +172,7 @@ impl Shared {
         // The standby answers immediately; retries cover the window
         // where it is still absorbing its catch-up stream.
         for _ in 0..20 {
-            match rpc::call_expect(
+            match client::call(
                 &standby,
                 &Frame::empty(FrameType::Promote, 0),
                 FrameType::PromoteAck,
@@ -380,7 +376,7 @@ fn monitor_loop(cfg: &ProxyConfig, shared: &Arc<Shared>, shutdown: &AtomicBool) 
             }
             nonce += 1;
             let addr = shared.active(i);
-            let ok = rpc::call_expect(
+            let ok = client::call(
                 &addr,
                 &Frame::empty(FrameType::Heartbeat, nonce),
                 FrameType::HeartbeatAck,

@@ -22,7 +22,7 @@
 //! rebind gap is covered by the clients' reconnect backoff.
 
 use std::io::{self, ErrorKind};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
@@ -33,8 +33,8 @@ use clue_fib::RouteTable;
 use clue_net::frame::{Frame, FrameType};
 use clue_net::wire;
 use clue_net::{
-    FrameHandler, FrameReader, Listener, ListenerConfig, NetStats, Polled, Server, ServerConfig,
-    Transport,
+    client, FrameHandler, FrameReader, Listener, ListenerConfig, NetStats, Polled, Server,
+    ServerConfig, Transport,
 };
 use clue_router::{RecoveredState, RouterConfig, RouterReport, RouterService};
 use clue_store::{decode_record, decode_snapshot};
@@ -405,14 +405,7 @@ fn follow_once(
     state: &Arc<Mutex<ReplicaState>>,
     stop: &impl Fn() -> bool,
 ) -> io::Result<()> {
-    let target = cfg
-        .primary_repl
-        .to_socket_addrs()?
-        .next()
-        .ok_or_else(|| io::Error::new(ErrorKind::InvalidInput, "unresolvable primary"))?;
-    let stream = TcpStream::connect_timeout(&target, cfg.io_timeout)?;
-    stream.set_nodelay(true)?;
-    stream.set_write_timeout(Some(cfg.io_timeout))?;
+    let stream = client::open(&cfg.primary_repl, cfg.io_timeout, cfg.io_timeout)?;
 
     let applied = state
         .lock()

@@ -19,6 +19,11 @@
 //! before it reads any reply. [`Connection::lookup`] is the two in a
 //! row. Replies are read through a per-connection [`FrameDecoder`], so
 //! a reply that arrived whole costs one `recv`.
+//!
+//! Every client socket in the workspace is dialed by [`open`]: the
+//! `Connection`, the one-shot [`call`] (the proxy's health probe and
+//! promotion, `clue promote`), the swarm's dialer and the standby's
+//! replication client.
 
 use std::collections::VecDeque;
 use std::io::{self, ErrorKind};
@@ -30,6 +35,12 @@ use clue_fib::{NextHop, Update};
 use crate::frame::{Frame, FrameDecoder, FrameType};
 use crate::wire;
 
+/// Idle time after which [`Connection::maybe_heartbeat`] probes.
+pub const HEARTBEAT_EVERY: Duration = Duration::from_secs(1);
+/// Update frames in flight before [`Connection::send_updates`] blocks
+/// on acks.
+pub const ACK_WINDOW: usize = 32;
+
 /// Client tuning knobs.
 #[derive(Debug, Clone)]
 pub struct ClientConfig {
@@ -37,21 +48,15 @@ pub struct ClientConfig {
     pub addr: String,
     /// TCP connect timeout per dial attempt.
     pub connect_timeout: Duration,
-    /// Socket read timeout (a reply slower than this fails the op).
-    pub read_timeout: Duration,
-    /// Socket write timeout.
-    pub write_timeout: Duration,
-    /// Send a liveness probe after this much idle time
-    /// (see [`Connection::maybe_heartbeat`]).
-    pub heartbeat_every: Duration,
+    /// Socket read and write timeout (a reply slower than this fails
+    /// the op).
+    pub io_timeout: Duration,
     /// First reconnect backoff; doubles per failed attempt.
     pub initial_backoff: Duration,
     /// Backoff cap.
     pub max_backoff: Duration,
     /// Consecutive failed dials before giving up.
     pub max_reconnect_attempts: u32,
-    /// Maximum update frames in flight before blocking on acks.
-    pub ack_window: usize,
 }
 
 impl Default for ClientConfig {
@@ -59,13 +64,10 @@ impl Default for ClientConfig {
         ClientConfig {
             addr: "127.0.0.1:4555".to_string(),
             connect_timeout: Duration::from_secs(2),
-            read_timeout: Duration::from_secs(10),
-            write_timeout: Duration::from_secs(10),
-            heartbeat_every: Duration::from_secs(1),
+            io_timeout: Duration::from_secs(10),
             initial_backoff: Duration::from_millis(25),
             max_backoff: Duration::from_secs(1),
             max_reconnect_attempts: 10,
-            ack_window: 32,
         }
     }
 }
@@ -95,7 +97,7 @@ pub struct ClientReport {
 }
 
 /// A live client connection. All operations are synchronous; update
-/// submission pipelines up to [`ClientConfig::ack_window`] frames.
+/// submission pipelines up to [`ACK_WINDOW`] frames.
 pub struct Connection {
     cfg: ClientConfig,
     stream: TcpStream,
@@ -171,7 +173,7 @@ impl Connection {
     }
 
     /// Submits one batch of updates. Returns once the frame is written
-    /// and the in-flight window is back under `ack_window`; earlier
+    /// and the in-flight window is back under [`ACK_WINDOW`]; earlier
     /// frames may be acked as a side effect.
     ///
     /// # Errors
@@ -195,7 +197,7 @@ impl Connection {
             // frame just buffered.
             self.reconnect()?;
         }
-        self.drain_acks_to(self.cfg.ack_window)
+        self.drain_acks_to(ACK_WINDOW)
     }
 
     /// Blocks until every in-flight update frame is acknowledged.
@@ -299,13 +301,13 @@ impl Connection {
     }
 
     /// Heartbeats only if the line has been idle longer than
-    /// [`ClientConfig::heartbeat_every`].
+    /// [`HEARTBEAT_EVERY`].
     ///
     /// # Errors
     ///
     /// Same as [`Connection::heartbeat`].
     pub fn maybe_heartbeat(&mut self) -> io::Result<()> {
-        if self.last_io.elapsed() >= self.cfg.heartbeat_every {
+        if self.last_io.elapsed() >= HEARTBEAT_EVERY {
             self.heartbeat()
         } else {
             Ok(())
@@ -504,14 +506,7 @@ fn lookup_frame(token: u64, addrs: &[u32]) -> Frame {
 /// believes the update stream stands; the reply is the server's own
 /// high-water mark. The decoder holds the stream's read-ahead.
 fn dial(cfg: &ClientConfig, my_acked: u64) -> io::Result<(TcpStream, FrameDecoder, u64)> {
-    let addr =
-        cfg.addr.to_socket_addrs()?.next().ok_or_else(|| {
-            io::Error::new(ErrorKind::InvalidInput, "address resolved to nothing")
-        })?;
-    let stream = TcpStream::connect_timeout(&addr, cfg.connect_timeout)?;
-    stream.set_nodelay(true)?;
-    stream.set_read_timeout(Some(cfg.read_timeout))?;
-    stream.set_write_timeout(Some(cfg.write_timeout))?;
+    let stream = open(&cfg.addr, cfg.connect_timeout, cfg.io_timeout)?;
     Frame {
         kind: FrameType::Hello,
         seq: my_acked,
@@ -528,4 +523,54 @@ fn dial(cfg: &ClientConfig, my_acked: u64) -> io::Result<(TcpStream, FrameDecode
     }
     let server_acked = wire::decode_u64(&reply.payload)?;
     Ok((stream, decoder, server_acked))
+}
+
+/// Dials `addr`: resolves it, connects within `connect_timeout`, turns
+/// off Nagle, and bounds every read and write by `io_timeout`.
+///
+/// # Errors
+///
+/// Resolution, connect and socket-option failures.
+pub fn open(addr: &str, connect_timeout: Duration, io_timeout: Duration) -> io::Result<TcpStream> {
+    let target = addr
+        .to_socket_addrs()?
+        .next()
+        .ok_or_else(|| io::Error::new(ErrorKind::InvalidInput, format!("no address for {addr}")))?;
+    let stream = TcpStream::connect_timeout(&target, connect_timeout)?;
+    stream.set_nodelay(true)?;
+    stream.set_read_timeout(Some(io_timeout))?;
+    stream.set_write_timeout(Some(io_timeout))?;
+    Ok(stream)
+}
+
+/// One raw request/reply exchange on a fresh socket, with no `Hello`
+/// handshake and no session state: sends `frame` to `addr` and returns
+/// the single reply, which must be of kind `want`.
+///
+/// # Errors
+///
+/// Connect/read/write failures within the given timeouts; an `Error`
+/// reply as `ErrorKind::Other` carrying the peer's message; any other
+/// reply kind as `InvalidData`.
+pub fn call(
+    addr: &str,
+    frame: &Frame,
+    want: FrameType,
+    connect_timeout: Duration,
+    io_timeout: Duration,
+) -> io::Result<Frame> {
+    let stream = open(addr, connect_timeout, io_timeout)?;
+    frame.write_to(&mut &stream)?;
+    let reply = FrameDecoder::new().read_frame(&mut &stream)?;
+    match reply.kind {
+        kind if kind == want => Ok(reply),
+        FrameType::Error => Err(io::Error::other(format!(
+            "{addr}: {}",
+            String::from_utf8_lossy(&reply.payload)
+        ))),
+        kind => Err(io::Error::new(
+            ErrorKind::InvalidData,
+            format!("{addr}: expected {want:?}, got {kind:?}"),
+        )),
+    }
 }

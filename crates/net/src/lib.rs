@@ -25,7 +25,8 @@
 //! * [`server`] — the router tier's handler over one
 //!   [`clue_router::RouterService`], graceful drain;
 //! * [`client`] — heartbeats, timeouts, capped-exponential reconnect
-//!   with seq/ack resume;
+//!   with seq/ack resume, plus the one dial every client socket opens
+//!   through ([`client::open`]) and the one-shot [`client::call`];
 //! * [`loadgen`] — multi-threaded paced replay of `clue-traffic`
 //!   workloads;
 //! * [`swarm`] — a reactor-multiplexed connection swarm holding

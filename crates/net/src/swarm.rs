@@ -17,17 +17,24 @@
 
 use std::collections::HashMap;
 use std::io;
-use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
+use std::net::{TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
 
 use clue_aio::{rlimit, CloseReason, ConnId, Ctl, Driver, EventLoop, LoopConfig};
 use clue_fib::Update;
 
+use crate::client;
 use crate::frame::{Frame, FrameDecoder, FrameType};
 use crate::wire;
 
 /// Overall-deadline timer tag.
 const DEADLINE: u64 = 1;
+/// Per-connect timeout (the dialer retries refused connects while the
+/// listener's backlog drains).
+const CONNECT_TIMEOUT: Duration = Duration::from_secs(2);
+/// Whole-run deadline; connections still open when it fires are counted
+/// as `unfinished`.
+const RUN_DEADLINE: Duration = Duration::from_secs(120);
 
 /// Swarm knobs.
 #[derive(Debug, Clone)]
@@ -50,12 +57,6 @@ pub struct SwarmConfig {
     /// `connections × lookup_batch / gap` lookups per second, which the
     /// connections bench sweeps against the achieved rate.
     pub gap: Duration,
-    /// Per-connect timeout (the dialer retries refused connects while
-    /// the listener's backlog drains).
-    pub connect_timeout: Duration,
-    /// Whole-run deadline; connections still open when it fires are
-    /// counted as `unfinished`.
-    pub deadline: Duration,
 }
 
 impl Default for SwarmConfig {
@@ -67,8 +68,6 @@ impl Default for SwarmConfig {
             rounds: 4,
             updates_per_conn: 0,
             gap: Duration::ZERO,
-            connect_timeout: Duration::from_secs(2),
-            deadline: Duration::from_secs(120),
         }
     }
 }
@@ -443,16 +442,17 @@ impl Driver for SwarmDriver {
 
 /// Dials `n` sockets, retrying refused connects (the listener's accept
 /// backlog is finite) with a small linear backoff.
-fn dialer(addr: &SocketAddr, n: usize, timeout: Duration, handle: &clue_aio::LoopHandle<Msg>) {
+fn dialer(addr: &str, n: usize, handle: &clue_aio::LoopHandle<Msg>) {
     for _ in 0..n {
         let mut dialed = false;
         for attempt in 0..40u32 {
             if attempt > 0 {
                 std::thread::sleep(Duration::from_millis(u64::from(attempt.min(20))));
             }
-            match TcpStream::connect_timeout(addr, timeout) {
+            // The reactor drives the socket nonblocking, so the I/O
+            // timeout `open` sets never fires.
+            match client::open(addr, CONNECT_TIMEOUT, CONNECT_TIMEOUT) {
                 Ok(stream) => {
-                    let _ = stream.set_nodelay(true);
                     if !handle.send(Msg::Dialed(stream)) {
                         return;
                     }
@@ -477,11 +477,13 @@ fn dialer(addr: &SocketAddr, n: usize, timeout: Duration, handle: &clue_aio::Loo
 /// Address resolution and reactor-creation failures. Per-connection
 /// failures are counted in the report, not returned.
 pub fn run_swarm(cfg: &SwarmConfig, addrs: &[u32], updates: &[Update]) -> io::Result<SwarmReport> {
-    let target: SocketAddr = cfg
+    // Resolved once, so every dial below connects to a literal address.
+    let target = cfg
         .addr
         .to_socket_addrs()?
         .next()
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "unresolvable address"))?;
+        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "unresolvable address"))?
+        .to_string();
     // One fd per swarm socket (plus the poller/waker overhead, plus the
     // server when it shares the process, as the bench's does).
     rlimit::raise_nofile(cfg.connections as u64 * 2 + 512);
@@ -498,11 +500,10 @@ pub fn run_swarm(cfg: &SwarmConfig, addrs: &[u32], updates: &[Update]) -> io::Re
         report: SwarmReport::default(),
     };
     let mut el = EventLoop::new(driver, LoopConfig::default())?;
-    el.set_timer(cfg.deadline, DEADLINE);
+    el.set_timer(RUN_DEADLINE, DEADLINE);
     let handle = el.handle();
     let n = cfg.connections;
-    let timeout = cfg.connect_timeout;
-    let dial_thread = std::thread::spawn(move || dialer(&target, n, timeout, &handle));
+    let dial_thread = std::thread::spawn(move || dialer(&target, n, &handle));
 
     let started = Instant::now();
     let driver = el.run()?;

@@ -19,7 +19,6 @@
 
 use std::fs;
 use std::path::PathBuf;
-use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 use clue_cluster::{
@@ -27,11 +26,10 @@ use clue_cluster::{
     StandbyConfig, StandbyOutcome,
 };
 use clue_fib::{RouteTable, Update};
-use clue_net::{ClientConfig, Connection};
 use clue_store::StoreConfig;
-use clue_traffic::PacketGen;
 
-use crate::harness::{CheckConfig, Divergence, Stage, PACKET_SALT};
+use crate::harness::{packet_trace, CheckConfig, Divergence, Stage};
+use crate::live::{self, Live};
 use crate::model::Oracle;
 use crate::probes::probe_set;
 
@@ -53,10 +51,10 @@ pub struct ClusterOutcome {
     pub probes: u64,
 }
 
+const LABEL: &str = "cluster phase";
+
 fn cl_div(what: impl std::fmt::Display) -> Divergence {
-    Divergence::Router {
-        what: format!("cluster phase: {what}"),
-    }
+    live::fail(LABEL, what)
 }
 
 fn phase_dir(seed: u64, shard: usize) -> PathBuf {
@@ -66,14 +64,6 @@ fn phase_dir(seed: u64, shard: usize) -> PathBuf {
     ));
     let _ = fs::remove_dir_all(&dir);
     dir
-}
-
-fn client_cfg(addr: String) -> ClientConfig {
-    ClientConfig {
-        initial_backoff: Duration::from_millis(10),
-        max_backoff: Duration::from_millis(200),
-        ..ClientConfig::to_addr(addr)
-    }
 }
 
 /// Drives `trace` and the seeded packet stream through a sharded
@@ -157,98 +147,21 @@ pub fn check_cluster_phase(
     proxy_cfg.heartbeat_every = Duration::from_millis(100);
     proxy_cfg.transport = cfg.transport;
     let proxy = Proxy::start(proxy_cfg).map_err(|e| cl_div(format!("starting proxy: {e}")))?;
-    let addr = proxy.local_addr().to_string();
-
-    let packets = if cfg.packets > 0 {
-        PacketGen::new(cfg.seed ^ PACKET_SALT).generate(table, cfg.packets)
-    } else {
-        Vec::new()
-    };
+    let live = Live::new(proxy.local_addr(), Stage::Cluster, LABEL);
+    let packets = packet_trace(table, cfg);
 
     // Run 1: quiescent cluster — every proxied answer must equal the
     // oracle, which proves lookup routing (cuts, shard_of) is sound.
-    let oracle0 = Oracle::new(table);
-    let mut conn = Connection::connect(client_cfg(addr.clone())).map_err(cl_div)?;
-    for batch in packets.chunks(512) {
-        let got = conn.lookup(batch).map_err(cl_div)?;
-        for (&a, &g) in batch.iter().zip(&got) {
-            let expected = oracle0.lookup(a);
-            if g != expected {
-                return Err(Divergence::Lookup {
-                    stage: Stage::Cluster,
-                    batch: 0,
-                    addr: a,
-                    expected,
-                    got: g,
-                });
-            }
-        }
-    }
-    conn.close().map_err(cl_div)?;
+    let mut oracle = Oracle::new(table);
+    live.sweep(&oracle, &packets)?;
 
     // Run 2: the update burst racing a second packet pass, with shard
     // 0's primary killed once half the trace is in flight. The client
     // keeps its ordinary seq/ack discipline; failover must be invisible
-    // apart from latency.
-    let half = trace.len() / 2;
-    let (kill_tx, kill_rx) = mpsc::channel::<()>();
-    let (update_res, lookup_res) = std::thread::scope(|s| {
-        let update_handle = s.spawn(|| -> Result<clue_net::ClientReport, std::io::Error> {
-            let mut conn = Connection::connect(client_cfg(addr.clone()))?;
-            let mut sent = 0usize;
-            let mut signalled = false;
-            for batch in trace.chunks(cfg.batch) {
-                conn.send_updates(batch)?;
-                sent += batch.len();
-                if !signalled && sent >= half {
-                    signalled = true;
-                    let _ = kill_tx.send(());
-                }
-            }
-            conn.flush_acks()?;
-            conn.close()
-        });
-        let lookup_handle = s.spawn(|| -> Result<usize, std::io::Error> {
-            let mut conn = Connection::connect(client_cfg(addr.clone()))?;
-            let mut answered = 0usize;
-            for batch in packets.chunks(512) {
-                answered += conn.lookup(batch)?.len();
-            }
-            conn.close()?;
-            Ok(answered)
-        });
-        // The kill, mid-burst, from the orchestrating thread.
-        if kill_rx.recv().is_ok() {
-            drop(primaries[0].take());
-        }
-        (
-            update_handle.join().expect("cluster update thread exits"),
-            lookup_handle.join().expect("cluster lookup thread exits"),
-        )
-    });
-    let update_report = update_res.map_err(cl_div)?;
-    let answered = lookup_res.map_err(cl_div)?;
-
-    // Zero lost acks across the failover.
-    if update_report.dropped != 0 {
-        return Err(cl_div(format!(
-            "{} updates dropped under Block policy",
-            update_report.dropped
-        )));
-    }
-    if update_report.accepted != trace.len() as u64 {
-        return Err(cl_div(format!(
-            "lost acks across failover: {} of {} updates acked",
-            update_report.accepted,
-            trace.len()
-        )));
-    }
-    if answered != packets.len() {
-        return Err(cl_div(format!(
-            "racing run answered {answered} of {} lookups",
-            packets.len()
-        )));
-    }
+    // apart from latency, so zero acks may be lost across it.
+    live.race(&live::untimed(trace), &packets, cfg.batch, None, || {
+        drop(primaries[0].take());
+    })?;
     if proxy.failovers() != 1 {
         return Err(cl_div(format!(
             "expected exactly 1 failover, proxy performed {}",
@@ -261,37 +174,17 @@ pub fn check_cluster_phase(
 
     // Post-burst adversarial probes through the (partly promoted)
     // cluster against the oracle's sequential final state.
-    let mut oracle = oracle0;
     for &u in trace {
         oracle.apply(u);
     }
-    let standing = oracle.prefixes();
     let probe_addrs = probe_set(
-        &standing,
+        &oracle.prefixes(),
         &[],
         cfg.seed ^ CLUSTER_PROBE_SALT,
         cfg.probe_sample * 4,
         cfg.probe_random * 4,
     );
-    let mut probes_run = 0u64;
-    let mut conn = Connection::connect(client_cfg(addr.clone())).map_err(cl_div)?;
-    for batch in probe_addrs.chunks(512) {
-        let got = conn.lookup(batch).map_err(cl_div)?;
-        for (&a, &g) in batch.iter().zip(&got) {
-            probes_run += 1;
-            let expected = oracle.lookup(a);
-            if g != expected {
-                return Err(Divergence::Lookup {
-                    stage: Stage::Cluster,
-                    batch: 0,
-                    addr: a,
-                    expected,
-                    got: g,
-                });
-            }
-        }
-    }
-    conn.close().map_err(cl_div)?;
+    live.sweep(&oracle, &probe_addrs)?;
     proxy.stop();
 
     // Per-shard bit-identical convergence: every node's final table —
@@ -355,6 +248,6 @@ pub fn check_cluster_phase(
         shards: cfg.shards,
         lookups: packets.len() * 2,
         failovers: 1,
-        probes: probes_run,
+        probes: probe_addrs.len() as u64,
     })
 }

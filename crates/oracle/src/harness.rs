@@ -43,6 +43,7 @@ use clue_router::{FaultPlan, RouterConfig};
 use clue_tcam::TcamTiming;
 use clue_traffic::{PacketGen, UpdateGen};
 
+use crate::live::converged;
 use crate::model::Oracle;
 use crate::probes::{probe_set, ProbeRng};
 use crate::shrink::{shrink_trace, Reproducer};
@@ -50,7 +51,7 @@ use crate::shrink::{shrink_trace, Reproducer};
 /// Workload-independent salts so the update, packet, probe, and warm-up
 /// streams derived from one user seed stay decorrelated.
 const UPDATE_SALT: u64 = 0xA5A5_0001;
-pub(crate) const PACKET_SALT: u64 = 0xA5A5_0002;
+const PACKET_SALT: u64 = 0xA5A5_0002;
 const PROBE_SALT: u64 = 0xA5A5_0003;
 const WARM_SALT: u64 = 0xA5A5_0004;
 
@@ -326,59 +327,29 @@ pub fn run_check(cfg: &CheckConfig) -> Result<CheckReport, Box<CheckFailure>> {
         Vec::new()
     };
 
-    let seq = check_trace(&table, &trace, cfg).map_err(|divergence| {
+    let fail = |divergence| {
         Box::new(CheckFailure {
             divergence,
             table: table.clone(),
             trace: trace.clone(),
         })
-    })?;
-    let router = check_router_phase(&table, &trace, cfg).map_err(|divergence| {
-        Box::new(CheckFailure {
-            divergence,
-            table: table.clone(),
-            trace: trace.clone(),
-        })
-    })?;
-    let net = if cfg.net {
-        Some(
-            crate::netcheck::check_net_phase(&table, &trace, cfg).map_err(|divergence| {
-                Box::new(CheckFailure {
-                    divergence,
-                    table: table.clone(),
-                    trace: trace.clone(),
-                })
-            })?,
-        )
-    } else {
-        None
     };
-    let recovery = if cfg.recovery {
-        Some(
-            crate::recovery::check_recovery_phase(&table, &trace, cfg).map_err(|divergence| {
-                Box::new(CheckFailure {
-                    divergence,
-                    table: table.clone(),
-                    trace: trace.clone(),
-                })
-            })?,
-        )
-    } else {
-        None
-    };
-    let cluster = if cfg.shards > 1 {
-        Some(
-            crate::cluster::check_cluster_phase(&table, &trace, cfg).map_err(|divergence| {
-                Box::new(CheckFailure {
-                    divergence,
-                    table: table.clone(),
-                    trace: trace.clone(),
-                })
-            })?,
-        )
-    } else {
-        None
-    };
+    let seq = check_trace(&table, &trace, cfg).map_err(fail)?;
+    let router = check_router_phase(&table, &trace, cfg).map_err(fail)?;
+    let net = cfg
+        .net
+        .then(|| crate::netcheck::check_net_phase(&table, &trace, cfg))
+        .transpose()
+        .map_err(fail)?;
+    let recovery = cfg
+        .recovery
+        .then(|| crate::recovery::check_recovery_phase(&table, &trace, cfg))
+        .transpose()
+        .map_err(fail)?;
+    let cluster = (cfg.shards > 1)
+        .then(|| crate::cluster::check_cluster_phase(&table, &trace, cfg))
+        .transpose()
+        .map_err(fail)?;
 
     Ok(CheckReport {
         batches: seq.batches,
@@ -397,6 +368,15 @@ pub fn run_check(cfg: &CheckConfig) -> Result<CheckReport, Box<CheckFailure>> {
         cluster_probes: cluster.map_or(0, |c| c.probes),
         faulted: cfg.faults.is_some(),
     })
+}
+
+/// The seeded packet stream every packet-driven phase looks up.
+pub(crate) fn packet_trace(table: &RouteTable, cfg: &CheckConfig) -> Vec<u32> {
+    if cfg.packets > 0 {
+        PacketGen::new(cfg.seed ^ PACKET_SALT).generate(table, cfg.packets)
+    } else {
+        Vec::new()
+    }
 }
 
 /// The sequential differential phase: oracle vs. `CluePipeline`, with
@@ -626,11 +606,7 @@ pub fn check_router_phase(
         backend: cfg.backend,
         ..RouterConfig::default()
     };
-    let packets = if cfg.packets > 0 {
-        PacketGen::new(cfg.seed ^ PACKET_SALT).generate(table, cfg.packets)
-    } else {
-        Vec::new()
-    };
+    let packets = packet_trace(table, cfg);
 
     // Run 1: no updates racing — every result must equal the oracle.
     let oracle0 = Oracle::new(table);
@@ -668,39 +644,11 @@ pub fn check_router_phase(
             ),
         });
     }
-    if report.snapshot.updates_received != trace.len() as u64 {
-        return Err(Divergence::Router {
-            what: format!(
-                "ingress lost updates under Block policy: {} of {} received",
-                report.snapshot.updates_received,
-                trace.len()
-            ),
-        });
-    }
     let mut oracle = oracle0;
     for &u in trace {
         oracle.apply(u);
     }
-    let want = oracle.table();
-    if report.final_table != want {
-        return Err(Divergence::Router {
-            what: format!(
-                "final FIB diverged from sequential application: {} routes vs oracle's {}",
-                report.final_table.len(),
-                want.len()
-            ),
-        });
-    }
-    let want_compressed = onrtc(&want);
-    if report.final_compressed != want_compressed {
-        return Err(Divergence::Router {
-            what: format!(
-                "final compressed table diverged: {} entries vs scratch recompression's {}",
-                report.final_compressed.len(),
-                want_compressed.len()
-            ),
-        });
-    }
+    converged(&report, trace.len(), &oracle.table(), "racing run")?;
 
     Ok(RouterOutcome {
         epochs: report.snapshot.epochs,

@@ -37,7 +37,13 @@
 //!   backend and optionally sharded — asserting probe agreement and
 //!   zero lost acks;
 //! * [`shrink`] — greedy update-trace minimization and the reproducer
-//!   file format a failing `clue check` run emits.
+//!   file format a failing `clue check` run emits;
+//! * `live` (crate-private) — the client side every live phase shares:
+//!   the check's client and loopback server config, the wire sweep
+//!   against the oracle, the racing update/lookup pass, and the
+//!   convergence checks on a drained router. [`netcheck`], [`scenario`]
+//!   and [`cluster`] keep only the deployment each boots and what is
+//!   specific to it.
 //!
 //! The CLI front end is `clue check`; the `tests/` directory of this
 //! crate holds the `#[test]` entry points.
@@ -47,6 +53,7 @@
 
 pub mod cluster;
 pub mod harness;
+mod live;
 pub mod model;
 pub mod netcheck;
 pub mod probes;

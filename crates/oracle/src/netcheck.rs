@@ -5,23 +5,16 @@
 //! framing/CRC, the server's connection threads, seq/ack accounting, and
 //! the client's reconnect/resume machinery all sit between the workload
 //! and the router — and the final table must *still* equal the oracle's
-//! sequential application. Fault injection runs **client-side**: the
-//! update stream passes through an [`IngressPerturber`] before frames
-//! are cut, so delay/reorder/drop-with-retransmit reach the server in a
-//! per-prefix-order-preserving interleaving, exactly like the in-process
-//! faulty runs.
+//! sequential application. Faults are injected client-side, ahead of
+//! the wire (see `live.rs`).
 //!
 //! [`check_router_phase`]: crate::harness::check_router_phase
 
-use std::time::Duration;
-
-use clue_compress::onrtc;
 use clue_fib::{RouteTable, Update};
-use clue_net::{ClientConfig, Connection, Server, ServerConfig};
-use clue_router::{IngressPerturber, RouterConfig};
-use clue_traffic::PacketGen;
+use clue_net::Server;
 
-use crate::harness::{CheckConfig, Divergence, Stage, PACKET_SALT};
+use crate::harness::{packet_trace, CheckConfig, Divergence, Stage};
+use crate::live::{self, Live};
 use crate::model::Oracle;
 
 /// Outcome of the networked phase.
@@ -33,20 +26,6 @@ pub struct NetOutcome {
     pub reconnects: u64,
     /// Epochs the server's router published in the racing run.
     pub epochs: u64,
-}
-
-fn net_div(what: impl std::fmt::Display) -> Divergence {
-    Divergence::Router {
-        what: format!("net phase: {what}"),
-    }
-}
-
-fn client_cfg(addr: String) -> ClientConfig {
-    ClientConfig {
-        initial_backoff: Duration::from_millis(10),
-        max_backoff: Duration::from_millis(200),
-        ..ClientConfig::to_addr(addr)
-    }
 }
 
 /// Drives `trace` and the seeded packet stream through a loopback
@@ -64,164 +43,37 @@ pub fn check_net_phase(
     trace: &[Update],
     cfg: &CheckConfig,
 ) -> Result<NetOutcome, Divergence> {
-    let scfg = ServerConfig {
-        listen: "127.0.0.1:0".to_string(),
-        router: RouterConfig {
-            workers: cfg.chips,
-            dred_capacity: cfg.dred_capacity,
-            batch_size: cfg.batch,
-            // Server-side faults stay off: the perturber below injects
-            // them ahead of the wire, where the real world would.
-            faults: None,
-            backend: cfg.backend,
-            ..RouterConfig::default()
-        },
-        idle_poll: Duration::from_millis(10),
-        transport: cfg.transport,
-        ..ServerConfig::default()
-    };
-    let server = Server::start(table, &scfg).map_err(net_div)?;
-    let addr = server.local_addr().to_string();
-    let packets = if cfg.packets > 0 {
-        PacketGen::new(cfg.seed ^ PACKET_SALT).generate(table, cfg.packets)
-    } else {
-        Vec::new()
-    };
+    const LABEL: &str = "net phase";
+    let server = Server::start(table, &live::server_config(cfg, cfg.backend))
+        .map_err(|e| live::fail(LABEL, e))?;
+    let live = Live::new(server.local_addr(), Stage::Net, LABEL);
+    let packets = packet_trace(table, cfg);
 
     // Run 1: quiescent table — every TCP answer must equal the oracle.
-    let oracle0 = Oracle::new(table);
-    let mut conn = Connection::connect(client_cfg(addr.clone())).map_err(net_div)?;
-    for batch in packets.chunks(512) {
-        let got = conn.lookup(batch).map_err(net_div)?;
-        for (&a, &g) in batch.iter().zip(&got) {
-            let expected = oracle0.lookup(a);
-            if g != expected {
-                return Err(Divergence::Lookup {
-                    stage: Stage::Net,
-                    batch: 0,
-                    addr: a,
-                    expected,
-                    got: g,
-                });
-            }
-        }
-    }
-    let quiet_report = conn.close().map_err(net_div)?;
+    let mut oracle = Oracle::new(table);
+    let quiet = live.sweep(&oracle, &packets)?;
 
-    // Run 2: race the update stream (through the client-side perturber)
-    // against a second pass of the packet stream.
-    let (update_res, lookup_res) = std::thread::scope(|s| {
-        let update_handle = s.spawn(|| -> Result<clue_net::ClientReport, std::io::Error> {
-            let mut conn = Connection::connect(client_cfg(addr.clone()))?;
-            let mut perturber = cfg
-                .faults
-                .filter(|f| !f.is_noop())
-                .map(IngressPerturber::new);
-            let mut staged = Vec::new();
-            let mut pending: Vec<Update> = Vec::with_capacity(cfg.batch);
-            for &u in trace {
-                match &mut perturber {
-                    Some(p) => {
-                        if let Some(d) = p.feeder_delay() {
-                            std::thread::sleep(d);
-                        }
-                        staged.clear();
-                        p.push(u, &mut staged);
-                        pending.extend_from_slice(&staged);
-                    }
-                    None => pending.push(u),
-                }
-                if pending.len() >= cfg.batch {
-                    conn.send_updates(&pending)?;
-                    pending.clear();
-                }
-            }
-            if let Some(p) = perturber {
-                staged.clear();
-                p.finish(&mut staged);
-                pending.extend_from_slice(&staged);
-            }
-            conn.send_updates(&pending)?;
-            conn.flush_acks()?;
-            conn.close()
-        });
-        let lookup_handle = s.spawn(|| -> Result<usize, std::io::Error> {
-            let mut conn = Connection::connect(client_cfg(addr.clone()))?;
-            let mut answered = 0usize;
-            for batch in packets.chunks(512) {
-                answered += conn.lookup(batch)?.len();
-            }
-            let _ = conn.close()?;
-            Ok(answered)
-        });
-        (
-            update_handle.join().expect("net update thread exits"),
-            lookup_handle.join().expect("net lookup thread exits"),
-        )
-    });
-    let update_report = update_res.map_err(net_div)?;
-    let answered = lookup_res.map_err(net_div)?;
-    if answered != packets.len() {
-        return Err(net_div(format!(
-            "racing run answered {answered} of {} lookups",
-            packets.len()
-        )));
-    }
-    if update_report.dropped != 0 {
-        return Err(net_div(format!(
-            "{} updates dropped under Block policy",
-            update_report.dropped
-        )));
-    }
-    if update_report.accepted != trace.len() as u64 {
-        return Err(net_div(format!(
-            "{} of {} updates acked as accepted",
-            update_report.accepted,
-            trace.len()
-        )));
-    }
+    // Run 2: race the update stream against a second pass of the packet
+    // stream.
+    let racing = live.race(
+        &live::untimed(trace),
+        &packets,
+        cfg.batch,
+        cfg.faults,
+        || {},
+    )?;
 
     let report = server
         .drain()
-        .map_err(|e| net_div(format!("server drain failed: {e}")))?;
-    // `packets_conserved()` also checks `results`, which only the
-    // in-process runtime fills; over TCP the answers went back on the
-    // wire, so arrivals/completions is the whole conservation story.
-    if report.snapshot.arrivals != report.snapshot.completions {
-        return Err(net_div(format!(
-            "lost traffic: {} arrivals, {} completions",
-            report.snapshot.arrivals, report.snapshot.completions
-        )));
-    }
-    if report.snapshot.updates_received != trace.len() as u64 {
-        return Err(net_div(format!(
-            "ingress saw {} of {} updates",
-            report.snapshot.updates_received,
-            trace.len()
-        )));
-    }
-    let mut oracle = oracle0;
+        .map_err(|e| live.fail(format!("server drain failed: {e}")))?;
     for &u in trace {
         oracle.apply(u);
     }
-    let want = oracle.table();
-    if report.final_table != want {
-        return Err(net_div(format!(
-            "final FIB diverged over TCP: {} routes vs oracle's {}",
-            report.final_table.len(),
-            want.len()
-        )));
-    }
-    if report.final_compressed != onrtc(&want) {
-        return Err(net_div(format!(
-            "final compressed table diverged over TCP: {} entries",
-            report.final_compressed.len()
-        )));
-    }
+    live::converged(&report, trace.len(), &oracle.table(), LABEL)?;
 
     Ok(NetOutcome {
         lookups: packets.len() * 2,
-        reconnects: quiet_report.reconnects + update_report.reconnects,
+        reconnects: quiet.reconnects + racing.reconnects,
         epochs: report.snapshot.epochs,
     })
 }

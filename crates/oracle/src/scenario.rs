@@ -22,17 +22,14 @@
 //!    (Failover-under-fire is the cluster phase's job; this pass pins
 //!    the scenario semantics onto the sharded data path.)
 
-use std::time::Duration;
-
 use clue_cluster::{Proxy, ProxyConfig, ShardMap, ShardSpec};
-use clue_compress::onrtc;
 use clue_core::lookup::BackendKind;
-use clue_fib::Update;
-use clue_net::{ClientConfig, Connection, Server, ServerConfig};
-use clue_router::{IngressPerturber, RouterConfig};
+use clue_net::Server;
+use clue_router::FaultPlan;
 use clue_trace::{Scenario, ScenarioConfig, ScenarioKind, TimedUpdate};
 
 use crate::harness::{check_trace, CheckConfig, CheckFailure, Divergence, Stage};
+use crate::live::{self, Live};
 use crate::model::Oracle;
 use crate::probes::probe_set;
 
@@ -66,20 +63,6 @@ pub struct ScenarioOutcome {
     pub shards: usize,
     /// Packet lookups answered through the proxy (0 when skipped).
     pub shard_lookups: usize,
-}
-
-fn sc_div(kind: ScenarioKind, what: impl std::fmt::Display) -> Divergence {
-    Divergence::Router {
-        what: format!("scenario phase ({kind}): {what}"),
-    }
-}
-
-fn client_cfg(addr: String) -> ClientConfig {
-    ClientConfig {
-        initial_backoff: Duration::from_millis(10),
-        max_backoff: Duration::from_millis(200),
-        ..ClientConfig::to_addr(addr)
-    }
 }
 
 /// The scenario materialized from a check config: sizes carry over,
@@ -122,20 +105,17 @@ pub fn run_scenario_check(
     let seq = check_trace(&scenario.base, &trace, cfg).map_err(&fail)?;
 
     // Pass 2: live replay over the wire, once per lookup backend.
-    let mut live_lookups = 0usize;
     let mut live_probes = 0u64;
     for &backend in &BackendKind::ALL {
-        let run = live_replay(&scenario, cfg, backend).map_err(&fail)?;
-        live_lookups += run.lookups;
-        live_probes += run.probes;
+        live_probes += live_replay(&scenario, cfg, backend).map_err(&fail)?;
     }
 
     // Pass 3: the sharded data path, when requested.
-    let shard_lookups = if cfg.shards >= 2 {
-        sharded_replay(&scenario, cfg).map_err(&fail)?
-    } else {
-        0
-    };
+    let sharded = cfg.shards >= 2;
+    if sharded {
+        sharded_replay(&scenario, cfg).map_err(&fail)?;
+    }
+    let wire_lookups = scenario.packets.len() * 2;
 
     Ok(ScenarioOutcome {
         kind,
@@ -143,71 +123,11 @@ pub fn run_scenario_check(
         probes: seq.probes,
         applied: trace.len(),
         live_runs: BackendKind::ALL.len(),
-        live_lookups,
+        live_lookups: BackendKind::ALL.len() * wire_lookups,
         live_probes,
-        shards: if cfg.shards >= 2 { cfg.shards } else { 0 },
-        shard_lookups,
+        shards: if sharded { cfg.shards } else { 0 },
+        shard_lookups: if sharded { wire_lookups } else { 0 },
     })
-}
-
-struct LiveRun {
-    lookups: usize,
-    probes: u64,
-}
-
-/// One probe sweep over the wire: every answer must equal the oracle.
-fn probe_once(
-    addr: &str,
-    oracle: &Oracle,
-    addrs: &[u32],
-    div: &impl Fn(String) -> Divergence,
-) -> Result<u64, Divergence> {
-    let mut probes_run = 0u64;
-    let mut conn =
-        Connection::connect(client_cfg(addr.to_string())).map_err(|e| div(e.to_string()))?;
-    for batch in addrs.chunks(512) {
-        let got = conn.lookup(batch).map_err(|e| div(e.to_string()))?;
-        for (&a, &g) in batch.iter().zip(&got) {
-            probes_run += 1;
-            let expected = oracle.lookup(a);
-            if g != expected {
-                return Err(Divergence::Lookup {
-                    stage: Stage::Scenario,
-                    batch: 0,
-                    addr: a,
-                    expected,
-                    got: g,
-                });
-            }
-        }
-    }
-    conn.close().map_err(|e| div(e.to_string()))?;
-    Ok(probes_run)
-}
-
-/// Post-replay probes with a settle window: every scheduled update has
-/// been *acked*, but the router publishes its final epoch on a batch
-/// boundary or idle poll, so the wire may briefly trail the oracle.
-/// Retries the sweep until it agrees or the deadline expires — only a
-/// *persistent* disagreement is a divergence.
-fn probe_settled(
-    addr: &str,
-    oracle: &Oracle,
-    addrs: &[u32],
-    div: &impl Fn(String) -> Divergence,
-) -> Result<u64, Divergence> {
-    let deadline = std::time::Instant::now() + Duration::from_secs(5);
-    loop {
-        match probe_once(addr, oracle, addrs, div) {
-            Ok(n) => return Ok(n),
-            Err(d) => {
-                if std::time::Instant::now() >= deadline {
-                    return Err(d);
-                }
-                std::thread::sleep(Duration::from_millis(25));
-            }
-        }
-    }
 }
 
 /// The schedule compressed into the replay budget, so bursts keep their
@@ -222,353 +142,111 @@ fn replay_schedule(scenario: &Scenario) -> Vec<TimedUpdate> {
     scenario.schedule.scaled(speed).events
 }
 
-/// Sends the scenario's schedule over `conn` with its (compressed)
-/// timing, batching by `batch` within a burst and flushing across
-/// timing gaps, optionally through a client-side fault perturber.
-fn send_schedule(
-    mut conn: Connection,
-    schedule: &[TimedUpdate],
-    batch: usize,
-    faults: Option<&clue_router::FaultPlan>,
-) -> std::io::Result<clue_net::ClientReport> {
-    let start = std::time::Instant::now();
-    let mut perturber = faults
-        .filter(|f| !f.is_noop())
-        .cloned()
-        .map(IngressPerturber::new);
-    let mut staged = Vec::new();
-    let mut pending: Vec<Update> = Vec::with_capacity(batch);
-    let mut last_at = 0u64;
-    for e in schedule {
-        if e.at_ms != last_at {
-            // A timing gap: flush what the burst accumulated, then hold
-            // to the (compressed) schedule.
-            if !pending.is_empty() {
-                conn.send_updates(&pending)?;
-                pending.clear();
-            }
-            last_at = e.at_ms;
-            let due = Duration::from_millis(e.at_ms);
-            let elapsed = start.elapsed();
-            if due > elapsed {
-                std::thread::sleep(due - elapsed);
-            }
-        }
-        match &mut perturber {
-            Some(p) => {
-                if let Some(d) = p.feeder_delay() {
-                    std::thread::sleep(d);
-                }
-                staged.clear();
-                p.push(e.update, &mut staged);
-                pending.extend_from_slice(&staged);
-            }
-            None => pending.push(e.update),
-        }
-        if pending.len() >= batch {
-            conn.send_updates(&pending)?;
-            pending.clear();
-        }
-    }
-    if let Some(p) = perturber {
-        staged.clear();
-        p.finish(&mut staged);
-        pending.extend_from_slice(&staged);
-    }
-    conn.send_updates(&pending)?;
-    conn.flush_acks()?;
-    conn.close()
-}
-
-/// One single-node live replay against a server publishing with
-/// `backend`: quiescent probe pass, racing replay, zero-lost-acks and
-/// convergence assertions, post-replay boundary probes.
-fn live_replay(
+/// Quiescent sweep, racing replay, then post-replay boundary probes
+/// through the still-live deployment behind `live`, which serves
+/// `scenario.base`. Returns the oracle's final state and the probes run.
+fn replay(
+    live: &Live,
     scenario: &Scenario,
     cfg: &CheckConfig,
-    backend: BackendKind,
-) -> Result<LiveRun, Divergence> {
-    let kind = scenario.kind;
-    let div = |what: String| sc_div(kind, what);
-    let scfg = ServerConfig {
-        listen: "127.0.0.1:0".to_string(),
-        router: RouterConfig {
-            workers: cfg.chips,
-            dred_capacity: cfg.dred_capacity,
-            batch_size: cfg.batch,
-            // Faults are injected client-side by the perturber, ahead
-            // of the wire, like the net phase does.
-            faults: None,
-            backend,
-            ..RouterConfig::default()
-        },
-        idle_poll: Duration::from_millis(10),
-        transport: cfg.transport,
-        ..ServerConfig::default()
-    };
-    let server = Server::start(&scenario.base, &scfg).map_err(|e| div(e.to_string()))?;
-    let addr = server.local_addr().to_string();
-    let packets = &scenario.packets;
-
-    // Quiescent pass: every wire answer equals the oracle on the base
-    // table — the scenario's key distribution probes the backend cold.
-    let oracle0 = Oracle::new(&scenario.base);
-    let mut conn = Connection::connect(client_cfg(addr.clone())).map_err(|e| div(e.to_string()))?;
-    for batch in packets.chunks(512) {
-        let got = conn.lookup(batch).map_err(|e| div(e.to_string()))?;
-        for (&a, &g) in batch.iter().zip(&got) {
-            let expected = oracle0.lookup(a);
-            if g != expected {
-                return Err(Divergence::Lookup {
-                    stage: Stage::Scenario,
-                    batch: 0,
-                    addr: a,
-                    expected,
-                    got: g,
-                });
-            }
-        }
-    }
-    conn.close().map_err(|e| div(e.to_string()))?;
-
-    // Racing pass: the timed schedule against a second sweep of the
-    // scenario's lookup stream.
-    let schedule = replay_schedule(scenario);
-    let (update_res, lookup_res) = std::thread::scope(|s| {
-        let update_handle = s.spawn(|| -> Result<clue_net::ClientReport, std::io::Error> {
-            let conn = Connection::connect(client_cfg(addr.clone()))?;
-            send_schedule(conn, &schedule, cfg.batch, cfg.faults.as_ref())
-        });
-        let lookup_handle = s.spawn(|| -> Result<usize, std::io::Error> {
-            let mut conn = Connection::connect(client_cfg(addr.clone()))?;
-            let mut answered = 0usize;
-            for batch in packets.chunks(512) {
-                answered += conn.lookup(batch)?.len();
-            }
-            conn.close()?;
-            Ok(answered)
-        });
-        (
-            update_handle.join().expect("scenario update thread exits"),
-            lookup_handle.join().expect("scenario lookup thread exits"),
-        )
-    });
-    let update_report = update_res.map_err(|e| div(e.to_string()))?;
-    let answered = lookup_res.map_err(|e| div(e.to_string()))?;
-
-    // Zero lost acks, no lost lookups.
-    if update_report.dropped != 0 {
-        return Err(div(format!(
-            "{} updates dropped under Block policy ({backend} backend)",
-            update_report.dropped
-        )));
-    }
-    if update_report.accepted != scenario.schedule.len() as u64 {
-        return Err(div(format!(
-            "lost acks: {} of {} updates acked ({backend} backend)",
-            update_report.accepted,
-            scenario.schedule.len()
-        )));
-    }
-    if answered != packets.len() {
-        return Err(div(format!(
-            "racing run answered {answered} of {} lookups ({backend} backend)",
-            packets.len()
-        )));
-    }
-
-    // Post-replay boundary probes against the oracle's final state,
-    // through the still-live server.
-    let mut oracle = oracle0;
+    faults: Option<FaultPlan>,
+) -> Result<(Oracle, usize), Divergence> {
+    // Quiescent pass: the scenario's key distribution probes the
+    // deployment cold.
+    let mut oracle = Oracle::new(&scenario.base);
+    live.sweep(&oracle, &scenario.packets)?;
+    // Racing pass: the timed schedule against a second sweep.
+    live.race(
+        &replay_schedule(scenario),
+        &scenario.packets,
+        cfg.batch,
+        faults,
+        || {},
+    )?;
     for e in &scenario.schedule.events {
         oracle.apply(e.update);
     }
-    let standing = oracle.prefixes();
-    let probe_addrs = probe_set(
-        &standing,
+    let probes = probe_set(
+        &oracle.prefixes(),
         &[],
         cfg.seed ^ SCENARIO_PROBE_SALT,
         cfg.probe_sample * 2,
         cfg.probe_random * 2,
     );
-    let probes_run = probe_settled(&addr, &oracle, &probe_addrs, &div)?;
+    live.sweep_settled(&oracle, &probes)?;
+    Ok((oracle, probes.len()))
+}
 
-    // Drain: conservation and bit-exact convergence.
+/// One single-node live replay against a server publishing with
+/// `backend`, then drain, conservation and bit-exact convergence.
+/// Returns the post-replay probes compared.
+fn live_replay(
+    scenario: &Scenario,
+    cfg: &CheckConfig,
+    backend: BackendKind,
+) -> Result<u64, Divergence> {
+    let label = format!("scenario phase ({}, {backend} backend)", scenario.kind);
+    let server = Server::start(&scenario.base, &live::server_config(cfg, backend))
+        .map_err(|e| live::fail(&label, e))?;
+    let live = Live::new(server.local_addr(), Stage::Scenario, label);
+    let (oracle, probes) = replay(&live, scenario, cfg, cfg.faults)?;
     let report = server
         .drain()
-        .map_err(|e| div(format!("server drain failed: {e}")))?;
-    if report.snapshot.arrivals != report.snapshot.completions {
-        return Err(div(format!(
-            "lost traffic: {} arrivals, {} completions ({backend} backend)",
-            report.snapshot.arrivals, report.snapshot.completions
-        )));
-    }
-    if report.snapshot.updates_received != scenario.schedule.len() as u64 {
-        return Err(div(format!(
-            "ingress saw {} of {} updates ({backend} backend)",
-            report.snapshot.updates_received,
-            scenario.schedule.len()
-        )));
-    }
-    let want = oracle.table();
-    if report.final_table != want {
-        return Err(div(format!(
-            "final FIB diverged: {} routes vs oracle's {} ({backend} backend)",
-            report.final_table.len(),
-            want.len()
-        )));
-    }
-    if report.final_compressed != onrtc(&want) {
-        return Err(div(format!(
-            "final compressed table diverged: {} entries ({backend} backend)",
-            report.final_compressed.len()
-        )));
-    }
-
-    Ok(LiveRun {
-        lookups: packets.len() * 2,
-        probes: probes_run,
-    })
+        .map_err(|e| live.fail(format!("server drain failed: {e}")))?;
+    live::converged(
+        &report,
+        scenario.schedule.len(),
+        &oracle.table(),
+        &live.label,
+    )?;
+    Ok(probes as u64)
 }
 
 /// The sharded pass: the scenario through a proxy over `cfg.shards`
 /// plain shard servers (no durability or standbys — the cluster phase
-/// owns failover), asserting proxy probe agreement, zero lost acks,
-/// and post-replay convergence. Returns proxied lookups performed.
-fn sharded_replay(scenario: &Scenario, cfg: &CheckConfig) -> Result<usize, Divergence> {
-    let kind = scenario.kind;
-    let div = |what: String| sc_div(kind, what);
+/// owns failover), then per-shard convergence.
+fn sharded_replay(scenario: &Scenario, cfg: &CheckConfig) -> Result<(), Divergence> {
+    let label = format!("scenario phase ({}, sharded)", scenario.kind);
+    let fail = |what: String| live::fail(&label, what);
 
     let placeholder = ShardMap::derive(
         &scenario.base,
         vec![ShardSpec::primary_only("x:0"); cfg.shards],
     )
-    .map_err(|e| div(format!("deriving shard map: {e}")))?;
-
-    let scfg = ServerConfig {
-        listen: "127.0.0.1:0".to_string(),
-        router: RouterConfig {
-            workers: cfg.chips,
-            dred_capacity: cfg.dred_capacity,
-            batch_size: cfg.batch,
-            faults: None,
-            backend: cfg.backend,
-            ..RouterConfig::default()
-        },
-        idle_poll: Duration::from_millis(10),
-        transport: cfg.transport,
-        ..ServerConfig::default()
-    };
+    .map_err(|e| fail(format!("deriving shard map: {e}")))?;
+    let scfg = live::server_config(cfg, cfg.backend);
     let mut servers = Vec::with_capacity(cfg.shards);
     let mut specs = Vec::with_capacity(cfg.shards);
     for i in 0..cfg.shards {
         let shard_fib = placeholder.filter_table(&scenario.base, i);
-        let server =
-            Server::start(&shard_fib, &scfg).map_err(|e| div(format!("booting shard {i}: {e}")))?;
+        let server = Server::start(&shard_fib, &scfg)
+            .map_err(|e| fail(format!("booting shard {i}: {e}")))?;
         specs.push(ShardSpec::primary_only(server.local_addr().to_string()));
         servers.push(server);
     }
     let map = ShardMap::from_cuts(placeholder.cuts().to_vec(), specs)
-        .map_err(|e| div(format!("assembling shard map: {e}")))?;
+        .map_err(|e| fail(format!("assembling shard map: {e}")))?;
     let mut proxy_cfg = ProxyConfig::new(map.clone());
     proxy_cfg.transport = cfg.transport;
-    let proxy = Proxy::start(proxy_cfg).map_err(|e| div(format!("starting proxy: {e}")))?;
-    let addr = proxy.local_addr().to_string();
-    let packets = &scenario.packets;
+    let proxy = Proxy::start(proxy_cfg).map_err(|e| fail(format!("starting proxy: {e}")))?;
 
-    // Quiescent pass through the proxy.
-    let oracle0 = Oracle::new(&scenario.base);
-    let mut conn = Connection::connect(client_cfg(addr.clone())).map_err(|e| div(e.to_string()))?;
-    for batch in packets.chunks(512) {
-        let got = conn.lookup(batch).map_err(|e| div(e.to_string()))?;
-        for (&a, &g) in batch.iter().zip(&got) {
-            let expected = oracle0.lookup(a);
-            if g != expected {
-                return Err(Divergence::Lookup {
-                    stage: Stage::Scenario,
-                    batch: 0,
-                    addr: a,
-                    expected,
-                    got: g,
-                });
-            }
-        }
-    }
-    conn.close().map_err(|e| div(e.to_string()))?;
-
-    // Racing pass.
-    let schedule = replay_schedule(scenario);
-    let (update_res, lookup_res) = std::thread::scope(|s| {
-        let update_handle = s.spawn(|| -> Result<clue_net::ClientReport, std::io::Error> {
-            let conn = Connection::connect(client_cfg(addr.clone()))?;
-            send_schedule(conn, &schedule, cfg.batch, None)
-        });
-        let lookup_handle = s.spawn(|| -> Result<usize, std::io::Error> {
-            let mut conn = Connection::connect(client_cfg(addr.clone()))?;
-            let mut answered = 0usize;
-            for batch in packets.chunks(512) {
-                answered += conn.lookup(batch)?.len();
-            }
-            conn.close()?;
-            Ok(answered)
-        });
-        (
-            update_handle.join().expect("sharded update thread exits"),
-            lookup_handle.join().expect("sharded lookup thread exits"),
-        )
-    });
-    let update_report = update_res.map_err(|e| div(e.to_string()))?;
-    let answered = lookup_res.map_err(|e| div(e.to_string()))?;
-    if update_report.dropped != 0 {
-        return Err(div(format!(
-            "{} updates dropped under Block policy (sharded)",
-            update_report.dropped
-        )));
-    }
-    if update_report.accepted != scenario.schedule.len() as u64 {
-        return Err(div(format!(
-            "lost acks: {} of {} updates acked (sharded)",
-            update_report.accepted,
-            scenario.schedule.len()
-        )));
-    }
-    if answered != packets.len() {
-        return Err(div(format!(
-            "racing run answered {answered} of {} lookups (sharded)",
-            packets.len()
-        )));
-    }
-
-    // Post-replay probes, then per-shard convergence.
-    let mut oracle = oracle0;
-    for e in &scenario.schedule.events {
-        oracle.apply(e.update);
-    }
-    let standing = oracle.prefixes();
-    let probe_addrs = probe_set(
-        &standing,
-        &[],
-        cfg.seed ^ SCENARIO_PROBE_SALT,
-        cfg.probe_sample * 2,
-        cfg.probe_random * 2,
-    );
-    probe_settled(&addr, &oracle, &probe_addrs, &div)?;
+    let live = Live::new(proxy.local_addr(), Stage::Scenario, label.clone());
+    let (oracle, _) = replay(&live, scenario, cfg, None)?;
     proxy.stop();
 
     let want = oracle.table();
     for (i, server) in servers.into_iter().enumerate() {
         let report = server
             .drain()
-            .map_err(|e| div(format!("draining shard {i}: {e}")))?;
+            .map_err(|e| fail(format!("draining shard {i}: {e}")))?;
         let expect = map.filter_table(&want, i);
         if report.final_table != expect {
-            return Err(div(format!(
+            return Err(fail(format!(
                 "shard {i} final table diverged: {} routes vs filtered oracle's {}",
                 report.final_table.len(),
                 expect.len()
             )));
         }
     }
-
-    Ok(packets.len() * 2)
+    Ok(())
 }

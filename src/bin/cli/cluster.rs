@@ -7,9 +7,9 @@ use std::time::Duration;
 
 use crate::{io_err, load_fib, parse_transport, serve_until_stopped, write_text};
 
-use clue::cluster::{rpc, Proxy, ProxyConfig, ShardMap, ShardSpec};
+use clue::cluster::{Proxy, ProxyConfig, ShardMap, ShardSpec};
 use clue::fib::io::write_route_table;
-use clue::net::{wire, Frame, FrameType};
+use clue::net::{client, wire, Frame, FrameType};
 
 /// Parses `--shards a,b,c` (+ optional `--standbys x,y,z`) into
 /// per-shard endpoint specs. Shared by `shardmap` and `proxy`.
@@ -155,7 +155,7 @@ pub fn proxy(args: &Args) -> Result<(), ArgError> {
 pub fn promote(args: &Args) -> Result<(), ArgError> {
     args.check_known(&["addr"])?;
     let addr = args.required("addr")?;
-    let reply = rpc::call_expect(
+    let reply = client::call(
         addr,
         &Frame::empty(FrameType::Promote, 0),
         FrameType::PromoteAck,

@@ -1,7 +1,15 @@
 //! End-to-end tests of the `clue` command-line binary.
 
+use std::net::TcpListener;
 use std::path::PathBuf;
 use std::process::Command;
+use std::time::{Duration, Instant};
+
+use clue::cluster::{Primary, PrimaryConfig, Standby, StandbyConfig};
+use clue::fib::gen::FibGen;
+use clue::fib::{NextHop, Prefix, Update};
+use clue::net::{ClientConfig, Connection};
+use clue::store::StoreConfig;
 
 fn clue() -> Command {
     Command::new(env!("CARGO_BIN_EXE_clue"))
@@ -422,4 +430,82 @@ fn generated_text_files_read_back_through_clue_fib_io() {
     assert_eq!(read_route_table(open(&xfib)).unwrap(), s.base);
     assert_eq!(read_updates(open(&xup)).unwrap(), s.updates());
     assert_eq!(read_packets(open(&xpk)).unwrap(), s.packets);
+}
+
+/// Polls `done` every 10 ms for up to 15 s.
+fn wait_until(what: &str, done: impl Fn() -> bool) {
+    let deadline = Instant::now() + Duration::from_secs(15);
+    while !done() {
+        assert!(Instant::now() < deadline, "timed out waiting: {what}");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+}
+
+#[test]
+fn promote_fails_cleanly_on_a_standby_without_a_snapshot() {
+    // A primary address that refuses connections: the standby never syncs.
+    let gone = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let primary_repl = gone.local_addr().expect("local addr").to_string();
+    drop(gone);
+    let standby = Standby::start(StandbyConfig {
+        primary_repl,
+        ..StandbyConfig::default()
+    })
+    .expect("start standby");
+    let addr = standby.local_addr().to_string();
+
+    let out = clue()
+        .args(["promote", "--addr", &addr])
+        .output()
+        .expect("spawn clue binary");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
+    assert!(stderr.contains(&addr), "stderr names the address: {stderr}");
+    assert!(stderr.contains("no snapshot"), "stderr: {stderr}");
+    assert!(!standby.is_promoted());
+    standby.stop().expect("standby stops");
+}
+
+#[test]
+fn promote_hands_a_synced_standby_the_serving_address() {
+    let dir = tmp("promote-primary");
+    let _ = std::fs::remove_dir_all(&dir);
+    let fib = FibGen::new(5).routes(200).generate();
+    let pcfg = PrimaryConfig {
+        store: StoreConfig {
+            fsync: false,
+            ..StoreConfig::default()
+        },
+        ..PrimaryConfig::default()
+    };
+    let primary = Primary::start(&dir, Some(&fib), &pcfg).expect("start primary");
+    let standby = Standby::start(StandbyConfig {
+        primary_repl: primary.repl_addr().to_string(),
+        ..StandbyConfig::default()
+    })
+    .expect("start standby");
+    wait_until("standby synced", || primary.repl_stats().synced == 1);
+
+    // Three update frames; an ack means the synced standby applied them.
+    let mut conn = Connection::connect(ClientConfig::to_addr(primary.local_addr().to_string()))
+        .expect("connect to primary");
+    for i in 1..=3u32 {
+        let update = Update::Announce {
+            prefix: Prefix::new(0xC000_0000 | i << 8, 24),
+            next_hop: NextHop(7),
+        };
+        conn.send_updates(&[update]).expect("send update");
+    }
+    conn.close().expect("updates acked");
+
+    let addr = standby.local_addr().to_string();
+    let out = run_ok(clue().args(["promote", "--addr", &addr]));
+    assert_eq!(
+        out.trim(),
+        format!("promoted {addr}: serving resumes at seq high-water 3")
+    );
+    wait_until("standby promoted", || standby.is_promoted());
+    standby.stop().expect("promoted standby drains");
+    primary.stop().expect("primary drains");
+    let _ = std::fs::remove_dir_all(&dir);
 }
