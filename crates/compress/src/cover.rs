@@ -60,26 +60,59 @@ pub fn region_cover(
     prefix: Prefix,
     inherited: Option<NextHop>,
 ) -> Cover {
+    let mut out = Vec::new();
+    match cover_into(node, prefix, inherited, &mut out) {
+        Some(action) => Cover::Uniform(action),
+        None => Cover::Mixed(out),
+    }
+}
+
+/// [`region_cover`] appending into one buffer: returns `Some(action)`
+/// for a uniform region, leaving `out` as it found it, or `None` for a
+/// mixed one, whose routes it has appended to `out` in ascending
+/// address order. Every route is pushed once, so the whole trie costs
+/// O(nodes).
+fn cover_into(
+    node: Option<NodeRef<'_, NextHop>>,
+    prefix: Prefix,
+    inherited: Option<NextHop>,
+    out: &mut Vec<Route>,
+) -> Option<Option<NextHop>> {
     let Some(n) = node else {
-        return Cover::Uniform(inherited);
+        return Some(inherited);
     };
     debug_assert_eq!(n.prefix(), prefix);
     let effective = n.value().copied().or(inherited);
     if n.is_leaf() {
-        return Cover::Uniform(effective);
+        return Some(effective);
     }
     let lp = prefix.child(Bit::Zero).expect("non-leaf node is not a /32");
     let rp = prefix.child(Bit::One).expect("non-leaf node is not a /32");
-    let l = region_cover(n.child(Bit::Zero), lp, effective);
-    let r = region_cover(n.child(Bit::One), rp, effective);
-    match (l, r) {
-        (Cover::Uniform(a), Cover::Uniform(b)) if a == b => Cover::Uniform(a),
-        (l, r) => {
-            let mut v = l.into_routes(lp);
-            v.extend(r.into_routes(rp));
-            Cover::Mixed(v)
-        }
+    let mark = out.len();
+    let left = cover_into(n.child(Bit::Zero), lp, effective, out);
+    // A uniform left half is pushed before the right half is known: a
+    // mixed right half must follow it, and a matching uniform one takes
+    // it back below.
+    if let Some(Some(nh)) = left {
+        out.push(Route::new(lp, nh));
     }
+    let right = cover_into(n.child(Bit::One), rp, effective, out);
+    match (left, right) {
+        (Some(a), Some(b)) if a == b => {
+            out.truncate(mark);
+            Some(a)
+        }
+        (_, Some(b)) => {
+            out.extend(b.map(|nh| Route::new(rp, nh)));
+            None
+        }
+        (_, None) => None,
+    }
+}
+
+/// The routes of [`onrtc_trie`], in ascending address order.
+pub(crate) fn onrtc_routes(trie: &Trie<NextHop>) -> Vec<Route> {
+    region_cover(Some(trie.root()), Prefix::root(), None).into_routes(Prefix::root())
 }
 
 /// Computes the cover of an arbitrary region of a trie, walking down from
@@ -199,8 +232,7 @@ pub fn onrtc(table: &RouteTable) -> RouteTable {
 /// [`onrtc`] operating directly on a trie.
 #[must_use]
 pub fn onrtc_trie(trie: &Trie<NextHop>) -> RouteTable {
-    let cover = region_cover(Some(trie.root()), Prefix::root(), None);
-    cover.into_routes(Prefix::root()).into_iter().collect()
+    onrtc_routes(trie).into_iter().collect()
 }
 
 #[cfg(test)]

@@ -23,7 +23,7 @@ use std::time::{Duration, Instant};
 
 use clue_fib::{NextHop, Prefix, Route, RouteTable, Trie, Update};
 
-use crate::cover::{locate, onrtc_trie, region_cover, Cover};
+use crate::cover::{locate, onrtc_routes, region_cover, Cover};
 
 /// The set of entry-level changes one update induces on the compressed
 /// table.
@@ -85,11 +85,15 @@ pub struct CompressedFib {
 }
 
 impl CompressedFib {
-    /// Builds both forms from an initial table.
+    /// Builds both forms from an initial table: the compressed trie
+    /// straight from the ONRTC cover's routes.
     #[must_use]
     pub fn new(table: &RouteTable) -> Self {
         let original = table.to_trie();
-        let compressed = onrtc_trie(&original).to_trie();
+        let compressed = onrtc_routes(&original)
+            .into_iter()
+            .map(|r| (r.prefix, r.next_hop))
+            .collect();
         CompressedFib {
             original,
             compressed,

@@ -531,8 +531,7 @@ impl CfibPlane {
     /// the interval-coded form.
     #[must_use]
     pub fn build(routes: &[Route]) -> Self {
-        let reference: Trie<NextHop> =
-            Trie::from_pairs(routes.iter().map(|r| (r.prefix, r.next_hop)));
+        let reference: Trie<NextHop> = routes.iter().map(|r| (r.prefix, r.next_hop)).collect();
         let mut bounds: Vec<u32> = Vec::with_capacity(routes.len() * 2 + 1);
         bounds.push(0);
         for r in routes {

@@ -78,8 +78,11 @@ pub struct CluePipeline {
 
 impl CluePipeline {
     /// Builds the pipeline: compresses `table`, loads the compressed
-    /// entries into an unordered TCAM with `headroom` spare slots, and
-    /// attaches `chips` DReds of `dred_capacity` prefixes.
+    /// trie's entries into an unordered TCAM sized to them plus
+    /// `headroom` + 64 spare slots, and attaches `chips` DReds of
+    /// `dred_capacity` prefixes. The TCAM grows by an eighth whenever an
+    /// update's inserts would fill it, so `headroom` only saves growth
+    /// steps.
     ///
     /// # Panics
     ///
@@ -88,9 +91,10 @@ impl CluePipeline {
     pub fn new(table: &RouteTable, chips: usize, dred_capacity: usize, headroom: usize) -> Self {
         assert!(chips > 0 && dred_capacity > 0);
         let fib = CompressedFib::new(table);
-        let compressed = fib.compressed_table();
-        let mut tcam = UnorderedTcam::new(compressed.len() * 2 + headroom + 64);
-        clue_tcam::load(&mut tcam, compressed.iter());
+        let tcam = UnorderedTcam::with_routes(
+            fib.compressed_len() + headroom + 64,
+            fib.compressed().iter().map(|(p, &nh)| Route::new(p, nh)),
+        );
         CluePipeline {
             fib,
             tcam,
@@ -130,16 +134,20 @@ impl CluePipeline {
         let diff = self.fib.apply(update);
         let ttf1_ns = self.fib.last_update_time().as_nanos() as f64;
 
-        // Stage 2: TCAM. Deletes first so capacity is available.
+        // Stage 2: TCAM. Deletes first so capacity is available; then
+        // the model grows by an eighth if the inserts would fill it
+        // (growing moves no entry, so it costs no slot operation).
         let mut cost = UpdateCost::default();
         for &p in &diff.deletes {
             cost += self.tcam.delete(p).expect("diff deletes an existing entry");
         }
+        let need = self.tcam.len() + diff.inserts.len();
+        let capacity = self.tcam.capacity();
+        if need >= capacity {
+            self.tcam.grow((capacity / 8).max(need + 1 - capacity));
+        }
         for r in diff.modifies.iter().chain(&diff.inserts) {
-            cost += self
-                .tcam
-                .insert(*r)
-                .expect("TCAM sized with headroom for the diff");
+            cost += self.tcam.insert(*r).expect("TCAM grown to fit the diff");
         }
         let ttf2_ns = self.timing.cost_ns(cost);
 
@@ -358,6 +366,30 @@ mod tests {
             p.apply(u);
         }
         assert!(p.tcam_synced(), "TCAM diverged from compressed table");
+    }
+
+    /// A pipeline booted with no headroom grows through an announce
+    /// storm and accounts exactly what a pre-sized one does.
+    #[test]
+    fn unsized_pipeline_grows_through_an_announce_storm() {
+        let (fib, _, _) = setup();
+        let storm: Vec<Update> = (0..2_000u32)
+            .map(|i| Update::Announce {
+                // Host routes in 240/8, which the generator leaves
+                // alone, each its own compressed entry.
+                prefix: Prefix::new(0xF000_0000 | (i << 1), 32),
+                next_hop: NextHop(1 + (i % 7) as u16),
+            })
+            .collect();
+        let mut tight = CluePipeline::new(&fib, 4, 256, 0);
+        let mut sized = CluePipeline::new(&fib, 4, 256, storm.len());
+        let capacity0 = tight.tcam.capacity();
+        for &u in &storm {
+            assert_eq!(tight.apply(u).ttf2_ns, sized.apply(u).ttf2_ns);
+        }
+        assert!(tight.tcam.capacity() > capacity0, "the model grew");
+        assert_eq!(tight.tcam.stats(), sized.tcam.stats());
+        assert!(tight.tcam_synced());
     }
 
     #[test]

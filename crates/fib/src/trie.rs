@@ -121,8 +121,15 @@ impl<T> Trie<T> {
     /// Walks from the root to the node for `prefix`, creating path nodes
     /// as needed, and returns its index.
     fn ensure_node(&mut self, prefix: Prefix) -> u32 {
-        let mut cur = self.root;
-        for depth in 0..prefix.len() {
+        self.descend(self.root, prefix)
+    }
+
+    /// Walks from node `from`, whose prefix contains `prefix`, down to the
+    /// node for `prefix`, creating path nodes as needed, and returns its
+    /// index.
+    fn descend(&mut self, from: u32, prefix: Prefix) -> u32 {
+        let mut cur = from;
+        for depth in self.nodes[from as usize].prefix.len()..prefix.len() {
             let bit = Prefix::addr_bit(prefix.bits(), depth);
             let next = self.nodes[cur as usize].child[bit.index()];
             cur = if next == NIL {
@@ -152,6 +159,22 @@ impl<T> Trie<T> {
             cur = next;
         }
         Some(cur)
+    }
+
+    /// Fills in every node's `route_count` in one reverse sweep over the
+    /// arena. Sound only while every node sits after its parent, as in
+    /// an arena that has never recycled a slot, and only from all-zero
+    /// counts.
+    fn sweep_counts(&mut self) {
+        debug_assert!(self.free.is_empty(), "recycled slots break the sweep");
+        for idx in (0..self.nodes.len()).rev() {
+            let n = &mut self.nodes[idx];
+            n.route_count += u32::from(n.value.is_some());
+            let (count, parent) = (n.route_count, n.parent);
+            if parent != NIL {
+                self.nodes[parent as usize].route_count += count;
+            }
+        }
     }
 
     fn bump_counts(&mut self, mut idx: u32, delta: i32) {
@@ -295,24 +318,29 @@ impl<T> Trie<T> {
     }
 }
 
-impl<T: Clone> Trie<T> {
-    /// Builds a trie from `(prefix, value)` pairs; later duplicates replace
-    /// earlier ones.
-    pub fn from_pairs<I: IntoIterator<Item = (Prefix, T)>>(pairs: I) -> Self {
-        let mut t = Trie::new();
-        for (p, v) in pairs {
-            t.insert(p, v);
-        }
-        t
-    }
-}
-
+/// Builds the trie in one pass; later duplicates replace earlier ones.
+///
+/// Each prefix descends from the nearest ancestor of the previous one
+/// instead of from the root, and the subtree route counts are filled in
+/// by one reverse sweep at the end, so sorted input costs O(nodes). The
+/// nodes, their arena order and every count come out exactly as
+/// repeated [`Trie::insert`] would leave them, whatever the input order;
+/// the arena is then trimmed to its nodes.
 impl<T> FromIterator<(Prefix, T)> for Trie<T> {
     fn from_iter<I: IntoIterator<Item = (Prefix, T)>>(iter: I) -> Self {
         let mut t = Trie::new();
-        for (p, v) in iter {
-            t.insert(p, v);
+        let mut cur = t.root;
+        for (prefix, value) in iter {
+            while !t.nodes[cur as usize].prefix.contains(prefix) {
+                cur = t.nodes[cur as usize].parent;
+            }
+            cur = t.descend(cur, prefix);
+            if t.nodes[cur as usize].value.replace(value).is_none() {
+                t.len += 1;
+            }
         }
+        t.sweep_counts();
+        t.nodes.shrink_to_fit();
         t
     }
 }
@@ -585,6 +613,34 @@ mod tests {
         assert_eq!(t.len(), 2);
         t.extend(vec![(p("12.0.0.0/8"), 3)]);
         assert_eq!(t.len(), 3);
+    }
+
+    #[test]
+    fn bulk_build_lays_out_the_arena_like_inserts() {
+        let pairs: Vec<(Prefix, usize)> = [
+            "10.0.0.0/8",
+            "10.1.0.0/16",
+            "128.0.0.0/1",
+            "10.0.0.0/9",
+            "200.0.0.0/8",
+            "10.1.0.0/16",
+        ]
+        .iter()
+        .enumerate()
+        .map(|(i, s)| (p(s), i))
+        .collect();
+        let bulk: Trie<usize> = pairs.iter().copied().collect();
+        let mut inserted = Trie::new();
+        for &(px, v) in &pairs {
+            inserted.insert(px, v);
+        }
+        let arena = |t: &Trie<usize>| {
+            t.nodes
+                .iter()
+                .map(|n| (n.prefix, n.parent, n.child, n.value, n.route_count))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(arena(&bulk), arena(&inserted));
     }
 
     #[test]

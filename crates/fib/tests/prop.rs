@@ -137,3 +137,72 @@ proptest! {
         }
     }
 }
+
+/// Every node in pre-order: its prefix, its value and its subtree route
+/// count.
+fn shape(t: &Trie<NextHop>) -> Vec<(Prefix, Option<NextHop>, u32)> {
+    let mut out = Vec::new();
+    let mut stack = vec![t.root()];
+    while let Some(n) = stack.pop() {
+        out.push((n.prefix(), n.value().copied(), n.route_count()));
+        stack.extend([Bit::One, Bit::Zero].into_iter().filter_map(|b| n.child(b)));
+    }
+    out
+}
+
+fn same_trie(a: &Trie<NextHop>, b: &Trie<NextHop>) -> Result<(), TestCaseError> {
+    prop_assert_eq!(a.len(), b.len());
+    prop_assert_eq!(a.node_count(), b.node_count());
+    prop_assert!(a.iter().eq(b.iter()));
+    prop_assert_eq!(shape(a), shape(b));
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The bulk build behind `collect()` gives the trie that inserting
+    /// the same pairs one by one gives, for sorted, reversed and
+    /// shuffled input with duplicates, and stays equal to it under a
+    /// random insert/remove tail.
+    #[test]
+    fn build_order_cannot_change_the_trie(
+        pairs in prop::collection::vec((any::<u32>(), 0u8..=12, 0u16..4), 1..80),
+        dups in 0usize..20,
+        tail in prop::collection::vec((any::<u32>(), 0u8..=12, 0u16..4, any::<bool>()), 0..40),
+    ) {
+        let mut shuffled: Vec<(Prefix, NextHop)> = pairs
+            .iter()
+            .map(|&(bits, len, nh)| (Prefix::new(bits, len), NextHop(nh)))
+            .collect();
+        // Re-announce some prefixes with another next hop: the later
+        // pair must win.
+        let again: Vec<(Prefix, NextHop)> = shuffled
+            .iter()
+            .take(dups)
+            .map(|&(p, nh)| (p, NextHop(nh.0 + 4)))
+            .collect();
+        shuffled.extend(again);
+        let mut sorted = shuffled.clone();
+        sorted.sort_by_key(|&(p, _)| p);
+        let reversed: Vec<(Prefix, NextHop)> = sorted.iter().rev().copied().collect();
+
+        for order in [shuffled, sorted, reversed] {
+            let mut bulk: Trie<NextHop> = order.iter().copied().collect();
+            let mut inserted = Trie::new();
+            for &(p, nh) in &order {
+                inserted.insert(p, nh);
+            }
+            same_trie(&bulk, &inserted)?;
+            for &(bits, len, nh, insert) in &tail {
+                let p = Prefix::new(bits, len);
+                if insert {
+                    prop_assert_eq!(bulk.insert(p, NextHop(nh)), inserted.insert(p, NextHop(nh)));
+                } else {
+                    prop_assert_eq!(bulk.remove(p), inserted.remove(p));
+                }
+            }
+            same_trie(&bulk, &inserted)?;
+        }
+    }
+}

@@ -394,8 +394,8 @@ pub fn check_trace(
     // registry-injected tiled plane.
     clue_tile::install();
     let mut oracle = Oracle::new(table);
-    let headroom = table.len() + trace.len() + 64;
-    let mut pipeline = CluePipeline::new(table, cfg.chips, cfg.dred_capacity, headroom);
+    // No headroom: the model TCAM grows as the trace needs it.
+    let mut pipeline = CluePipeline::new(table, cfg.chips, cfg.dred_capacity, 0);
     // Warm the DReds from seeded addresses so the liveness invariant
     // has real subjects from the first batch on.
     let mut warm_rng = ProbeRng::new(cfg.seed ^ WARM_SALT);

@@ -22,7 +22,7 @@
 
 use std::collections::HashMap;
 
-use clue_fib::{Prefix, RouteTable, Update};
+use clue_fib::{NextHop, Prefix, RouteTable, Update};
 
 /// The result of coalescing one raw batch.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -59,7 +59,16 @@ impl CoalescedBatch {
 }
 
 /// Coalesces `batch` against the table state `pre` that held before the
-/// batch (the update plane's mirror of the *original* routing table).
+/// batch: [`coalesce_with`] reading `pre`.
+#[must_use]
+pub fn coalesce(batch: &[Update], pre: &RouteTable) -> CoalescedBatch {
+    coalesce_with(batch, |p| pre.get(p))
+}
+
+/// Coalesces `batch` against the table state that held before the
+/// batch, read through `pre`: the next hop the *original* routing table
+/// stored for exactly that prefix (the update plane reads its
+/// pipeline's original trie).
 ///
 /// Correctness argument, per prefix `p` (operations on distinct
 /// prefixes commute on the final table state, so prefixes can be
@@ -74,7 +83,7 @@ impl CoalescedBatch {
 ///   `pre`-absent prefix (absent → absent) or an announce of the
 ///   next hop `p` already maps to (unchanged → unchanged).
 #[must_use]
-pub fn coalesce(batch: &[Update], pre: &RouteTable) -> CoalescedBatch {
+pub fn coalesce_with(batch: &[Update], pre: impl Fn(Prefix) -> Option<NextHop>) -> CoalescedBatch {
     // Last operation per prefix, remembering first-touch order.
     let mut order: Vec<Prefix> = Vec::new();
     let mut last: HashMap<Prefix, Update> = HashMap::with_capacity(batch.len());
@@ -92,14 +101,14 @@ pub fn coalesce(batch: &[Update], pre: &RouteTable) -> CoalescedBatch {
         let u = last[&p];
         match u {
             Update::Withdraw { prefix } => {
-                if pre.contains(prefix) {
+                if pre(prefix).is_some() {
                     ops.push(u);
                 } else {
                     cancelled += 1;
                 }
             }
             Update::Announce { prefix, next_hop } => {
-                if pre.get(prefix) == Some(next_hop) {
+                if pre(prefix) == Some(next_hop) {
                     elided += 1;
                 } else {
                     ops.push(u);
@@ -119,7 +128,6 @@ pub fn coalesce(batch: &[Update], pre: &RouteTable) -> CoalescedBatch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use clue_fib::NextHop;
 
     fn p(s: &str) -> Prefix {
         s.parse().unwrap()

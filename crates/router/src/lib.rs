@@ -34,7 +34,7 @@ pub mod service;
 pub mod stats;
 
 pub use clue_core::lookup::BackendKind;
-pub use coalesce::{coalesce, CoalescedBatch};
+pub use coalesce::{coalesce, coalesce_with, CoalescedBatch};
 pub use epoch::{EpochCell, EpochState};
 pub use faults::{FaultPlan, IngressPerturber, WriteStall};
 pub use journal::{CheckpointView, JournalBatch, RecoveredState, UpdateJournal};

@@ -31,7 +31,7 @@ use clue_partition::{EvenRangePartition, Indexer, RangeIndex};
 use clue_tile::{TileConfig, TileSet};
 use parking_lot::Mutex;
 
-use crate::coalesce::coalesce;
+use crate::coalesce::coalesce_with;
 use crate::epoch::{EpochCell, EpochState};
 use crate::faults::WriteStall;
 use crate::journal::{CheckpointView, JournalBatch, RecoveredState, UpdateJournal};
@@ -224,8 +224,10 @@ impl RouterService {
             "router config sizes must be positive"
         );
 
-        let mut pipeline =
-            CluePipeline::new(table, cfg.workers, cfg.dred_capacity, table.len() + 1024);
+        // The model starts at its content and grows as updates need.
+        let mut pipeline = CluePipeline::new(table, cfg.workers, cfg.dred_capacity, 0);
+        // The one materialised table at boot: it feeds the partition
+        // split and the first epoch.
         let compressed0 = pipeline.fib().compressed_table();
         let index: RangeIndex = EvenRangePartition::split(&compressed0, cfg.workers)
             .index()
@@ -270,11 +272,9 @@ impl RouterService {
             let shared = Arc::clone(&shared);
             let index = index.clone();
             let cfg = *cfg;
-            let mut mirror = table.clone();
             std::thread::spawn(move || {
                 update_loop(
                     &mut pipeline,
-                    &mut mirror,
                     &ingress_rx,
                     &shared,
                     &index,
@@ -287,7 +287,7 @@ impl RouterService {
                     },
                 );
                 UpdateOutcome {
-                    final_table: mirror,
+                    final_table: RouteTable::from_trie(pipeline.fib().original()),
                     final_compressed: pipeline.fib().compressed_table(),
                     dynamic_redundancy: shared.epochs.load().replicated,
                 }
@@ -513,11 +513,12 @@ struct Durability {
 }
 
 /// The update plane: drain → coalesce → journal → apply → publish →
-/// (maybe) checkpoint.
-#[allow(clippy::too_many_lines, clippy::too_many_arguments)]
+/// (maybe) checkpoint. The pipeline's original trie is the only copy of
+/// the routing table it keeps; coalescing reads it, and a checkpoint
+/// materialises it.
+#[allow(clippy::too_many_lines)]
 fn update_loop(
     pipeline: &mut CluePipeline,
-    mirror: &mut RouteTable,
     ingress: &Receiver<Ingress>,
     shared: &Shared,
     index: &RangeIndex,
@@ -549,7 +550,8 @@ fn update_loop(
             }
         }
 
-        let coalesced = coalesce(&batch, mirror);
+        let original = pipeline.fib().original();
+        let coalesced = coalesce_with(&batch, |p| original.get(p).copied());
         seq_hw = seq_hw.max(tag_hw);
 
         // Write-ahead: the batch hits the journal before the table, so
@@ -574,7 +576,6 @@ fn update_loop(
         let mut batch_ttf_ns = 0.0f64;
         let mut touched = false;
         for &op in &coalesced.ops {
-            mirror.apply(op);
             let (sample, diff) = pipeline.apply_with_diff(op);
             if let Some(ws) = &mut stall {
                 // The TCAM-write-stall seam: stretch the window between
@@ -626,11 +627,12 @@ fn update_loop(
         // the only writer and sits between batches.
         if let Some(j) = journal.as_mut() {
             if j.wants_checkpoint() {
+                let table = RouteTable::from_trie(pipeline.fib().original());
                 let compressed = pipeline.fib().compressed_table();
                 let view = CheckpointView {
                     epoch,
                     seq_hw,
-                    table: mirror,
+                    table: &table,
                     compressed: &compressed,
                     cuts: index.cuts(),
                 };
@@ -644,11 +646,12 @@ fn update_loop(
     // Clean drain: give the journal a final checkpoint opportunity so a
     // graceful restart replays nothing (crash harnesses override this).
     if let Some(j) = journal.as_mut() {
+        let table = RouteTable::from_trie(pipeline.fib().original());
         let compressed = pipeline.fib().compressed_table();
         let view = CheckpointView {
             epoch,
             seq_hw,
-            table: mirror,
+            table: &table,
             compressed: &compressed,
             cuts: index.cuts(),
         };

@@ -2,11 +2,13 @@
 //! coalesced batch applied once reaches exactly the table state that
 //! one-by-one sequential application reaches — on the original
 //! `RouteTable` *and* on the ONRTC-compressed table maintained by
-//! `CompressedFib` (the state `CluePipeline` drives the TCAM from).
+//! `CompressedFib` (the state `CluePipeline` drives the TCAM from) —
+//! and coalescing against a trie of the pre-batch table (what the
+//! update plane does) gives the same batch as against the table.
 
 use clue_compress::CompressedFib;
 use clue_fib::{NextHop, Prefix, Route, RouteTable, Update};
-use clue_router::coalesce;
+use clue_router::{coalesce, coalesce_with};
 use proptest::prelude::*;
 
 /// A small prefix universe with deliberate nesting: 32 disjoint /8s
@@ -63,6 +65,10 @@ proptest! {
         let pre = decode_base(&base);
         let batch = decode_batch(&ops);
         let coalesced = coalesce(&batch, &pre);
+        // The update plane reads the pre-batch state from its pipeline's
+        // original trie instead: same prefixes, same verdicts.
+        let trie = pre.to_trie();
+        prop_assert_eq!(&coalesce_with(&batch, |p| trie.get(p).copied()), &coalesced);
 
         // Conservation of the accounting: every raw op is applied,
         // superseded, cancelled, or elided.

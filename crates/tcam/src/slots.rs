@@ -54,6 +54,18 @@ impl SlotArray {
         }
     }
 
+    /// Appends `additional` empty slots. Nothing moves, so no operation
+    /// is counted.
+    pub(crate) fn grow(&mut self, additional: usize) {
+        self.slots.resize(self.slots.len() + additional, None);
+    }
+
+    /// Reserves room in the prefix → slot mirror for `additional` more
+    /// entries, so a bulk load never rehashes it.
+    pub(crate) fn reserve(&mut self, additional: usize) {
+        self.mirror.reserve(additional);
+    }
+
     /// Number of slots.
     #[must_use]
     pub fn capacity(&self) -> usize {

@@ -175,6 +175,33 @@ impl UnorderedTcam {
             used: 0,
         }
     }
+
+    /// Creates a table of `capacity` slots holding `routes` in slot
+    /// order: what [`load`] into an empty table leaves, at the same cost
+    /// (one write per route), but with the prefix → slot mirror
+    /// reserved up front and one hash probe per route instead of two.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `routes` do not fit in `capacity` slots or repeat a
+    /// prefix.
+    #[must_use]
+    pub fn with_routes(capacity: usize, routes: impl IntoIterator<Item = Route>) -> Self {
+        let mut t = UnorderedTcam::new(capacity);
+        t.arr.reserve(capacity);
+        for route in routes {
+            assert!(t.used < capacity, "table capacity exceeded during load");
+            t.arr.write(t.used, route);
+            t.used += 1;
+        }
+        t
+    }
+
+    /// Appends `additional` empty slots. Entries stay where they are, so
+    /// growing costs no slot operation.
+    pub fn grow(&mut self, additional: usize) {
+        self.arr.grow(additional);
+    }
 }
 
 impl TcamTable for UnorderedTcam {
@@ -484,6 +511,28 @@ mod tests {
         // In-place update of a stored prefix still works when full.
         assert!(t.insert(route("10.0.0.0/8", 9)).is_ok());
         assert_eq!(t.lookup(0x0A00_0001), Some(NextHop(9)));
+    }
+
+    #[test]
+    fn bulk_load_matches_insert_load_and_grows_in_place() {
+        let routes = [route("10.0.0.0/8", 1), route("11.0.0.0/8", 2)];
+        let mut inserted = UnorderedTcam::new(2);
+        load(&mut inserted, routes);
+        let mut bulk = UnorderedTcam::with_routes(2, routes);
+        assert_eq!(bulk.routes(), inserted.routes());
+        assert_eq!(bulk.stats(), inserted.stats());
+        assert!(bulk.insert(route("12.0.0.0/8", 3)).is_err());
+        bulk.grow(1);
+        assert_eq!(bulk.capacity(), 3);
+        assert_eq!(bulk.stats(), inserted.stats(), "growing costs nothing");
+        assert_eq!(bulk.insert(route("12.0.0.0/8", 3)).unwrap().total_ops(), 1);
+        assert_eq!(bulk.lookup(0x0A00_0001), Some(NextHop(1)));
+    }
+
+    #[test]
+    #[should_panic(expected = "already stored")]
+    fn bulk_load_rejects_a_repeated_prefix() {
+        let _ = UnorderedTcam::with_routes(4, [route("10.0.0.0/8", 1), route("10.0.0.0/8", 2)]);
     }
 
     #[test]

@@ -182,7 +182,7 @@ impl TileSet {
     /// resolve the longest match, like every other backend).
     #[must_use]
     pub fn build(cfg: TileConfig, routes: &[Route]) -> Self {
-        let trie: Trie<NextHop> = Trie::from_pairs(routes.iter().map(|r| (r.prefix, r.next_hop)));
+        let trie: Trie<NextHop> = routes.iter().map(|r| (r.prefix, r.next_hop)).collect();
         let intervals = range_cover(&trie, 0, u32::MAX);
         let starts: Vec<u32> = intervals.iter().map(|&(s, _)| s).collect();
         let cuts = capacity_cuts(&starts, cfg.fill_target());

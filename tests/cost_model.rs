@@ -2,13 +2,13 @@
 //! timed, and asserted as ceilings.
 //!
 //! A wall-clock reading on a shared host moves both sides of an A/B
-//! together; a count does not. This binary counts heap allocations with
-//! a counting global allocator (installed in this test binary only),
-//! lookup-plane heap bytes, OS threads from `/proc/self/task`, `read`
-//! calls per frame, call sites in `crates/*/src`, and the CLI's longest
-//! file. It prints one table and fails when any count rises above its
-//! ceiling. A change that lowers a count tightens the ceiling in the
-//! same diff.
+//! together; a count does not. This binary counts heap allocations and
+//! live heap bytes with a counting global allocator (installed in this
+//! test binary only), lookup-plane heap bytes, OS threads from
+//! `/proc/self/task`, `read` calls per frame, call sites in
+//! `crates/*/src`, and the CLI's longest file. It prints one table and
+//! fails when any count rises above its ceiling. A change that lowers a
+//! count tightens the ceiling in the same diff.
 //!
 //! It holds exactly one `#[test]`: a second test running in parallel
 //! would add its own threads and allocations to the counts.
@@ -18,6 +18,7 @@
 //! ```
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::fs;
 use std::io::Read;
 use std::net::SocketAddr;
@@ -35,31 +36,47 @@ use clue::router::{RouterConfig, RouterService};
 use clue::traffic::PacketGen;
 
 /// Counts every allocation (including growth by `realloc`) made by any
-/// thread of this process.
+/// thread of this process, the ones each thread makes itself, and the
+/// bytes live on the heap.
 struct CountingAlloc;
 
 static ALLOCS: AtomicUsize = AtomicUsize::new(0);
+static LIVE_BYTES: AtomicUsize = AtomicUsize::new(0);
+
+thread_local! {
+    static THREAD_ALLOCS: Cell<usize> = const { Cell::new(0) };
+}
+
+fn count_alloc() {
+    ALLOCS.fetch_add(1, Ordering::Relaxed);
+    let _ = THREAD_ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
 
 // SAFETY: every method forwards to `System` with the caller's
-// arguments unchanged; the counter has no effect on the memory handed
+// arguments unchanged; the counters have no effect on the memory handed
 // out.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
+        LIVE_BYTES.fetch_add(layout.size(), Ordering::Relaxed);
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
+        LIVE_BYTES.fetch_add(layout.size(), Ordering::Relaxed);
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
+        LIVE_BYTES.fetch_add(new_size, Ordering::Relaxed);
+        LIVE_BYTES.fetch_sub(layout.size(), Ordering::Relaxed);
         System.realloc(ptr, layout, new_size)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE_BYTES.fetch_sub(layout.size(), Ordering::Relaxed);
         System.dealloc(ptr, layout);
     }
 }
@@ -100,6 +117,18 @@ const PLANE_HEAP_BYTES_PER_ENTRY: usize = 17;
 /// Allocations building that plane: the words, the `up` links, the
 /// index, and the box.
 const ALLOCS_PER_PLANE_BUILD: usize = 4;
+/// Allocations the calling thread makes during `RouterService::start`
+/// on the 2 000-route table: the tries, the one materialised compressed
+/// table, the partition split, the first epoch's planes, the TCAM model
+/// and the thread spawns. (The spawned threads' own start-up
+/// allocations race `start`'s return, so they are left out. The test
+/// harness's output capture costs two more per spawn: 272 under
+/// `--nocapture`.)
+const ALLOCS_PER_START: usize = 282;
+/// Heap bytes a `RouterService` holds right after `start` on a
+/// 100 K-route table, per route: both tries, the TCAM model with its
+/// prefix → slot map, and the first epoch's planes.
+const HEAP_BYTES_PER_ROUTE: usize = 172;
 /// Lines under `crates/*/src` that use a `select!` macro.
 const SELECT_SITES: usize = 0;
 /// Lines under `crates/*/src` that call `thread::sleep`.
@@ -132,6 +161,23 @@ fn allocs_during(f: impl FnOnce()) -> usize {
     let before = ALLOCS.load(Ordering::Relaxed);
     f();
     ALLOCS.load(Ordering::Relaxed) - before
+}
+
+/// Heap bytes live after `RouterService::start` on `fib` that were not
+/// live before it, per route.
+fn heap_bytes_per_route(fib: &RouteTable) -> usize {
+    let before = LIVE_BYTES.load(Ordering::Relaxed);
+    let svc = RouterService::start(fib, &RouterConfig::default());
+    let live = LIVE_BYTES.load(Ordering::Relaxed) - before;
+    drop(svc.drain());
+    live / fib.len()
+}
+
+/// Allocations the calling thread makes while `f` runs.
+fn own_allocs_during(f: impl FnOnce()) -> usize {
+    let before = THREAD_ALLOCS.with(Cell::get);
+    f();
+    THREAD_ALLOCS.with(Cell::get) - before
 }
 
 /// Median allocations per `lookup_batch` over `calls` batches of `size`
@@ -294,7 +340,10 @@ fn counts_stay_under_their_ceilings() {
     let plane_bytes = plane.heap_bytes() / plane.len();
 
     let before = os_threads();
-    let svc = RouterService::start(&fib, &RouterConfig::default());
+    let mut svc = None;
+    let start_allocs =
+        own_allocs_during(|| svc = Some(RouterService::start(&fib, &RouterConfig::default())));
+    let svc = svc.expect("service started");
     let threads = os_threads() - before;
 
     let b64 = allocs_per_lookup_batch(&svc, &addrs, 64, 200);
@@ -307,10 +356,17 @@ fn counts_stay_under_their_ceilings() {
     let rtt64 = allocs_per_lookup_rtt(server.local_addr(), &addrs, 64, 200);
     server.drain().expect("server drains");
     let proxy_rtt64 = allocs_per_proxy_lookup_rtt(&fib, &addrs, 200);
+    let heap_per_route = heap_bytes_per_route(&FibGen::new(93).routes(100_000).generate());
 
     let rows = [
         ("router.threads_started", threads, THREADS_PER_SERVICE),
         ("net.threads_started", net_threads, THREADS_PER_SERVER),
+        ("router.allocs_per_start", start_allocs, ALLOCS_PER_START),
+        (
+            "router.heap_bytes_per_route",
+            heap_per_route,
+            HEAP_BYTES_PER_ROUTE,
+        ),
         (
             "router.allocs_per_lookup_batch.b64",
             b64,
