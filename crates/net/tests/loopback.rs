@@ -8,7 +8,7 @@ use std::time::Duration;
 
 use clue_fib::gen::FibGen;
 use clue_fib::RouteTable;
-use clue_net::{ClientConfig, Connection, LoadConfig, Server, ServerConfig, Transport};
+use clue_net::{ClientConfig, Connection, LoadConfig, LoadReport, Server, ServerConfig, Transport};
 use clue_router::{JournalBatch, OverflowPolicy, RouterConfig, RouterService, UpdateJournal};
 use clue_traffic::{PacketGen, UpdateGen};
 
@@ -269,8 +269,22 @@ fn loadgen_sustains_a_mixed_workload_and_drains_cleanly() {
     assert_eq!(report.updates_sent, updates.len() as u64);
     assert_eq!(report.updates_accepted, updates.len() as u64);
     assert_eq!(report.updates_dropped, 0);
-    let json = report.to_json();
-    assert!(json.contains("\"lookups_answered\":6000"), "{json}");
+    // Timing, and the misses of lookups racing the updates, are the
+    // run's own: pin them so the whole document is exact.
+    let timed = LoadReport {
+        lookup_misses: 0,
+        elapsed: Duration::from_millis(250),
+        achieved_lookup_rate: 24_000.04,
+        achieved_update_rate: 4_799.96,
+        ..report
+    };
+    assert_eq!(
+        timed.to_json(),
+        "{\"lookups_sent\":6000,\"lookups_answered\":6000,\"lookup_misses\":0,\
+         \"updates_sent\":1200,\"updates_accepted\":1200,\"updates_dropped\":0,\
+         \"reconnects\":0,\"dial_errors\":0,\"elapsed_ms\":250,\
+         \"achieved_lookup_rate\":24000.0,\"achieved_update_rate\":4800.0}"
+    );
 
     let final_report = server.drain().expect("server drains cleanly");
     let mut expect = fib.clone();
@@ -302,10 +316,16 @@ fn loadgen_counts_failed_dials_instead_of_aborting() {
     assert_eq!(report.dial_errors, 3, "every failed dial counted");
     assert_eq!(report.lookups_sent, 0);
     assert_eq!(report.updates_sent, 0);
-    assert!(
-        report.to_json().contains("\"dial_errors\":3"),
-        "{}",
-        report.to_json()
+    let timed = LoadReport {
+        elapsed: Duration::from_millis(7),
+        ..report
+    };
+    assert_eq!(
+        timed.to_json(),
+        "{\"lookups_sent\":0,\"lookups_answered\":0,\"lookup_misses\":0,\
+         \"updates_sent\":0,\"updates_accepted\":0,\"updates_dropped\":0,\
+         \"reconnects\":0,\"dial_errors\":3,\"elapsed_ms\":7,\
+         \"achieved_lookup_rate\":0.0,\"achieved_update_rate\":0.0}"
     );
 }
 
