@@ -60,6 +60,7 @@ use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use clue_core::codec::bad_data;
+use clue_core::json;
 use clue_fib::{NextHop, Update};
 use clue_net::frame::{Frame, FrameType};
 use clue_net::wire;
@@ -318,52 +319,42 @@ impl Drop for Proxy {
 /// verbatim stats JSON when available (the per-connection stats path
 /// queries live backends; the local path embeds `null`).
 fn proxy_stats_json(shared: &Shared, backends: Option<Vec<Option<String>>>) -> String {
-    let mut out = format!(
-        "{{\"role\":\"proxy\",\"uptime_ms\":{},\"shards\":{},\"acked_hw\":{},\
-         \"lookups\":{},\"updates\":{},\"update_fanout\":{},\"failovers\":{},\"per_shard\":[",
-        shared.started.elapsed().as_millis(),
-        shared.shards.len(),
-        shared.last_acked.load(Ordering::SeqCst),
-        shared.lookups.load(Ordering::Relaxed),
-        shared.updates.load(Ordering::Relaxed),
-        shared.update_fanout.load(Ordering::Relaxed),
-        shared.failovers.load(Ordering::Relaxed),
-    );
+    let relaxed = |c: &AtomicU64| c.load(Ordering::Relaxed);
+    let mut per_shard = Vec::with_capacity(shared.shards.len());
     for (i, shard) in shared.shards.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
         let range = shared.map.shard_range(i);
-        let failover = shard
-            .failover_ms
-            .lock()
-            .expect("failover lock")
-            .map_or("null".to_owned(), |ms| format!("{ms:.1}"));
-        let backend = backends
-            .as_ref()
-            .and_then(|b| b.get(i).cloned().flatten())
-            .unwrap_or_else(|| "null".to_owned());
-        out.push_str(&format!(
-            "{{\"shard\":{i},\"addr\":\"{}\",\"primary\":\"{}\",\"role\":\"{}\",\
-             \"range\":[{},{}],\
-             \"lookups\":{},\"updates\":{},\"hb_failures\":{},\"failover_ms\":{failover},\
-             \"backend\":{backend}}}",
-            shared.active(i),
-            shard.primary,
-            if shard.promoted.load(Ordering::Acquire) {
-                "promoted-standby"
-            } else {
-                "primary"
-            },
-            range.start(),
-            range.end(),
-            shard.lookups.load(Ordering::Relaxed),
-            shard.updates.load(Ordering::Relaxed),
-            shard.hb_failures.load(Ordering::Relaxed),
-        ));
+        let role = if shard.promoted.load(Ordering::Acquire) {
+            "promoted-standby"
+        } else {
+            "primary"
+        };
+        let o = json::object()
+            .int("shard", i as u64)
+            .str("addr", &shared.active(i))
+            .str("primary", &shard.primary)
+            .str("role", role)
+            .raw("range", &json::array(&[range.start(), range.end()]))
+            .int("lookups", relaxed(&shard.lookups))
+            .int("updates", relaxed(&shard.updates))
+            .int("hb_failures", shard.hb_failures.load(Ordering::Relaxed));
+        let o = match *shard.failover_ms.lock().expect("failover lock") {
+            Some(ms) => o.fixed("failover_ms", ms, 1),
+            None => o.raw("failover_ms", "null"),
+        };
+        let backend = backends.as_ref().and_then(|b| b.get(i)?.as_deref());
+        per_shard.push(o.raw("backend", backend.unwrap_or("null")).finish());
     }
-    out.push_str("]}");
-    out
+    json::object()
+        .str("role", "proxy")
+        .int("uptime_ms", shared.started.elapsed().as_millis() as u64)
+        .int("shards", shared.shards.len() as u64)
+        .int("acked_hw", shared.last_acked.load(Ordering::SeqCst))
+        .int("lookups", relaxed(&shared.lookups))
+        .int("updates", relaxed(&shared.updates))
+        .int("update_fanout", relaxed(&shared.update_fanout))
+        .int("failovers", relaxed(&shared.failovers))
+        .raw("per_shard", &json::array(&per_shard))
+        .finish()
 }
 
 fn monitor_loop(cfg: &ProxyConfig, shared: &Arc<Shared>, shutdown: &AtomicBool) {

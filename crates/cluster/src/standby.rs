@@ -29,6 +29,7 @@ use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use clue_core::codec::bad_data;
+use clue_core::json;
 use clue_fib::RouteTable;
 use clue_net::frame::{Frame, FrameType};
 use clue_net::wire;
@@ -259,22 +260,18 @@ impl Drop for Standby {
 
 /// The standby's stats JSON (stable key order, one line).
 fn stats_json(state: &ReplicaState, primary_repl: &str) -> String {
-    format!(
-        concat!(
-            "{{\"role\":\"standby\",\"primary_repl\":\"{}\",\"applied_jseq\":{},",
-            "\"seq_hw\":{},\"epoch\":{},\"routes\":{},\"records_applied\":{},",
-            "\"snapshots_loaded\":{},\"skipped\":{},\"reconnects\":{}}}"
-        ),
-        primary_repl,
-        state.applied_jseq.map_or(-1i64, |j| j as i64),
-        state.seq_hw,
-        state.epoch,
-        state.table.len(),
-        state.records_applied,
-        state.snapshots_loaded,
-        state.skipped,
-        state.reconnects,
-    )
+    json::object()
+        .str("role", "standby")
+        .str("primary_repl", primary_repl)
+        .int("applied_jseq", state.applied_jseq.map_or(-1, i128::from))
+        .int("seq_hw", state.seq_hw)
+        .int("epoch", state.epoch)
+        .int("routes", state.table.len() as u64)
+        .int("records_applied", state.records_applied)
+        .int("snapshots_loaded", state.snapshots_loaded)
+        .int("skipped", state.skipped)
+        .int("reconnects", state.reconnects)
+        .finish()
 }
 
 // ---------------------------------------------------------------- frontend

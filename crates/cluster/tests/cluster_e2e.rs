@@ -238,3 +238,37 @@ fn killing_a_primary_mid_burst_loses_no_acks_on(transport: Transport) {
         let _ = fs::remove_dir_all(d);
     }
 }
+
+#[test]
+fn stats_documents_escape_outside_addresses() {
+    // Shard and replication addresses come from a CLMP file or the
+    // command line. Each case's port is not a number, so dialing it
+    // fails before any name lookup.
+    for (addr, escaped) in [
+        (r#"127.0.0.1:4"7"#, r#""127.0.0.1:4\"7""#),
+        (r"127.0.0.1:4\7", r#""127.0.0.1:4\\7""#),
+        ("127.0.0.1:4\t7", r#""127.0.0.1:4\u00097""#),
+    ] {
+        let standby = Standby::start(StandbyConfig {
+            primary_repl: addr.into(),
+            ..StandbyConfig::default()
+        })
+        .expect("standby binds");
+        let doc = standby.stats_json();
+        assert!(
+            doc.contains(&format!("\"primary_repl\":{escaped},")),
+            "{doc}"
+        );
+        drop(standby);
+
+        let map = ShardMap::from_cuts(Vec::new(), vec![ShardSpec::primary_only(addr)])
+            .expect("one-shard map");
+        let proxy = Proxy::start(ProxyConfig::new(map)).expect("proxy binds");
+        let doc = proxy.stats_json();
+        assert!(
+            doc.contains(&format!("\"addr\":{escaped},\"primary\":{escaped},")),
+            "{doc}"
+        );
+        proxy.stop();
+    }
+}

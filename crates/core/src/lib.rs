@@ -49,6 +49,7 @@ pub mod codec;
 pub mod crc;
 pub mod dred;
 pub mod engine;
+pub mod json;
 pub mod lookup;
 pub mod metrics;
 pub mod reorder;

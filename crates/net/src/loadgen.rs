@@ -13,6 +13,7 @@
 use std::io;
 use std::time::{Duration, Instant};
 
+use clue_core::json;
 use clue_fib::Update;
 use clue_traffic::workload::Pacer;
 
@@ -81,23 +82,19 @@ impl LoadReport {
     /// Renders the report as one JSON object.
     #[must_use]
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\"lookups_sent\":{},\"lookups_answered\":{},\"lookup_misses\":{},\
-             \"updates_sent\":{},\"updates_accepted\":{},\"updates_dropped\":{},\
-             \"reconnects\":{},\"dial_errors\":{},\"elapsed_ms\":{},\
-             \"achieved_lookup_rate\":{:.1},\"achieved_update_rate\":{:.1}}}",
-            self.lookups_sent,
-            self.lookups_answered,
-            self.lookup_misses,
-            self.updates_sent,
-            self.updates_accepted,
-            self.updates_dropped,
-            self.reconnects,
-            self.dial_errors,
-            self.elapsed.as_millis(),
-            self.achieved_lookup_rate,
-            self.achieved_update_rate,
-        )
+        json::object()
+            .int("lookups_sent", self.lookups_sent)
+            .int("lookups_answered", self.lookups_answered)
+            .int("lookup_misses", self.lookup_misses)
+            .int("updates_sent", self.updates_sent)
+            .int("updates_accepted", self.updates_accepted)
+            .int("updates_dropped", self.updates_dropped)
+            .int("reconnects", self.reconnects)
+            .int("dial_errors", self.dial_errors)
+            .int("elapsed_ms", self.elapsed.as_millis() as u64)
+            .fixed("achieved_lookup_rate", self.achieved_lookup_rate, 1)
+            .fixed("achieved_update_rate", self.achieved_update_rate, 1)
+            .finish()
     }
 }
 

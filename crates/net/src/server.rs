@@ -24,6 +24,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use clue_core::codec::bad_data;
+use clue_core::json;
 use clue_fib::RouteTable;
 use clue_router::{RouterConfig, RouterReport, RouterService, SubmitOutcome};
 
@@ -249,12 +250,11 @@ struct RouterHandler {
 
 impl RouterHandler {
     fn stats_json(&self) -> String {
-        format!(
-            "{{\"uptime_ms\":{},\"router\":{},\"net\":{}}}",
-            self.started.elapsed().as_millis(),
-            self.svc.stats().to_json(),
-            self.net.to_json(),
-        )
+        json::object()
+            .int("uptime_ms", self.started.elapsed().as_millis() as u64)
+            .raw("router", &self.svc.stats().to_json())
+            .raw("net", &self.net.to_json())
+            .finish()
     }
 }
 

@@ -21,6 +21,7 @@ use std::net::{TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
 
 use clue_aio::{rlimit, CloseReason, ConnId, Ctl, Driver, EventLoop, LoopConfig};
+use clue_core::json;
 use clue_fib::Update;
 
 use crate::client;
@@ -142,32 +143,25 @@ impl SwarmReport {
     /// raw samples).
     #[must_use]
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\"connected\":{},\"peak_open\":{},\"dial_failures\":{},\
-             \"lookups_sent\":{},\"lookups_answered\":{},\"lookups_per_sec\":{:.1},\
-             \"lookup_p50_us\":{:.1},\"lookup_p99_us\":{:.1},\
-             \"update_frames\":{},\"update_acks\":{},\
-             \"updates_accepted\":{},\"updates_dropped\":{},\
-             \"ack_p50_us\":{:.1},\"ack_p99_us\":{:.1},\
-             \"errors\":{},\"unfinished\":{},\"elapsed_ms\":{}}}",
-            self.connected,
-            self.peak_open,
-            self.dial_failures,
-            self.lookups_sent,
-            self.lookups_answered,
-            self.lookups_per_sec(),
-            percentile_us(&self.lookup_us, 50.0),
-            percentile_us(&self.lookup_us, 99.0),
-            self.update_frames,
-            self.update_acks,
-            self.updates_accepted,
-            self.updates_dropped,
-            percentile_us(&self.ack_us, 50.0),
-            percentile_us(&self.ack_us, 99.0),
-            self.errors,
-            self.unfinished,
-            self.elapsed.as_millis(),
-        )
+        json::object()
+            .int("connected", self.connected as u64)
+            .int("peak_open", self.peak_open as u64)
+            .int("dial_failures", self.dial_failures)
+            .int("lookups_sent", self.lookups_sent)
+            .int("lookups_answered", self.lookups_answered)
+            .fixed("lookups_per_sec", self.lookups_per_sec(), 1)
+            .fixed("lookup_p50_us", percentile_us(&self.lookup_us, 50.0), 1)
+            .fixed("lookup_p99_us", percentile_us(&self.lookup_us, 99.0), 1)
+            .int("update_frames", self.update_frames)
+            .int("update_acks", self.update_acks)
+            .int("updates_accepted", self.updates_accepted)
+            .int("updates_dropped", self.updates_dropped)
+            .fixed("ack_p50_us", percentile_us(&self.ack_us, 50.0), 1)
+            .fixed("ack_p99_us", percentile_us(&self.ack_us, 99.0), 1)
+            .int("errors", self.errors)
+            .int("unfinished", self.unfinished as u64)
+            .int("elapsed_ms", self.elapsed.as_millis() as u64)
+            .finish()
     }
 }
 

@@ -16,7 +16,7 @@
 //! * **epoch handoff** — each applied batch is published as one
 //!   immutable [`epoch::EpochState`] so workers observe it atomically;
 //! * **observability** — a [`stats::RouterStats`] registry aggregating
-//!   per-worker histograms into hand-rolled JSON snapshots.
+//!   per-worker histograms into JSON snapshots via [`clue_core::json`].
 //!
 //! Entry point: [`runtime::run`] (or `clue serve` on the CLI). Figure
 //! 1's load balancing (full-FIFO diversion to another chip's DRed) lives

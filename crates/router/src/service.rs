@@ -625,20 +625,9 @@ fn update_loop(
         // Epoch-boundary snapshot: the journal decides when enough tail
         // has accumulated; the view is consistent because this thread is
         // the only writer and sits between batches.
-        if let Some(j) = journal.as_mut() {
-            if j.wants_checkpoint() {
-                let table = RouteTable::from_trie(pipeline.fib().original());
-                let compressed = pipeline.fib().compressed_table();
-                let view = CheckpointView {
-                    epoch,
-                    seq_hw,
-                    table: &table,
-                    compressed: &compressed,
-                    cuts: index.cuts(),
-                };
-                if j.checkpoint(&view).is_err() {
-                    shared.stats.count_journal_error();
-                }
+        if let Some(j) = journal.as_mut().filter(|j| j.wants_checkpoint()) {
+            if with_checkpoint_view(pipeline, index, epoch, seq_hw, |v| j.checkpoint(v)).is_err() {
+                shared.stats.count_journal_error();
             }
         }
     }
@@ -646,19 +635,29 @@ fn update_loop(
     // Clean drain: give the journal a final checkpoint opportunity so a
     // graceful restart replays nothing (crash harnesses override this).
     if let Some(j) = journal.as_mut() {
-        let table = RouteTable::from_trie(pipeline.fib().original());
-        let compressed = pipeline.fib().compressed_table();
-        let view = CheckpointView {
-            epoch,
-            seq_hw,
-            table: &table,
-            compressed: &compressed,
-            cuts: index.cuts(),
-        };
-        if j.on_drain(&view).is_err() {
+        if with_checkpoint_view(pipeline, index, epoch, seq_hw, |v| j.on_drain(v)).is_err() {
             shared.stats.count_journal_error();
         }
     }
+}
+
+/// Hands `write` a [`CheckpointView`] of the tables at this boundary.
+fn with_checkpoint_view<R>(
+    pipeline: &CluePipeline,
+    index: &RangeIndex,
+    epoch: u64,
+    seq_hw: u64,
+    write: impl FnOnce(&CheckpointView<'_>) -> R,
+) -> R {
+    let table = RouteTable::from_trie(pipeline.fib().original());
+    let compressed = pipeline.fib().compressed_table();
+    write(&CheckpointView {
+        epoch,
+        seq_hw,
+        table: &table,
+        compressed: &compressed,
+        cuts: index.cuts(),
+    })
 }
 
 /// One chip: serves its home FIFO from the current epoch's plane until

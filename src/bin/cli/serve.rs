@@ -11,6 +11,7 @@ use crate::{
 };
 
 use clue::cluster::{Primary, PrimaryConfig, ReplConfig, Standby, StandbyConfig, StandbyOutcome};
+use clue::core::json;
 use clue::fib::RouteTable;
 use clue::net::{Server, ServerConfig};
 use clue::router::RouterService;
@@ -254,15 +255,14 @@ fn serve_primary(
         || !primary.shutdown_requested(),
         || {
             let r = primary.repl_stats();
-            Some(format!(
-                "{{\"repl\":{{\"followers\":{},\"synced\":{},\"base_jseq\":{},\"tail_len\":{},\"accept_errors\":{}}},\"server\":{}}}",
-                r.followers,
-                r.synced,
-                r.base_jseq,
-                r.tail_len,
-                r.accept_errors,
-                primary.stats_json(),
-            ))
+            let repl = json::object()
+                .int("followers", r.followers as u64)
+                .int("synced", r.synced as u64)
+                .int("base_jseq", r.base_jseq)
+                .int("tail_len", r.tail_len as u64)
+                .int("accept_errors", r.accept_errors);
+            let doc = json::object().raw("repl", &repl.finish());
+            Some(doc.raw("server", &primary.stats_json()).finish())
         },
     );
     eprintln!("clue serve: draining shard primary (journal flush + checkpoint)");

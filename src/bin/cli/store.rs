@@ -3,6 +3,7 @@
 use crate::args::{ArgError, Args};
 use crate::{io_err, load_fib, load_updates, write_text};
 
+use clue::core::json;
 use clue::fib::io::write_route_table;
 use clue::store::{newest_valid_snapshot, scan_dir, Store, StoreConfig};
 
@@ -117,18 +118,18 @@ pub fn replay_journal(dir: &str, json: bool) -> Result<(), ArgError> {
         .and_then(|n| n.to_str())
         .unwrap_or("?");
     if json {
-        println!(
-            "{{\"kind\":\"snapshot\",\"file\":\"{snap_name}\",\"routes\":{},\
-             \"compressed\":{},\"epoch\":{},\"seq_hw\":{},\"raw_total\":{},\
-             \"chips\":{},\"jseq\":{},\"corrupt_skipped\":{skipped}}}",
-            snap.table.len(),
-            snap.compressed.len(),
-            snap.epoch,
-            snap.seq_hw,
-            snap.raw_total,
-            snap.chips,
-            snap.jseq,
-        );
+        let doc = json::object()
+            .str("kind", "snapshot")
+            .str("file", snap_name)
+            .int("routes", snap.table.len() as u64)
+            .int("compressed", snap.compressed.len() as u64)
+            .int("epoch", snap.epoch)
+            .int("seq_hw", snap.seq_hw)
+            .int("raw_total", snap.raw_total)
+            .int("chips", snap.chips as u64)
+            .int("jseq", snap.jseq)
+            .int("corrupt_skipped", skipped);
+        println!("{}", doc.finish());
     } else {
         println!(
             "{snap_name}: {} routes ({} compressed), epoch {}, seq high-water {}, \
@@ -147,15 +148,14 @@ pub fn replay_journal(dir: &str, json: bool) -> Result<(), ArgError> {
     let scan = scan_dir(path, snap.jseq).map_err(|e| io_err(dir, &e))?;
     if json {
         for rec in &scan.records {
-            println!(
-                "{{\"kind\":\"record\",\"jseq\":{},\"epoch\":{},\"seq_hw\":{},\
-                 \"raw\":{},\"ops\":{}}}",
-                rec.jseq,
-                rec.epoch,
-                rec.seq_hw,
-                rec.raw,
-                rec.ops.len()
-            );
+            let doc = json::object()
+                .str("kind", "record")
+                .int("jseq", rec.jseq)
+                .int("epoch", rec.epoch)
+                .int("seq_hw", rec.seq_hw)
+                .int("raw", rec.raw)
+                .int("ops", rec.ops.len() as u64);
+            println!("{}", doc.finish());
         }
     } else if !scan.records.is_empty() {
         println!(
@@ -175,12 +175,12 @@ pub fn replay_journal(dir: &str, json: bool) -> Result<(), ArgError> {
     }
     let raw: u64 = scan.records.iter().map(|r| u64::from(r.raw)).sum();
     if json {
-        println!(
-            "{{\"kind\":\"summary\",\"records\":{},\"raw_updates\":{raw},\
-             \"truncated\":{}}}",
-            scan.records.len(),
-            scan.truncated,
-        );
+        let doc = json::object()
+            .str("kind", "summary")
+            .int("records", scan.records.len() as u64)
+            .int("raw_updates", raw)
+            .bool("truncated", scan.truncated);
+        println!("{}", doc.finish());
     } else {
         println!(
             "{} journal records after the snapshot ({} raw updates){}",

@@ -6,9 +6,9 @@
 //! live heap bytes with a counting global allocator (installed in this
 //! test binary only), lookup-plane heap bytes, OS threads from
 //! `/proc/self/task`, `read` calls per frame, call sites in
-//! `crates/*/src`, and the CLI's longest file. It prints one table and
-//! fails when any count rises above its ceiling. A change that lowers a
-//! count tightens the ceiling in the same diff.
+//! `crates/*/src` and `src/`, and the CLI's longest file. It prints one
+//! table and fails when any count rises above its ceiling. A change that
+//! lowers a count tightens the ceiling in the same diff.
 //!
 //! It holds exactly one `#[test]`: a second test running in parallel
 //! would add its own threads and allocations to the counts.
@@ -142,6 +142,10 @@ const ORACLE_CONNECT_SITES: usize = 1;
 /// Lines in the longest file under `src/bin/cli`: one module per
 /// subcommand group keeps the CLI from growing back into one file.
 const CLI_MAX_FILE_LINES: usize = 339;
+/// Lines under `crates/*/src` and `src/` whose format string opens a
+/// JSON object: every document renders through `clue_core::json`, which
+/// builds objects without one.
+const JSON_FORMAT_SITES: usize = 0;
 
 fn os_threads() -> usize {
     fs::read_dir("/proc/self/task")
@@ -425,6 +429,15 @@ fn counts_stay_under_their_ceilings() {
             "src.cli_max_file_lines",
             max_file_lines(&Path::new(env!("CARGO_MANIFEST_DIR")).join("src/bin/cli")),
             CLI_MAX_FILE_LINES,
+        ),
+        (
+            "src.json_format_sites",
+            source_sites(r#"{{\""#)
+                + lines_containing(
+                    &Path::new(env!("CARGO_MANIFEST_DIR")).join("src"),
+                    r#"{{\""#,
+                ),
+            JSON_FORMAT_SITES,
         ),
     ];
     println!("{:<40} {:>8} {:>8}", "cost", "count", "ceiling");
