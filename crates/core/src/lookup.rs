@@ -16,6 +16,9 @@
 //!   non-overlapping, so the one word an address can match is the one
 //!   with the greatest start ≤ it; a small first-level index narrows
 //!   the search for it to one binary search over a handful of words.
+//!   Words are 8 bytes (start, next hop, prefix length); the `up`
+//!   links that resolve overlapping sets are built only for nested
+//!   sets.
 //! * [`TriePlane`] — a flattened multibit trie with level-compressed
 //!   16/8/8 strides. The root level is one 2^16 slot array (256 KiB of
 //!   u32 slots, sequential-prefetch friendly); longer prefixes expand
@@ -38,7 +41,6 @@ use std::str::FromStr;
 use std::sync::OnceLock;
 
 use clue_fib::{mask, NextHop, Prefix, Route, RouteTable, Trie};
-use clue_tcam::TernaryEntry;
 
 /// Which lookup backend a router (or bench, or check) runs.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -221,9 +223,23 @@ pub fn plane_from_table(kind: BackendKind, table: &RouteTable) -> Box<dyn Lookup
 /// The end of an `up` chain: no enclosing word.
 const NO_WORD: u32 = u32::MAX;
 
-/// The route a prefix-form ternary word stores.
-fn word_route(w: TernaryEntry) -> Route {
-    Route::new(Prefix::new(w.value, w.mask.leading_ones() as u8), w.action)
+/// One stored prefix in 8 bytes: the mask is a function of `len`, so
+/// only the length is kept.
+#[derive(Debug, Clone, Copy)]
+struct Word {
+    start: u32,
+    action: NextHop,
+    len: u8,
+}
+
+impl Word {
+    fn matches(self, addr: u32) -> bool {
+        (addr ^ self.start) & mask(self.len) == 0
+    }
+
+    fn route(self) -> Route {
+        Route::new(Prefix::new(self.start, self.len), self.action)
+    }
 }
 
 /// The TCAM word array in address order, behind a first-level index.
@@ -233,19 +249,21 @@ fn word_route(w: TernaryEntry) -> Route {
 /// with the greatest start ≤ it. A lookup finds that word by address —
 /// `root` narrows the search to the words of one index cell, and a
 /// binary search inside the cell finds the first start above `addr` —
-/// then steps back one word and tests it. For overlapping sets, which
-/// the [`LookupPlane`] contract still requires to resolve, a miss walks
-/// the word's `up` chain of enclosing words: the longest match, if
-/// any, is on it.
+/// then steps back one word and tests it. Words are 8 bytes (start,
+/// next hop, prefix length), and `up` is built only for nested sets:
+/// for those, which the [`LookupPlane`] contract still requires to
+/// resolve, a miss walks the word's `up` chain of enclosing words, and
+/// the longest match, if any, is on it.
 #[derive(Debug)]
 pub struct TcamPlane {
-    /// The ternary words, sorted by value; equal values shorter mask
+    /// The 8-byte words, sorted by start; equal starts shorter length
     /// first, so a word comes after every word enclosing it.
-    words: Vec<TernaryEntry>,
-    /// Per word, the index of its nearest enclosing word, or
-    /// [`NO_WORD`]. Always [`NO_WORD`] for non-overlapping content.
+    words: Vec<Word>,
+    /// Only for nested sets, per word the index of its nearest
+    /// enclosing word, or [`NO_WORD`]; empty for non-overlapping
+    /// content.
     up: Vec<u32>,
-    /// `root[k]` is the first word whose `value >> shift` is
+    /// `root[k]` is the first word whose `start >> shift` is
     /// `≥ base + k`; a cell's words end where the next cell's begin.
     root: Vec<u32>,
     shift: u32,
@@ -253,54 +271,67 @@ pub struct TcamPlane {
 }
 
 impl TcamPlane {
-    /// Sorts `routes` into ternary words and indexes them.
+    /// Sorts `routes` into words and indexes them.
     ///
     /// # Panics
     ///
     /// Panics on duplicate prefixes.
     #[must_use]
     pub fn build(routes: &[Route]) -> Self {
-        let mut words: Vec<TernaryEntry> = routes.iter().map(|&r| r.into()).collect();
-        // Prefix masks order by length, so equal values sort shorter
-        // (enclosing) first.
-        words.sort_unstable_by_key(|w| (w.value, w.mask));
-        if let Some(dup) = words
-            .windows(2)
-            .find(|p| (p[0].value, p[0].mask) == (p[1].value, p[1].mask))
-        {
-            panic!("prefix {} already stored", word_route(dup[0]).prefix);
+        let mut words: Vec<Word> = routes
+            .iter()
+            .map(|r| Word {
+                start: r.prefix.bits(),
+                action: r.next_hop,
+                len: r.prefix.len(),
+            })
+            .collect();
+        // Equal starts sort shorter (enclosing) first.
+        words.sort_unstable_by_key(|w| (w.start, w.len));
+        // A word enclosing a later one also encloses its successor, so
+        // a set nests exactly when some adjacent pair does.
+        let mut nested = false;
+        for p in words.windows(2) {
+            if (p[0].start, p[0].len) == (p[1].start, p[1].len) {
+                panic!("prefix {} already stored", p[0].route().prefix);
+            }
+            nested |= p[0].matches(p[1].start);
         }
         // Word indices stay below NO_WORD.
         let n = u32::try_from(words.len()).expect("at most u32::MAX words");
 
         // Every word enclosing word i also encloses word i - 1 (or is
         // it), so its nearest one is on i - 1's chain.
-        let mut up: Vec<u32> = Vec::with_capacity(words.len());
-        for (i, w) in words.iter().enumerate() {
-            let mut p = i.checked_sub(1).map_or(NO_WORD, |p| p as u32);
-            while p != NO_WORD && !words[p as usize].matches(w.value) {
-                p = up[p as usize];
+        let mut up: Vec<u32> = Vec::new();
+        if nested {
+            up.reserve_exact(words.len());
+            for (i, w) in words.iter().enumerate() {
+                let mut p = i.checked_sub(1).map_or(NO_WORD, |p| p as u32);
+                while p != NO_WORD && !words[p as usize].matches(w.start) {
+                    p = up[p as usize];
+                }
+                up.push(p);
             }
-            up.push(p);
         }
 
-        // The finest index with at most one cell per two words (a cell
-        // per word measured no faster) and at least two cells, which
-        // shift 31 always meets; one word needs only one cell.
+        // The finest index with at most one cell per four words (a
+        // four-word cell is half a cache line; one cell per two words
+        // measured no faster) and at least two cells, which shift 31
+        // always meets; one word needs only one cell.
         let (shift, base, cells) = match (words.first(), words.last()) {
             (Some(first), Some(last)) => {
-                let max_cells = (n / 2).max(2);
+                let max_cells = (n / 4).max(2);
                 let shift = (0..32)
-                    .find(|&s| (last.value >> s) - (first.value >> s) < max_cells)
+                    .find(|&s| (last.start >> s) - (first.start >> s) < max_cells)
                     .expect("shift 31 leaves at most two cells");
-                let base = first.value >> shift;
-                (shift, base, ((last.value >> shift) - base + 1) as usize)
+                let base = first.start >> shift;
+                (shift, base, ((last.start >> shift) - base + 1) as usize)
             }
             _ => (0, 0, 0),
         };
         let mut root: Vec<u32> = Vec::with_capacity(cells);
         for (i, w) in words.iter().enumerate() {
-            let cell = ((w.value >> shift) - base) as usize;
+            let cell = ((w.start >> shift) - base) as usize;
             if root.len() <= cell {
                 root.resize(cell + 1, i as u32);
             }
@@ -333,7 +364,7 @@ impl LookupPlane for TcamPlane {
                     .root
                     .get(cell + 1)
                     .map_or(self.words.len(), |&h| h as usize);
-                lo + self.words[lo..hi].partition_point(|w| w.value <= addr)
+                lo + self.words[lo..hi].partition_point(|w| w.start <= addr)
             }
             None => self.words.len(),
         };
@@ -341,11 +372,12 @@ impl LookupPlane for TcamPlane {
         loop {
             let w = self.words[i];
             if w.matches(addr) {
-                return Some(word_route(w));
+                return Some(w.route());
             }
-            i = match self.up[i] {
-                NO_WORD => return None,
-                p => p as usize,
+            // Non-overlapping content has no `up` links: a miss is final.
+            i = match self.up.get(i) {
+                None | Some(&NO_WORD) => return None,
+                Some(&p) => p as usize,
             };
         }
     }
@@ -355,7 +387,7 @@ impl LookupPlane for TcamPlane {
     }
 
     fn heap_bytes(&self) -> usize {
-        self.words.capacity() * std::mem::size_of::<TernaryEntry>()
+        self.words.capacity() * std::mem::size_of::<Word>()
             + (self.up.capacity() + self.root.capacity()) * std::mem::size_of::<u32>()
     }
 }
@@ -782,6 +814,46 @@ mod tests {
     }
 
     #[test]
+    fn tcam_builds_up_for_a_nest_given_out_of_order() {
+        // The /24 and the /16 inside 10/8 come before it, with an
+        // unrelated /16 between them; the /24 is not inside the /16.
+        let routes = [
+            route(0x0A02_0000, 24, 4),
+            route(0xC0A8_0000, 16, 2),
+            route(0x0A01_0000, 16, 3),
+            route(0x0A00_0000, 8, 1),
+        ];
+        let plane = tcam_agrees(&routes, &[0x0A02_0100, 0x0A01_FFFF, 0xC0A9_0000]);
+        // Sorted: 10/8, 10.1/16, 10.2.0/24, 192.168/16. The /24's
+        // chain skips the /16 before it and ends on the /8.
+        assert_eq!(plane.up, [NO_WORD, 0, 0, NO_WORD]);
+    }
+
+    #[test]
+    fn tcam_stores_non_overlapping_content_in_eight_bytes_a_word() {
+        let table = onrtc(&FibGen::new(42).routes(3_000).generate());
+        let routes: Vec<Route> = table.iter().collect();
+        let plane = TcamPlane::build(&routes);
+        assert_eq!(std::mem::size_of::<Word>(), 8);
+        assert!(plane.up.is_empty());
+        assert_eq!(plane.heap_bytes(), 8 * plane.len() + 4 * plane.root.len());
+    }
+
+    #[test]
+    fn tcam_one_route_plane_at_every_length() {
+        for len in 0..=32u8 {
+            let r = Route::new(Prefix::new(0xA5A5_A5A5, len), NextHop(u16::MAX));
+            let plane = TcamPlane::build(&[r]);
+            let (lo, hi) = (r.prefix.low(), r.prefix.high());
+            assert_eq!(plane.lookup(lo), Some(r), "/{len} at its low end");
+            assert_eq!(plane.lookup(hi), Some(r), "/{len} at its high end");
+            for outside in [lo.checked_sub(1), hi.checked_add(1)].into_iter().flatten() {
+                assert_eq!(plane.lookup(outside), None, "/{len} at {outside:#010x}");
+            }
+        }
+    }
+
+    #[test]
     fn tcam_steps_back_across_empty_index_cells() {
         // 256 host routes packed low make the index fine; the /4 then
         // spans many empty cells.
@@ -825,8 +897,9 @@ mod tests {
         ];
         let plane = tcam_agrees(&routes, &[0x0100_0000, 0x7FFF_FFFF, 0xFEFF_FFFF]);
         assert!(plane.root.len() <= routes.len());
+        // An 8-byte word and at most one 4-byte index cell per route.
         assert!(
-            plane.heap_bytes() <= 20 * routes.len() + 64,
+            plane.heap_bytes() <= 12 * routes.len(),
             "{} bytes",
             plane.heap_bytes()
         );

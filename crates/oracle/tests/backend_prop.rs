@@ -155,6 +155,44 @@ proptest! {
         }
     }
 
+    /// The same traces as above, but every backend is built from the
+    /// *raw* live table, not its ONRTC compression: the universe nests
+    /// /0 ⊃ /8 ⊃ /16 and holds /32 siblings, so the `tcam` plane runs
+    /// with its `up` links whenever the table nests, and without them
+    /// when withdraws have flattened it.
+    #[test]
+    fn all_backends_agree_with_the_oracle_on_raw_overlapping_tables(
+        base in prop::collection::vec((any::<u8>(), any::<u8>()), 0..24),
+        ops in prop::collection::vec((any::<u8>(), any::<bool>(), any::<u8>()), 1..48),
+    ) {
+        let pre = decode_base(&base);
+        let trace = decode_updates(&ops);
+        let mut oracle = Oracle::new(&pre);
+        let mut table = pre.clone();
+
+        for batch in trace.chunks(8) {
+            let coalesced = coalesce(batch, &table);
+            for &u in &coalesced.ops {
+                oracle.apply(u);
+                table.apply(u);
+            }
+            let routes: Vec<Route> = table.iter().collect();
+            let planes = planes_over(&routes);
+            for addr in boundary_probes(&table) {
+                let expected = oracle.lookup(addr);
+                for plane in &planes {
+                    prop_assert_eq!(
+                        plane.next_hop(addr),
+                        expected,
+                        "{} backend diverged at {:#010x}",
+                        plane.kind(),
+                        addr
+                    );
+                }
+            }
+        }
+    }
+
     /// The matched route (prefix *and* next hop — what
     /// `LookupPlane::lookup` returns) is identical across backends,
     /// not just the hop.

@@ -111,24 +111,25 @@ const ALLOCS_PER_PROXY_LOOKUP_RTT: usize = 26;
 /// decoder every blocking reader uses (`Frame::read_from` makes 3).
 const READS_PER_FRAME: usize = 1;
 /// Heap bytes per entry of the default `tcam` plane over a compressed
-/// table: a 12-byte ternary word, its 4-byte `up` link, and at most
-/// half of a 4-byte index cell.
-const PLANE_HEAP_BYTES_PER_ENTRY: usize = 17;
-/// Allocations building that plane: the words, the `up` links, the
-/// index, and the box.
-const ALLOCS_PER_PLANE_BUILD: usize = 4;
+/// table: an 8-byte word (start, next hop, prefix length) and at most
+/// a quarter of a 4-byte index cell; non-overlapping content has no
+/// `up` links.
+const PLANE_HEAP_BYTES_PER_ENTRY: usize = 8;
+/// Allocations building that plane: the words, the index, and the box
+/// (no `up` links for non-overlapping content).
+const ALLOCS_PER_PLANE_BUILD: usize = 3;
 /// Allocations the calling thread makes during `RouterService::start`
 /// on the 2 000-route table: the tries, the one materialised compressed
 /// table, the partition split, the first epoch's planes, the TCAM model
 /// and the thread spawns. (The spawned threads' own start-up
 /// allocations race `start`'s return, so they are left out. The test
-/// harness's output capture costs two more per spawn: 272 under
+/// harness's output capture costs two more per spawn: 268 under
 /// `--nocapture`.)
-const ALLOCS_PER_START: usize = 282;
+const ALLOCS_PER_START: usize = 278;
 /// Heap bytes a `RouterService` holds right after `start` on a
 /// 100 K-route table, per route: both tries, the TCAM model with its
 /// prefix → slot map, and the first epoch's planes.
-const HEAP_BYTES_PER_ROUTE: usize = 172;
+const HEAP_BYTES_PER_ROUTE: usize = 166;
 /// Lines under `crates/*/src` that use a `select!` macro.
 const SELECT_SITES: usize = 0;
 /// Lines under `crates/*/src` that call `thread::sleep`.
