@@ -29,11 +29,13 @@
 //!
 //! The accept path backs off on transient errors (EMFILE/ENFILE): the
 //! listener is taken out of the interest set for a capped,
-//! exponentially growing pause instead of spinning, and every such
-//! error is counted and reported to [`Driver::on_accept_error`].
+//! exponentially growing pause ([`accept_backoff`]) instead of
+//! spinning, and every such error is reported to
+//! [`Driver::on_accept_error`].
 //!
-//! Thread-per-connection listeners borrow one thing from here:
-//! [`ReadyWait`] parks their accept loop on the listener's readiness.
+//! Thread-per-connection listeners borrow two things from here:
+//! [`ReadyWait`] parks their accept loop on the listener's readiness,
+//! and [`accept_backoff`] paces it after a failed accept.
 
 #![forbid(unsafe_op_in_unsafe_fn)]
 #![warn(missing_docs)]
@@ -42,6 +44,5 @@ mod reactor;
 mod ready;
 pub mod rlimit;
 
-pub use polling::Backend;
-pub use reactor::{CloseReason, ConnId, Ctl, Driver, EventLoop, LoopConfig, LoopHandle};
+pub use reactor::{accept_backoff, CloseReason, ConnId, Ctl, Driver, EventLoop, LoopHandle};
 pub use ready::ReadyWait;

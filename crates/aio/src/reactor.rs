@@ -9,7 +9,7 @@ use std::sync::mpsc::{Receiver, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use polling::{Backend, Event, Interest, Poller, Token, Waker};
+use polling::{Event, Interest, Poller, Token, Waker};
 
 /// Reserved token for the waker pipe.
 const TOKEN_WAKER: usize = 0;
@@ -56,39 +56,30 @@ pub enum CloseReason {
     Local,
 }
 
-/// Loop tuning knobs.
-#[derive(Debug, Clone)]
-pub struct LoopConfig {
-    /// Poller backend; `Auto` honors the `CLUE_AIO_BACKEND` override
-    /// (`epoll` / `poll`) before resolving platform-best.
-    pub backend: Backend,
-    /// Pause reads on a connection whose outbound buffer exceeds this.
-    pub high_watermark: usize,
-    /// Resume reads once the outbound buffer drains below this.
-    pub low_watermark: usize,
-    /// Bytes per `read(2)` call.
-    pub read_chunk: usize,
-    /// Max `read(2)` calls per readiness report (fairness bound; a
-    /// still-readable socket re-fires on the next poll).
-    pub read_budget: usize,
-    /// First accept-error backoff pause (doubles per consecutive
-    /// error).
-    pub accept_backoff_base: Duration,
-    /// Accept-error backoff ceiling.
-    pub accept_backoff_cap: Duration,
-}
+/// Pause reads on a connection whose outbound buffer exceeds this.
+const HIGH_WATERMARK: usize = 256 << 10;
+/// Resume reads once the outbound buffer drains below this.
+const LOW_WATERMARK: usize = 64 << 10;
+/// Bytes per `read(2)` call.
+const READ_CHUNK: usize = 16 << 10;
+/// Max `read(2)` calls per readiness report (fairness bound; a
+/// still-readable socket re-fires on the next poll).
+const READ_BUDGET: usize = 4;
 
-impl Default for LoopConfig {
-    fn default() -> Self {
-        LoopConfig {
-            backend: Backend::Auto,
-            high_watermark: 256 << 10,
-            low_watermark: 64 << 10,
-            read_chunk: 16 << 10,
-            read_budget: 4,
-            accept_backoff_base: Duration::from_millis(5),
-            accept_backoff_cap: Duration::from_secs(1),
-        }
+/// The pause after a failed `accept()`, given the previous pause
+/// (`ZERO` after a success): 5 ms doubling to a 1 s cap. Transient
+/// failures (EMFILE/ENFILE fd exhaustion, aborted handshakes) only
+/// clear when some connection closes, so retrying instantly just burns
+/// the core that could be serving. The reactor and every
+/// thread-per-connection accept loop pace themselves with it.
+#[must_use]
+pub fn accept_backoff(prev: Duration) -> Duration {
+    const BASE: Duration = Duration::from_millis(5);
+    const CAP: Duration = Duration::from_secs(1);
+    if prev.is_zero() {
+        BASE
+    } else {
+        (prev * 2).min(CAP)
     }
 }
 
@@ -166,26 +157,6 @@ impl<M> Ctl<'_, M> {
     #[must_use]
     pub fn conn_count(&self) -> usize {
         self.core.live
-    }
-
-    /// The peer address recorded at accept/adopt.
-    #[must_use]
-    pub fn peer(&self, conn: ConnId) -> Option<SocketAddr> {
-        self.core.conn(conn).map(|c| c.peer)
-    }
-
-    /// Bytes currently queued outbound on `conn`.
-    #[must_use]
-    pub fn pending_out(&self, conn: ConnId) -> usize {
-        self.core
-            .conn(conn)
-            .map_or(0, |c| c.write_buf.len() - c.write_pos)
-    }
-
-    /// Accept errors (EMFILE and friends) absorbed by backoff so far.
-    #[must_use]
-    pub fn accept_errors(&self) -> u64 {
-        self.core.accept_errors
     }
 
     /// A cross-thread handle to this loop.
@@ -274,7 +245,6 @@ enum TimerKind {
 
 struct Conn {
     stream: TcpStream,
-    peer: SocketAddr,
     gen: u32,
     read_buf: Vec<u8>,
     write_buf: Vec<u8>,
@@ -319,7 +289,6 @@ struct ListenerSlot {
 /// borrow it while the driver is borrowed for a callback.
 struct Core {
     poller: Poller,
-    cfg: LoopConfig,
     listeners: Vec<ListenerSlot>,
     conns: Vec<Option<Conn>>,
     /// Next generation stamp per slot (survives the tenant).
@@ -332,7 +301,6 @@ struct Core {
     done_closes: Vec<(ConnId, CloseReason)>,
     /// Conns whose buffered inbound bytes need re-delivery (resume).
     replay: Vec<ConnId>,
-    accept_errors: u64,
     stop: bool,
     scratch: Vec<u8>,
 }
@@ -357,7 +325,7 @@ impl Core {
         self.timers.insert((at, self.timer_seq), kind);
     }
 
-    fn register_conn(&mut self, stream: TcpStream, peer: SocketAddr) -> io::Result<ConnId> {
+    fn register_conn(&mut self, stream: TcpStream) -> io::Result<ConnId> {
         stream.set_nonblocking(true)?;
         let _ = stream.set_nodelay(true);
         let slot = match self.free.pop() {
@@ -371,7 +339,6 @@ impl Core {
         let gen = self.gens[slot];
         let conn = Conn {
             stream,
-            peer,
             gen,
             read_buf: Vec::new(),
             write_buf: Vec::new(),
@@ -395,8 +362,7 @@ impl Core {
     }
 
     fn adopt(&mut self, stream: TcpStream) -> io::Result<ConnId> {
-        let peer = stream.peer_addr()?;
-        self.register_conn(stream, peer)
+        self.register_conn(stream)
     }
 
     /// Applies the conn's desired interest to the poller if it drifted.
@@ -429,7 +395,6 @@ impl Core {
     }
 
     fn send(&mut self, id: ConnId, bytes: &[u8]) -> bool {
-        let high = self.cfg.high_watermark;
         let Some(c) = self.conn_mut(id) else {
             return false;
         };
@@ -460,7 +425,7 @@ impl Core {
             }
         }
         c.write_buf.extend_from_slice(&bytes[offset..]);
-        if c.pending_out() > high && !c.throttled {
+        if c.pending_out() > HIGH_WATERMARK && !c.throttled {
             c.throttled = true;
         }
         self.sync_interest(id);
@@ -495,7 +460,6 @@ impl Core {
 
     /// Drains the outbound buffer as far as the socket allows.
     fn flush(&mut self, id: ConnId) {
-        let low = self.cfg.low_watermark;
         let Some(c) = self.conn_mut(id) else { return };
         while c.write_pos < c.write_buf.len() {
             match c.stream.write(&c.write_buf[c.write_pos..]) {
@@ -516,7 +480,7 @@ impl Core {
             c.write_buf.drain(..c.write_pos);
             c.write_pos = 0;
         }
-        let drained = c.pending_out() <= low;
+        let drained = c.pending_out() <= LOW_WATERMARK;
         let was_throttled = c.throttled;
         let empty = c.pending_out() == 0;
         let closing = c.closing;
@@ -576,24 +540,14 @@ impl<D: Driver> EventLoop<D> {
     /// # Errors
     ///
     /// Fails if the poller or waker cannot be created.
-    pub fn new(driver: D, cfg: LoopConfig) -> io::Result<EventLoop<D>> {
-        let mut backend = cfg.backend;
-        if backend == Backend::Auto {
-            if let Ok(name) = std::env::var("CLUE_AIO_BACKEND") {
-                if let Some(b) = Backend::from_name(&name) {
-                    backend = b;
-                }
-            }
-        }
-        let mut poller = Poller::with_backend(backend)?;
+    pub fn new(driver: D) -> io::Result<EventLoop<D>> {
+        let mut poller = Poller::new()?;
         let waker = Arc::new(Waker::new()?);
         waker.register(&mut poller, Token(TOKEN_WAKER))?;
         let (tx, rx) = std::sync::mpsc::channel();
-        let scratch = vec![0u8; cfg.read_chunk.max(1)];
         Ok(EventLoop {
             core: Core {
                 poller,
-                cfg,
                 listeners: Vec::new(),
                 conns: Vec::new(),
                 gens: Vec::new(),
@@ -603,9 +557,8 @@ impl<D: Driver> EventLoop<D> {
                 timer_seq: 0,
                 done_closes: Vec::new(),
                 replay: Vec::new(),
-                accept_errors: 0,
                 stop: false,
-                scratch,
+                scratch: vec![0u8; READ_CHUNK],
             },
             driver,
             tx,
@@ -788,7 +741,6 @@ fn handle_readable<D: Driver>(
     waker: &Arc<Waker>,
     id: ConnId,
 ) {
-    let budget = core.cfg.read_budget.max(1);
     let mut scratch = std::mem::take(&mut core.scratch);
     let mut eof = false;
     let mut fatal: Option<io::Error> = None;
@@ -803,7 +755,7 @@ fn handle_readable<D: Driver>(
             core.scratch = scratch;
             return;
         }
-        for _ in 0..budget {
+        for _ in 0..READ_BUDGET {
             match c.stream.read(&mut scratch) {
                 Ok(0) => {
                     eof = true;
@@ -865,7 +817,7 @@ fn handle_accept<D: Driver>(
         match accepted {
             Ok((stream, peer)) => {
                 core.listeners[idx].backoff = Duration::ZERO;
-                match core.register_conn(stream, peer) {
+                match core.register_conn(stream) {
                     Ok(id) => {
                         let mut ctl = Ctl {
                             core,
@@ -877,7 +829,6 @@ fn handle_accept<D: Driver>(
                     Err(e) => {
                         // Registration failure (fd pressure at the
                         // poller): treat like an accept error.
-                        core.accept_errors += 1;
                         let mut ctl = Ctl {
                             core,
                             handle_tx: tx,
@@ -890,17 +841,12 @@ fn handle_accept<D: Driver>(
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
             Err(e) => {
-                // EMFILE/ENFILE/ECONNABORTED and friends: count it,
-                // tell the driver, and take the listener out of the
-                // interest set for a capped, growing pause instead of
-                // spinning on an error that will repeat immediately.
-                core.accept_errors += 1;
+                // EMFILE/ENFILE/ECONNABORTED and friends: tell the
+                // driver, and take the listener out of the interest set
+                // for a capped, growing pause instead of spinning on an
+                // error that will repeat immediately.
                 let slot = &mut core.listeners[idx];
-                slot.backoff = if slot.backoff.is_zero() {
-                    core.cfg.accept_backoff_base
-                } else {
-                    (slot.backoff * 2).min(core.cfg.accept_backoff_cap)
-                };
+                slot.backoff = accept_backoff(slot.backoff);
                 let pause = slot.backoff;
                 if slot.armed {
                     let fd = slot.listener.as_raw_fd();
@@ -986,7 +932,7 @@ mod tests {
             accept_errs: 0,
             timer_fired: false,
         };
-        let mut el = EventLoop::new(driver, LoopConfig::default()).unwrap();
+        let mut el = EventLoop::new(driver).unwrap();
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         el.add_listener(listener).unwrap();
@@ -1081,6 +1027,21 @@ mod tests {
     }
 
     #[test]
+    fn accept_backoff_doubles_from_5ms_to_a_1s_cap() {
+        let mut pause = Duration::ZERO;
+        let schedule: Vec<u64> = (0..11)
+            .map(|_| {
+                pause = accept_backoff(pause);
+                pause.as_millis() as u64
+            })
+            .collect();
+        assert_eq!(
+            schedule,
+            [5, 10, 20, 40, 80, 160, 320, 640, 1000, 1000, 1000]
+        );
+    }
+
+    #[test]
     fn timers_fire_and_loop_returns_driver() {
         struct TimerDriver {
             fired: Vec<u64>,
@@ -1098,7 +1059,7 @@ mod tests {
                 }
             }
         }
-        let mut el = EventLoop::new(TimerDriver { fired: vec![] }, LoopConfig::default()).unwrap();
+        let mut el = EventLoop::new(TimerDriver { fired: vec![] }).unwrap();
         // Seed the first timer by driving on_timer via a zero-delay
         // arm before run: use the handle-msg path instead.
         struct Seed;

@@ -15,7 +15,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use clue_fib::RouteTable;
-use clue_net::{Server, ServerConfig};
+use clue_net::{Server, ServerConfig, IO_TIMEOUT};
 use clue_router::{RouterReport, RouterService};
 use clue_store::{Store, StoreConfig};
 
@@ -33,8 +33,9 @@ pub struct PrimaryConfig {
     pub store: StoreConfig,
     /// How long an append waits for every live synchronous standby to
     /// apply before demoting laggards and acking anyway. Must stay
-    /// below the client's I/O timeout or a stalled standby turns into
-    /// client-visible request timeouts instead of a demotion.
+    /// below [`IO_TIMEOUT`] or a stalled standby turns into
+    /// client-visible request timeouts instead of a demotion;
+    /// [`Primary::start`] refuses a config that breaks this.
     pub sync_timeout: Duration,
 }
 
@@ -68,9 +69,20 @@ impl Primary {
     ///
     /// # Errors
     ///
-    /// Store open/seed failures, bind failures on either listener, or
-    /// a fresh directory with no `fib` to seed from.
+    /// `InvalidInput` for a `sync_timeout` not below [`IO_TIMEOUT`]
+    /// (checked before `dir` is touched); store open/seed failures,
+    /// bind failures on either listener, or a fresh directory with no
+    /// `fib` to seed from.
     pub fn start(dir: &Path, fib: Option<&RouteTable>, cfg: &PrimaryConfig) -> io::Result<Primary> {
+        if cfg.sync_timeout >= IO_TIMEOUT {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!(
+                    "sync timeout {:?} must be below the {:?} I/O timeout",
+                    cfg.sync_timeout, IO_TIMEOUT
+                ),
+            ));
+        }
         let (store, state, recovered) =
             Store::open_or_seed(dir, cfg.store, fib, cfg.server.router.workers)?;
         let hub = Arc::new(ReplicationHub::new(store.stream_base()?));

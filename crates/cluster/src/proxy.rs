@@ -83,8 +83,6 @@ pub struct ProxyConfig {
     pub fail_after: u32,
     /// Poll interval for idle sockets and shutdown checks.
     pub idle_poll: Duration,
-    /// Per-socket I/O timeout.
-    pub io_timeout: Duration,
     /// Client-facing serving architecture: a thread per client, or
     /// every client multiplexed on one `clue-aio` reactor with a
     /// bridge pool for the blocking backend fan-out.
@@ -105,7 +103,6 @@ impl ProxyConfig {
             heartbeat_every: Duration::from_millis(150),
             fail_after: 2,
             idle_poll: Duration::from_millis(20),
-            io_timeout: Duration::from_secs(10),
             transport: Transport::default(),
             bridge_threads: 4,
         }
@@ -118,7 +115,6 @@ fn backend_cfg(addr: &str) -> ClientConfig {
     ClientConfig {
         addr: addr.to_owned(),
         connect_timeout: Duration::from_millis(500),
-        io_timeout: Duration::from_secs(10),
         initial_backoff: Duration::from_millis(10),
         max_backoff: Duration::from_millis(100),
         max_reconnect_attempts: 4,
@@ -245,7 +241,6 @@ impl Proxy {
                 transport: cfg.transport,
                 bridge_threads: cfg.bridge_threads,
                 idle_poll: cfg.idle_poll,
-                io_timeout: cfg.io_timeout,
             },
         )?;
         let monitor = {

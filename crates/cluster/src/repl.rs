@@ -39,7 +39,7 @@ use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use clue_net::frame::{Frame, FrameDecoder, FrameType, MAX_PAYLOAD};
-use clue_net::{wire, NetStats};
+use clue_net::{wire, NetStats, IO_TIMEOUT};
 use clue_router::{CheckpointView, JournalBatch, UpdateJournal};
 use clue_store::{encode_record, Store, StreamBase, WalRecord};
 
@@ -327,10 +327,9 @@ impl UpdateJournal for ReplicatedStore {
 pub struct ReplConfig {
     /// Listen address for followers (e.g. `127.0.0.1:0`).
     pub listen: String,
-    /// Accept-loop and live-stream poll interval.
+    /// Accept-loop and live-stream poll interval. A stalled follower
+    /// is bounded by [`IO_TIMEOUT`] per socket read or write.
     pub idle_poll: Duration,
-    /// Per-socket read/write timeout (bounds a stalled follower).
-    pub io_timeout: Duration,
 }
 
 impl Default for ReplConfig {
@@ -338,7 +337,6 @@ impl Default for ReplConfig {
         ReplConfig {
             listen: "127.0.0.1:0".into(),
             idle_poll: Duration::from_millis(50),
-            io_timeout: Duration::from_secs(10),
         }
     }
 }
@@ -408,8 +406,8 @@ fn serve_follower(
     shutdown: &Arc<AtomicBool>,
 ) -> io::Result<()> {
     stream.set_nodelay(true)?;
-    stream.set_read_timeout(Some(cfg.io_timeout))?;
-    stream.set_write_timeout(Some(cfg.io_timeout))?;
+    stream.set_read_timeout(Some(IO_TIMEOUT))?;
+    stream.set_write_timeout(Some(IO_TIMEOUT))?;
 
     // The follower's acks are read through one decoder for the session.
     let mut decoder = FrameDecoder::new();

@@ -35,7 +35,7 @@ use clue_net::frame::{Frame, FrameType};
 use clue_net::wire;
 use clue_net::{
     client, FrameHandler, FrameReader, Listener, ListenerConfig, NetStats, Polled, Server,
-    ServerConfig, Transport,
+    ServerConfig, Transport, IO_TIMEOUT,
 };
 use clue_router::{RecoveredState, RouterConfig, RouterReport, RouterService};
 use clue_store::{decode_record, decode_snapshot};
@@ -54,8 +54,6 @@ pub struct StandbyConfig {
     pub router: RouterConfig,
     /// Poll interval for idle sockets and shutdown checks.
     pub idle_poll: Duration,
-    /// Per-socket I/O timeout once a frame has started arriving.
-    pub io_timeout: Duration,
     /// Backoff between replication reconnect attempts.
     pub reconnect_backoff: Duration,
 }
@@ -67,7 +65,6 @@ impl Default for StandbyConfig {
             primary_repl: String::new(),
             router: RouterConfig::default(),
             idle_poll: Duration::from_millis(20),
-            io_timeout: Duration::from_secs(10),
             reconnect_backoff: Duration::from_millis(100),
         }
     }
@@ -152,7 +149,6 @@ impl Standby {
                 transport: Transport::Threads,
                 bridge_threads: 0,
                 idle_poll: cfg.idle_poll,
-                io_timeout: cfg.io_timeout,
             },
         )?;
 
@@ -294,7 +290,7 @@ fn frontend_loop(
     }
     // Let the replication thread finish its in-flight record: anything
     // it acked must be in the state we serve from.
-    let deadline = Instant::now() + cfg.io_timeout;
+    let deadline = Instant::now() + IO_TIMEOUT;
     while !flags.repl_stopped.load(Ordering::Acquire) && Instant::now() < deadline {
         thread::sleep(Duration::from_millis(1));
     }
@@ -313,7 +309,6 @@ fn frontend_loop(
         listen: listener.local_addr().to_string(),
         router: cfg.router,
         idle_poll: cfg.idle_poll,
-        io_timeout: cfg.io_timeout,
         ..ServerConfig::default()
     };
     let server = Server::start_with_service(svc, recovered.seq_hw, &scfg)?;
@@ -402,7 +397,7 @@ fn follow_once(
     state: &Arc<Mutex<ReplicaState>>,
     stop: &impl Fn() -> bool,
 ) -> io::Result<()> {
-    let stream = client::open(&cfg.primary_repl, cfg.io_timeout, cfg.io_timeout)?;
+    let stream = client::open(&cfg.primary_repl, IO_TIMEOUT, IO_TIMEOUT)?;
 
     let applied = state
         .lock()
@@ -418,7 +413,7 @@ fn follow_once(
     // One reader for the whole session: the snapshot may follow the
     // HelloAck within the same recv.
     let mut reader = FrameReader::new();
-    let ack = reader.read_frame(&stream, cfg.io_timeout)?;
+    let ack = reader.read_frame(&stream, IO_TIMEOUT)?;
     if ack.kind != FrameType::HelloAck {
         return Err(io::Error::new(
             ErrorKind::InvalidData,
@@ -431,7 +426,7 @@ fn follow_once(
         if stop() {
             return Ok(());
         }
-        let frame = match reader.poll_frame(&stream, cfg.idle_poll, cfg.io_timeout)? {
+        let frame = match reader.poll_frame(&stream, cfg.idle_poll)? {
             Polled::Frame(f) => f,
             Polled::Idle => continue,
             Polled::Eof => return Err(ErrorKind::UnexpectedEof.into()),

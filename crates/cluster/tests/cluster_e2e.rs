@@ -50,7 +50,6 @@ fn boot(name: &str, fib: &RouteTable, n: usize, transport: Transport) -> Cluster
         store: StoreConfig {
             fsync: false,
             snapshot_every: 16,
-            ..StoreConfig::default()
         },
         repl: ReplConfig {
             idle_poll: Duration::from_millis(10),

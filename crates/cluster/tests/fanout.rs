@@ -187,7 +187,6 @@ fn rig(shards: [Shard; 2], transport: Transport) -> Rig {
                 transport: Transport::Threads,
                 bridge_threads: 1,
                 idle_poll: POLL,
-                io_timeout: Duration::from_secs(10),
             },
         )
         .expect("start shard")

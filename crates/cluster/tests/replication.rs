@@ -5,6 +5,7 @@
 //! instead of halting the update plane.
 
 use std::fs;
+use std::io::ErrorKind;
 use std::net::TcpStream;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
@@ -13,7 +14,7 @@ use clue_cluster::{Primary, PrimaryConfig, ReplConfig, Standby, StandbyConfig, S
 use clue_fib::gen::FibGen;
 use clue_fib::{RouteTable, Update};
 use clue_net::frame::{Frame, FrameType};
-use clue_net::{wire, ClientConfig, Connection, FrameReader, Polled};
+use clue_net::{wire, ClientConfig, Connection, FrameReader, Polled, IO_TIMEOUT};
 use clue_store::StoreConfig;
 use clue_traffic::UpdateGen;
 
@@ -44,7 +45,6 @@ fn primary_cfg(sync_timeout: Duration) -> PrimaryConfig {
         store: StoreConfig {
             fsync: false,
             snapshot_every: 8,
-            ..StoreConfig::default()
         },
         repl: ReplConfig {
             idle_poll: Duration::from_millis(10),
@@ -79,6 +79,22 @@ fn wait_for(what: &str, timeout: Duration, mut cond: impl FnMut() -> bool) {
 /// The whole failover story in one assertion: the moment the client
 /// holds an ack, the standby has applied the batch — so a promotion at
 /// any point preserves every acknowledged update.
+#[test]
+fn a_sync_timeout_not_below_the_io_timeout_is_refused() {
+    let (fib, _) = workload(71, 200, 0);
+    let dir = temp_dir("sync-timeout");
+    for sync in [IO_TIMEOUT, IO_TIMEOUT + Duration::from_secs(5)] {
+        let err = Primary::start(&dir, Some(&fib), &primary_cfg(sync))
+            .err()
+            .expect("a sync timeout the clients would outwait starts a primary");
+        assert_eq!(err.kind(), ErrorKind::InvalidInput, "{err}");
+        assert!(!dir.exists(), "the data dir was opened");
+    }
+    let below = Primary::start(&dir, Some(&fib), &primary_cfg(IO_TIMEOUT / 2)).unwrap();
+    below.stop().unwrap();
+    let _ = fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn ack_implies_standby_applied() {
     let dir = temp_dir("sync");
@@ -230,10 +246,7 @@ impl RawFollower {
     /// acking each; returns the jseqs seen.
     fn drain_ships(&mut self, idle: Duration) -> Vec<u64> {
         let mut seen = Vec::new();
-        while let Ok(Polled::Frame(f)) =
-            self.reader
-                .poll_frame(&self.stream, idle, Duration::from_secs(5))
-        {
+        while let Ok(Polled::Frame(f)) = self.reader.poll_frame(&self.stream, idle) {
             assert_eq!(f.kind, FrameType::WalShip);
             let (rec, _) = clue_store::decode_record(&f.payload).unwrap();
             assert_eq!(rec.jseq, f.seq);

@@ -33,6 +33,7 @@ use std::time::{Duration, Instant};
 use clue_fib::{NextHop, Update};
 
 use crate::frame::{Frame, FrameDecoder, FrameType};
+use crate::listener::IO_TIMEOUT;
 use crate::wire;
 
 /// Idle time after which [`Connection::maybe_heartbeat`] probes.
@@ -46,11 +47,9 @@ pub const ACK_WINDOW: usize = 32;
 pub struct ClientConfig {
     /// Server address (`host:port`).
     pub addr: String,
-    /// TCP connect timeout per dial attempt.
+    /// TCP connect timeout per dial attempt. Reads and writes are
+    /// bounded by [`IO_TIMEOUT`]: a reply slower than that fails the op.
     pub connect_timeout: Duration,
-    /// Socket read and write timeout (a reply slower than this fails
-    /// the op).
-    pub io_timeout: Duration,
     /// First reconnect backoff; doubles per failed attempt.
     pub initial_backoff: Duration,
     /// Backoff cap.
@@ -64,7 +63,6 @@ impl Default for ClientConfig {
         ClientConfig {
             addr: "127.0.0.1:4555".to_string(),
             connect_timeout: Duration::from_secs(2),
-            io_timeout: Duration::from_secs(10),
             initial_backoff: Duration::from_millis(25),
             max_backoff: Duration::from_secs(1),
             max_reconnect_attempts: 10,
@@ -506,7 +504,7 @@ fn lookup_frame(token: u64, addrs: &[u32]) -> Frame {
 /// believes the update stream stands; the reply is the server's own
 /// high-water mark. The decoder holds the stream's read-ahead.
 fn dial(cfg: &ClientConfig, my_acked: u64) -> io::Result<(TcpStream, FrameDecoder, u64)> {
-    let stream = open(&cfg.addr, cfg.connect_timeout, cfg.io_timeout)?;
+    let stream = open(&cfg.addr, cfg.connect_timeout, IO_TIMEOUT)?;
     Frame {
         kind: FrameType::Hello,
         seq: my_acked,

@@ -29,11 +29,11 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use clue_aio::{CloseReason, ConnId, Ctl, Driver, EventLoop, LoopConfig};
+use clue_aio::{CloseReason, ConnId, Ctl, Driver, EventLoop};
 use crossbeam::channel::{self, Sender};
 
 use crate::frame::{Frame, FrameDecoder, FrameType};
-use crate::listener::{answer, protocol_error, FrameHandler, ListenerConfig};
+use crate::listener::{answer, protocol_error, FrameHandler, ListenerConfig, IO_TIMEOUT};
 use crate::stats::NetStats;
 
 /// Periodic shutdown-flag poll.
@@ -189,7 +189,7 @@ impl<H: FrameHandler> EvDriver<H> {
             // Backstop: an in-flight call that outlives its own timeout
             // (or a peer that never drains its socket) must not wedge
             // the drain forever.
-            let grace = self.cfg.io_timeout + self.cfg.io_timeout + self.cfg.idle_poll;
+            let grace = IO_TIMEOUT + IO_TIMEOUT + self.cfg.idle_poll;
             ctl.set_timer(grace, DRAIN_GRACE);
         }
     }
@@ -301,7 +301,7 @@ pub(crate) fn start<H: FrameHandler>(
         conns: HashMap::new(),
         draining: false,
     };
-    let mut el = EventLoop::new(driver, LoopConfig::default())?;
+    let mut el = EventLoop::new(driver)?;
     el.add_listener(listener)?;
     el.set_timer(cfg.idle_poll, TICK);
 

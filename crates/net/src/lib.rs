@@ -49,7 +49,9 @@ pub mod wire;
 
 pub use client::{ClientConfig, ClientReport, Connection};
 pub use frame::{Frame, FrameDecoder, FrameType};
-pub use listener::{accept_loop, FrameHandler, FrameReader, Listener, ListenerConfig, Polled};
+pub use listener::{
+    accept_loop, FrameHandler, FrameReader, Listener, ListenerConfig, Polled, IO_TIMEOUT,
+};
 pub use loadgen::{run_load, LoadConfig, LoadReport};
 pub use server::{Server, ServerConfig, Transport};
 pub use stats::NetStats;

@@ -87,8 +87,15 @@ pub trait FrameHandler: Send + Sync + 'static {
     }
 }
 
+/// The bound on every blocking socket operation in the serving stack:
+/// finishing a frame whose first byte arrived, a socket write, a
+/// client's wait for a reply, an ack's wait for its journal write, and
+/// a standby's wait for its replication thread at promotion.
+pub const IO_TIMEOUT: Duration = Duration::from_secs(10);
+
 /// How a [`Listener`] serves its connections: the serving-tier configs'
-/// shared knobs, forwarded verbatim.
+/// shared knobs, forwarded verbatim. Socket operations are bounded by
+/// [`IO_TIMEOUT`].
 #[derive(Debug, Clone, Copy)]
 pub struct ListenerConfig {
     /// Which connection driver runs the handler.
@@ -98,9 +105,6 @@ pub struct ListenerConfig {
     /// How often idle threads and the reactor re-check the shutdown
     /// flag.
     pub idle_poll: Duration,
-    /// Timeout for finishing a frame whose first byte arrived, and for
-    /// socket writes.
-    pub io_timeout: Duration,
 }
 
 /// A bound socket serving one [`FrameHandler`]: owns the listener
@@ -211,21 +215,6 @@ impl Drop for Listener {
     }
 }
 
-/// The pause after a failed `accept()`, given the previous pause
-/// (`ZERO` after a success): 5 ms doubling to a 1 s cap. Transient
-/// failures (EMFILE/ENFILE fd exhaustion, aborted handshakes) only
-/// clear when some connection closes, so retrying instantly just burns
-/// the core that could be serving.
-fn accept_backoff(prev: Duration) -> Duration {
-    const BASE: Duration = Duration::from_millis(5);
-    const CAP: Duration = Duration::from_secs(1);
-    if prev.is_zero() {
-        BASE
-    } else {
-        (prev * 2).min(CAP)
-    }
-}
-
 /// The `Error` frame for an error of the peer's making — lost framing
 /// (`seq` 0) or a request the handler refused — counted on connection
 /// `id`.
@@ -253,7 +242,7 @@ pub(crate) fn answer<H: FrameHandler>(
 /// until `stop` is set, then joins them all. `socket` must be
 /// nonblocking: the loop wakes when a connection arrives, and every
 /// `idle_poll` to re-check `stop`. Failed accepts are counted in `net`
-/// and paced by a capped exponential backoff; a `serve` thread that
+/// and paced by [`clue_aio::accept_backoff`]; a `serve` thread that
 /// panicked is counted as an I/O error.
 pub fn accept_loop(
     socket: &TcpListener,
@@ -287,7 +276,7 @@ pub fn accept_loop(
                 }
                 Err(_) => {
                     net.count_accept_error();
-                    backoff = accept_backoff(backoff);
+                    backoff = clue_aio::accept_backoff(backoff);
                     std::thread::sleep(backoff);
                 }
             }
@@ -345,7 +334,7 @@ impl FrameReader {
     /// Reads one frame, but blocks at most `idle_poll` while the line is
     /// quiet, so the caller can re-check its stop flag: a `recv` with
     /// nothing buffered waits `idle_poll`, one that finishes a frame
-    /// waits `io_timeout`. A frame already buffered costs no `recv`;
+    /// waits [`IO_TIMEOUT`]. A frame already buffered costs no `recv`;
     /// one that arrives whole costs one, and no `setsockopt` while the
     /// line stays in that rhythm.
     ///
@@ -353,18 +342,13 @@ impl FrameReader {
     ///
     /// `InvalidData` when the stream has lost framing; any other error is a
     /// socket-level failure — including a timeout or EOF *mid-frame*.
-    pub fn poll_frame(
-        &mut self,
-        stream: &TcpStream,
-        idle_poll: Duration,
-        io_timeout: Duration,
-    ) -> io::Result<Polled> {
+    pub fn poll_frame(&mut self, stream: &TcpStream, idle_poll: Duration) -> io::Result<Polled> {
         loop {
             if let Some(frame) = self.decoder.poll_frame()? {
                 return Ok(Polled::Frame(frame));
             }
             let idle = self.decoder.buffered() == 0;
-            self.wait_at_most(stream, if idle { idle_poll } else { io_timeout })?;
+            self.wait_at_most(stream, if idle { idle_poll } else { IO_TIMEOUT })?;
             match self.decoder.fill_from(&mut &*stream) {
                 Ok(0) if idle => return Ok(Polled::Eof),
                 Ok(0) => return Err(ErrorKind::UnexpectedEof.into()),
@@ -397,7 +381,7 @@ fn serve_conn<H: FrameHandler>(
     shutdown: &AtomicBool,
 ) {
     let _ = stream.set_nodelay(true);
-    let _ = stream.set_write_timeout(Some(cfg.io_timeout));
+    let _ = stream.set_write_timeout(Some(IO_TIMEOUT));
     let id = net.register(peer.to_string());
     let send = |frame: &Frame| -> io::Result<()> {
         frame.write_to(&mut &*stream)?;
@@ -412,7 +396,7 @@ fn serve_conn<H: FrameHandler>(
             let _ = send(&Frame::empty(FrameType::Shutdown, 0));
             break;
         }
-        let frame = match reader.poll_frame(stream, cfg.idle_poll, cfg.io_timeout) {
+        let frame = match reader.poll_frame(stream, cfg.idle_poll) {
             Ok(Polled::Frame(f)) => f,
             Ok(Polled::Idle) => continue,
             Ok(Polled::Eof) => break,
@@ -440,24 +424,4 @@ fn serve_conn<H: FrameHandler>(
     }
     handler.close(conn);
     net.close(id);
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn accept_backoff_doubles_from_5ms_to_a_1s_cap() {
-        let mut pause = Duration::ZERO;
-        let schedule: Vec<u64> = (0..11)
-            .map(|_| {
-                pause = accept_backoff(pause);
-                pause.as_millis() as u64
-            })
-            .collect();
-        assert_eq!(
-            schedule,
-            [5, 10, 20, 40, 80, 160, 320, 640, 1000, 1000, 1000]
-        );
-    }
 }

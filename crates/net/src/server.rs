@@ -29,7 +29,7 @@ use clue_fib::RouteTable;
 use clue_router::{RouterConfig, RouterReport, RouterService, SubmitOutcome};
 
 use crate::frame::{Frame, FrameType};
-use crate::listener::{FrameHandler, Listener, ListenerConfig};
+use crate::listener::{FrameHandler, Listener, ListenerConfig, IO_TIMEOUT};
 use crate::stats::NetStats;
 use crate::wire;
 
@@ -67,8 +67,8 @@ impl std::str::FromStr for Transport {
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s {
-            "threads" | "threaded" => Ok(Transport::Threads),
-            "evloop" | "event-loop" | "eventloop" => Ok(Transport::Evloop),
+            "threads" => Ok(Transport::Threads),
+            "evloop" => Ok(Transport::Evloop),
             other => Err(format!(
                 "unknown transport {other:?} (expected threads|evloop)"
             )),
@@ -92,9 +92,6 @@ pub struct ServerConfig {
     /// How often idle connection threads and the accept loop re-check
     /// the shutdown flag.
     pub idle_poll: Duration,
-    /// Timeout for finishing a frame whose first byte arrived, and for
-    /// socket writes.
-    pub io_timeout: Duration,
     /// Connection transport (`Threads` per-connection threads, or the
     /// `Evloop` reactor).
     pub transport: Transport,
@@ -109,7 +106,6 @@ impl Default for ServerConfig {
             listen: "127.0.0.1:0".to_string(),
             router: RouterConfig::default(),
             idle_poll: Duration::from_millis(50),
-            io_timeout: Duration::from_secs(10),
             transport: Transport::Threads,
             bridge_threads: 4,
         }
@@ -159,7 +155,6 @@ impl Server {
             svc,
             net: Arc::clone(&net),
             last_acked: AtomicU64::new(initial_seq),
-            io_timeout: cfg.io_timeout,
             started: Instant::now(),
         });
         let listener = Listener::start(
@@ -170,7 +165,6 @@ impl Server {
                 transport: cfg.transport,
                 bridge_threads: cfg.bridge_threads,
                 idle_poll: cfg.idle_poll,
-                io_timeout: cfg.io_timeout,
             },
         )?;
         Ok(Server { listener, router })
@@ -244,7 +238,6 @@ struct RouterHandler {
     svc: RouterService,
     net: Arc<NetStats>,
     last_acked: AtomicU64,
-    io_timeout: Duration,
     started: Instant,
 }
 
@@ -312,7 +305,7 @@ impl FrameHandler for RouterHandler {
                 // position the disk cannot back. (Trivially immediate
                 // without a journal; skipped when nothing was accepted
                 // — a fully-dropped batch journals nothing to wait for.)
-                if accepted > 0 && !self.svc.wait_journaled(seq, self.io_timeout) {
+                if accepted > 0 && !self.svc.wait_journaled(seq, IO_TIMEOUT) {
                     self.net.count_io_error(id);
                     Frame::error(seq, "journal write did not complete; batch unacknowledged")
                 } else {
@@ -344,5 +337,18 @@ impl FrameHandler for RouterHandler {
             // proxy/replication endpoints, not a serving shard.
             other => return Err(bad_data(format!("unexpected client frame {other:?}"))),
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn transport_parses_only_its_two_names() {
+        assert_eq!("threads".parse(), Ok(Transport::Threads));
+        assert_eq!("evloop".parse(), Ok(Transport::Evloop));
+        let err = "threaded".parse::<Transport>().unwrap_err();
+        assert!(err.contains("threads|evloop"), "{err}");
     }
 }

@@ -20,7 +20,7 @@ use std::io;
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
 
-use clue_aio::{rlimit, CloseReason, ConnId, Ctl, Driver, EventLoop, LoopConfig};
+use clue_aio::{rlimit, CloseReason, ConnId, Ctl, Driver, EventLoop};
 use clue_core::json;
 use clue_fib::Update;
 
@@ -493,7 +493,7 @@ pub fn run_swarm(cfg: &SwarmConfig, addrs: &[u32], updates: &[Update]) -> io::Re
         next_tag: DEADLINE + 1,
         report: SwarmReport::default(),
     };
-    let mut el = EventLoop::new(driver, LoopConfig::default())?;
+    let mut el = EventLoop::new(driver)?;
     el.set_timer(RUN_DEADLINE, DEADLINE);
     let handle = el.handle();
     let n = cfg.connections;

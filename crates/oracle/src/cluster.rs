@@ -92,7 +92,6 @@ pub fn check_cluster_phase(
         store: StoreConfig {
             fsync: false,
             snapshot_every: 64,
-            ..StoreConfig::default()
         },
         repl: ReplConfig {
             idle_poll: Duration::from_millis(10),

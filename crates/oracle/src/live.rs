@@ -423,7 +423,6 @@ mod tests {
                 transport: Transport::Threads,
                 bridge_threads: 1,
                 idle_poll: Duration::from_millis(5),
-                io_timeout: Duration::from_secs(10),
             },
         )
         .expect("start scripted server");

@@ -334,7 +334,6 @@ pub fn check_recovery_phase(
         let scfg = StoreConfig {
             snapshot_every,
             fsync: false,
-            ..StoreConfig::default()
         };
         run_journaled(&dir, table, &trace[..upto], cfg, scfg, true)?;
         damage_tail(&dir, damage)?;

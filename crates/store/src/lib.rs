@@ -33,7 +33,7 @@ pub use snapshot::{
     decode_snapshot, encode_snapshot, list_snapshots, load_snapshot, newest_valid_snapshot,
     snapshot_name, write_snapshot, Snapshot,
 };
-pub use store::{Recovery, Store, StoreConfig, StreamBase};
+pub use store::{Recovery, Store, StoreConfig, StreamBase, SEGMENT_BYTES};
 pub use wal::{
     decode_record, encode_record, list_segments, scan_dir, segment_name, ScanOutcome, WalRecord,
 };

@@ -15,11 +15,12 @@ use clue_router::{CheckpointView, JournalBatch, RecoveredState, UpdateJournal};
 use crate::snapshot::{list_snapshots, newest_valid_snapshot, write_snapshot, Snapshot};
 use crate::wal::{encode_record, list_segments, scan_dir, segment_name, WalRecord};
 
+/// The writer rotates to a fresh WAL segment past this many bytes.
+pub const SEGMENT_BYTES: u64 = 4 * 1024 * 1024;
+
 /// Tunables for a [`Store`].
 #[derive(Debug, Clone, Copy)]
 pub struct StoreConfig {
-    /// Rotate to a fresh WAL segment past this many bytes.
-    pub segment_bytes: u64,
     /// Ask for a checkpoint after this many journal appends.
     pub snapshot_every: u64,
     /// `fsync` each append (disable only for benchmarks/tests that
@@ -30,7 +31,6 @@ pub struct StoreConfig {
 impl Default for StoreConfig {
     fn default() -> Self {
         StoreConfig {
-            segment_bytes: 4 * 1024 * 1024,
             snapshot_every: 64,
             fsync: true,
         }
@@ -291,7 +291,7 @@ impl Store {
         let rotate = self
             .writer
             .as_ref()
-            .is_some_and(|w| w.written >= self.cfg.segment_bytes);
+            .is_some_and(|w| w.written >= SEGMENT_BYTES);
         if self.writer.is_none() || rotate {
             // Always a *fresh* segment named by the next jseq: after a
             // crash the previous segment's torn tail stays where it is

@@ -20,7 +20,7 @@
 //!
 //! Records are appended to `wal-<jseq:016x>.clog` files named after
 //! their first record's `jseq`. The writer rotates to a fresh segment
-//! past [`segment_bytes`](crate::StoreConfig::segment_bytes) and — key
+//! past [`SEGMENT_BYTES`](crate::SEGMENT_BYTES) and — key
 //! for recovery — always opens a *fresh* segment after a restart, so a
 //! corrupt tail in one segment never poisons later records: the scan
 //! skips the garbage and picks the sequence back up at the next

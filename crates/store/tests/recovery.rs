@@ -12,7 +12,7 @@ use clue_fib::{RouteTable, Update};
 use clue_router::{
     CheckpointView, JournalBatch, RouterConfig, RouterService, SubmitOutcome, UpdateJournal,
 };
-use clue_store::{Store, StoreConfig};
+use clue_store::{list_segments, Store, StoreConfig, SEGMENT_BYTES};
 use clue_traffic::UpdateGen;
 
 /// A store whose drain "crashes": every append and checkpoint is real,
@@ -106,7 +106,6 @@ fn crash_replays_only_the_post_snapshot_tail() {
     let cfg = StoreConfig {
         snapshot_every: 8,
         fsync: false,
-        ..StoreConfig::default()
     };
     run_journaled(&dir, &fib, &trace, cfg, true);
 
@@ -123,6 +122,50 @@ fn crash_replays_only_the_post_snapshot_tail() {
     assert_eq!(rec.seq_hw, trace.len() as u64);
     assert_eq!(rec.raw_applied, trace.len() as u64);
     assert_eq!(rec.table, oracle(&fib, &trace));
+    fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn journal_rotates_past_segment_bytes_and_recovers_across_the_boundary() {
+    let dir = temp_dir("rotate");
+    let (fib, trace) = workload(111, 2_000, 8_000);
+    let cfg = StoreConfig {
+        fsync: false,
+        ..StoreConfig::default()
+    };
+    let (mut store, _) = Store::open(&dir, cfg).unwrap();
+    store
+        .init_from_table(&fib, RouterConfig::default().workers)
+        .unwrap();
+    // Append the trace's halves in turn until the writer has rotated
+    // once: each record is tens of KiB, so the second segment opens
+    // about a hundred records in and holds just the one that opened it.
+    let mut expected = fib.clone();
+    let mut records = 0u64;
+    while list_segments(&dir).unwrap().len() < 2 {
+        let ops = trace.chunks(4_000).nth(records as usize % 2).unwrap();
+        records += 1;
+        store
+            .append(&JournalBatch {
+                epoch: records,
+                seq_hw: records,
+                raw: ops.len() as u32,
+                ops,
+            })
+            .unwrap();
+        ops.iter().for_each(|&u| expected.apply(u));
+    }
+    drop(store);
+    let segments = list_segments(&dir).unwrap();
+    assert_eq!(segments.len(), 2);
+    assert!(fs::metadata(&segments[0]).unwrap().len() >= SEGMENT_BYTES);
+
+    let (_store, recovery) = Store::open(&dir, cfg).unwrap();
+    let rec = recovery.expect("journaled dir recovers");
+    assert!(!rec.truncated);
+    assert_eq!(rec.replayed, records, "every record, across both segments");
+    assert_eq!(rec.seq_hw, records);
+    assert_eq!(rec.table, expected);
     fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -148,7 +191,6 @@ fn torn_tail_is_skipped_and_recovery_lands_on_a_trace_prefix() {
     let cfg = StoreConfig {
         snapshot_every: 100_000,
         fsync: false,
-        ..StoreConfig::default()
     };
     run_journaled(&dir, &fib, &trace, cfg, true);
 
@@ -178,7 +220,6 @@ fn bit_flipped_tail_record_is_skipped_without_panic() {
     let cfg = StoreConfig {
         snapshot_every: 100_000,
         fsync: false,
-        ..StoreConfig::default()
     };
     run_journaled(&dir, &fib, &trace, cfg, true);
 
@@ -202,7 +243,6 @@ fn recovered_service_continues_to_the_full_oracle() {
     let cfg = StoreConfig {
         snapshot_every: 16,
         fsync: false,
-        ..StoreConfig::default()
     };
     // First life: crash partway through the trace (journal the first
     // 200 updates, then die without the drain checkpoint).

@@ -13,7 +13,7 @@ use crate::{
 use clue::cluster::{Primary, PrimaryConfig, ReplConfig, Standby, StandbyConfig, StandbyOutcome};
 use clue::core::json;
 use clue::fib::RouteTable;
-use clue::net::{Server, ServerConfig};
+use clue::net::{Server, ServerConfig, IO_TIMEOUT};
 use clue::router::RouterService;
 use clue::store::{Store, StoreConfig};
 
@@ -79,6 +79,10 @@ pub fn serve(args: &Args) -> Result<(), ArgError> {
         let dir = args.optional("data-dir").ok_or_else(|| {
             ArgError("--repl-listen needs --data-dir (a replicated ack implies journaled)".into())
         })?;
+        let sync_timeout = Duration::from_millis(args.get_or("sync-ms", 2_000u64)?.max(1));
+        if sync_timeout >= IO_TIMEOUT {
+            return Err(ArgError(format!("--sync-ms must be below {IO_TIMEOUT:?}")));
+        }
         let fib = fib()?;
         let cfg = PrimaryConfig {
             server: server(listen),
@@ -87,7 +91,7 @@ pub fn serve(args: &Args) -> Result<(), ArgError> {
                 ..ReplConfig::default()
             },
             store: StoreConfig::default(),
-            sync_timeout: Duration::from_millis(args.get_or("sync-ms", 2_000u64)?.max(1)),
+            sync_timeout,
         };
         return serve_primary(&cfg, dir, fib.as_ref(), stats_ms);
     }
@@ -288,22 +292,18 @@ fn serve_follow(cfg: StandbyConfig, stats_ms: u64) -> Result<(), ArgError> {
     let listen = cfg.listen.clone();
     let primary_repl = cfg.primary_repl.clone();
     let standby = Standby::start(cfg).map_err(|e| io_err(&listen, &e))?;
+    let addr = standby.local_addr();
     let mut announced = false;
     serve_until_stopped(
         &format!(
-            "standby on {} following {primary_repl}; promote with `clue promote --addr {}`; \
-             SIGINT/SIGTERM stops",
-            standby.local_addr(),
-            standby.local_addr(),
+            "standby on {addr} following {primary_repl}; promote with `clue promote --addr {addr}`; \
+             SIGINT/SIGTERM stops"
         ),
         stats_ms,
         || {
             if standby.is_promoted() && !announced {
                 announced = true;
-                println!(
-                    "promoted: serving lookups and updates on {}",
-                    standby.local_addr()
-                );
+                println!("promoted: serving lookups and updates on {addr}");
             }
             true
         },

@@ -359,6 +359,42 @@ fn bad_input_file_is_a_clean_error() {
 }
 
 #[test]
+fn serve_refuses_a_sync_timeout_not_below_the_io_timeout() {
+    let fib = tmp("sync_ms_fib.txt");
+    std::fs::write(&fib, "10.0.0.0/8 1\n").unwrap();
+    let dir = tmp("sync_ms_data");
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut child = clue()
+        .args(["serve", "--fib", fib.to_str().unwrap()])
+        .args(["--listen", "127.0.0.1:0", "--repl-listen", "127.0.0.1:0"])
+        .args(["--data-dir", dir.to_str().unwrap(), "--sync-ms", "15000"])
+        .stdout(std::process::Stdio::null())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("spawn");
+    // A primary that starts serves until signalled: give it a bounded
+    // wait, then kill it.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let status = loop {
+        if let Some(status) = child.try_wait().expect("wait") {
+            break Some(status);
+        }
+        if Instant::now() > deadline {
+            let _ = child.kill();
+            let _ = child.wait();
+            break None;
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    };
+    let status = status.expect("a primary with --sync-ms 15000 started serving");
+    assert_eq!(status.code(), Some(1));
+    let mut stderr = String::new();
+    std::io::Read::read_to_string(&mut child.stderr.take().unwrap(), &mut stderr).unwrap();
+    assert!(stderr.contains("--sync-ms"), "{stderr}");
+    assert!(!dir.exists(), "the data dir was opened");
+}
+
+#[test]
 fn generated_text_files_read_back_through_clue_fib_io() {
     use clue::fib::gen::FibGen;
     use clue::fib::io::{read_packets, read_route_table, read_updates};

@@ -6,7 +6,8 @@
 //! live heap bytes with a counting global allocator (installed in this
 //! test binary only), lookup-plane heap bytes, OS threads from
 //! `/proc/self/task`, `read` calls per frame, call sites in
-//! `crates/*/src` and `src/`, and the CLI's longest file. It prints one
+//! `crates/*/src` and `src/`, settable `…Config` fields, and the CLI's
+//! longest file. It prints one
 //! table and fails when any count rises above its ceiling. A change that
 //! lowers a count tightens the ceiling in the same diff.
 //!
@@ -147,6 +148,9 @@ const CLI_MAX_FILE_LINES: usize = 339;
 /// JSON object: every document renders through `clue_core::json`, which
 /// builds objects without one.
 const JSON_FORMAT_SITES: usize = 0;
+/// `pub` fields of the `pub struct …Config` blocks under `crates/*/src`:
+/// a value no caller changes is a constant in the module that uses it.
+const CONFIG_FIELDS: usize = 84;
 
 fn os_threads() -> usize {
     fs::read_dir("/proc/self/task")
@@ -291,16 +295,39 @@ fn reads_per_frame(addrs: &[u32]) -> usize {
         .expect("two frames")
 }
 
-/// Lines containing `needle` in the `.rs` files under `dir`.
-fn lines_containing(dir: &Path, needle: &str) -> usize {
+/// `count` summed over the `.rs` files under `dir`.
+fn sum_over_sources(dir: &Path, count: &impl Fn(&str) -> usize) -> usize {
     let mut n = 0;
     for entry in fs::read_dir(dir).expect("readable source dir") {
         let path = entry.expect("dir entry").path();
         if path.is_dir() {
-            n += lines_containing(&path, needle);
+            n += sum_over_sources(&path, count);
         } else if path.extension().is_some_and(|e| e == "rs") {
-            let text = fs::read_to_string(&path).expect("readable source file");
-            n += text.lines().filter(|l| l.contains(needle)).count();
+            n += count(&fs::read_to_string(&path).expect("readable source file"));
+        }
+    }
+    n
+}
+
+/// Lines containing `needle` in the `.rs` files under `dir`.
+fn lines_containing(dir: &Path, needle: &str) -> usize {
+    sum_over_sources(dir, &|text| {
+        text.lines().filter(|l| l.contains(needle)).count()
+    })
+}
+
+/// `pub` fields declared inside the `pub struct …Config {` blocks of
+/// `text`.
+fn config_fields(text: &str) -> usize {
+    let mut in_config = false;
+    let mut n = 0;
+    for line in text.lines().map(str::trim) {
+        if line.starts_with("pub struct ") && line.ends_with("Config {") {
+            in_config = true;
+        } else if line == "}" {
+            in_config = false;
+        } else if in_config && line.starts_with("pub ") {
+            n += 1;
         }
     }
     n
@@ -322,15 +349,20 @@ fn max_file_lines(dir: &Path) -> usize {
         .unwrap_or(0)
 }
 
-/// Lines containing `needle` across every `crates/*/src`.
-fn source_sites(needle: &str) -> usize {
+/// `count` summed over every `crates/*/src`.
+fn crate_sources(count: impl Fn(&Path) -> usize) -> usize {
     let crates = Path::new(env!("CARGO_MANIFEST_DIR")).join("crates");
     fs::read_dir(crates)
         .expect("crates/ dir")
         .map(|e| e.expect("dir entry").path().join("src"))
         .filter(|src| src.is_dir())
-        .map(|src| lines_containing(&src, needle))
+        .map(|src| count(&src))
         .sum()
+}
+
+/// Lines containing `needle` across every `crates/*/src`.
+fn source_sites(needle: &str) -> usize {
+    crate_sources(|src| lines_containing(src, needle))
 }
 
 #[test]
@@ -439,6 +471,11 @@ fn counts_stay_under_their_ceilings() {
                     r#"{{\""#,
                 ),
             JSON_FORMAT_SITES,
+        ),
+        (
+            "src.config_fields",
+            crate_sources(|src| sum_over_sources(src, &config_fields)),
+            CONFIG_FIELDS,
         ),
     ];
     println!("{:<40} {:>8} {:>8}", "cost", "count", "ceiling");

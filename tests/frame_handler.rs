@@ -284,7 +284,7 @@ fn corrupt_streams_get_an_error_frame_then_eof_on_every_tier_and_driver() {
             let ctx = format!("{tier:?}/{transport}: {label}");
             let mut s = dial(stack.addr());
             // Half-close: a stream that stops mid-frame is a peer that
-            // died, not one the server should wait io_timeout for. The
+            // died, not one the server should wait IO_TIMEOUT for. The
             // server may already have answered the first bad bytes and
             // closed, which fails either call; the replies still tell.
             let _ = s.write_all(&bytes);
@@ -384,7 +384,6 @@ fn drain_notifies_idle_peers_and_lets_in_flight_calls_finish() {
                 transport,
                 bridge_threads: 2,
                 idle_poll: POLL,
-                io_timeout: Duration::from_secs(10),
             },
         )
         .expect("start listener");
