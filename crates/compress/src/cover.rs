@@ -110,8 +110,11 @@ fn cover_into(
     }
 }
 
-/// The routes of [`onrtc_trie`], in ascending address order.
-pub(crate) fn onrtc_routes(trie: &Trie<NextHop>) -> Vec<Route> {
+/// The routes of [`onrtc_trie`], in ascending address order: sorted and
+/// non-overlapping, so they feed a bulk trie build, an even-range split
+/// and a lookup plane as they are.
+#[must_use]
+pub fn onrtc_routes(trie: &Trie<NextHop>) -> Vec<Route> {
     region_cover(Some(trie.root()), Prefix::root(), None).into_routes(Prefix::root())
 }
 

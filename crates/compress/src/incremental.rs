@@ -90,10 +90,17 @@ impl CompressedFib {
     #[must_use]
     pub fn new(table: &RouteTable) -> Self {
         let original = table.to_trie();
-        let compressed = onrtc_routes(&original)
-            .into_iter()
-            .map(|r| (r.prefix, r.next_hop))
-            .collect();
+        let cover = onrtc_routes(&original);
+        Self::from_parts(original, &cover)
+    }
+
+    /// Builds from an original trie and its ONRTC cover
+    /// ([`onrtc_routes`] of that trie), for a caller that computed the
+    /// cover already: the original is kept as given and the compressed
+    /// trie is bulk-built from the cover.
+    #[must_use]
+    pub fn from_parts(original: Trie<NextHop>, cover: &[Route]) -> Self {
+        let compressed = cover.iter().map(|r| (r.prefix, r.next_hop)).collect();
         CompressedFib {
             original,
             compressed,

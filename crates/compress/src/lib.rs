@@ -39,7 +39,9 @@ mod incremental;
 mod leaf_push;
 mod ortc;
 
-pub use cover::{locate, onrtc, onrtc_trie, range_cover, region_cover, region_cover_in, Cover};
+pub use cover::{
+    locate, onrtc, onrtc_routes, onrtc_trie, range_cover, region_cover, region_cover_in, Cover,
+};
 pub use incremental::{CompressedFib, TableDiff};
 pub use leaf_push::leaf_push;
 pub use ortc::{ortc, Action, OrtcTable};

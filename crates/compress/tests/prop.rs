@@ -3,7 +3,7 @@
 //! The generators favour short prefixes over a small next-hop alphabet so
 //! that overlap, merging, and carving all occur frequently.
 
-use clue_compress::{leaf_push, onrtc, ortc, CompressedFib};
+use clue_compress::{leaf_push, onrtc, onrtc_routes, ortc, CompressedFib};
 use clue_fib::{NextHop, Prefix, RouteTable, Update};
 use proptest::prelude::*;
 
@@ -127,6 +127,29 @@ proptest! {
             prop_assert_eq!(&cf.compressed_table(), &scratch);
             prop_assert_eq!(&replay, &scratch);
         }
+    }
+
+    /// A fib built from a trie and its cover is the fib `new` builds:
+    /// the same original and compressed tries, and the same diff for
+    /// every update of a random tail.
+    #[test]
+    fn from_parts_matches_new(initial in arb_table(), updates in arb_updates()) {
+        let original = initial.to_trie();
+        let cover = onrtc_routes(&original);
+        let mut parts = CompressedFib::from_parts(original, &cover);
+        let mut built = CompressedFib::new(&initial);
+        let entries = |t: &clue_fib::Trie<NextHop>| -> Vec<(Prefix, NextHop)> {
+            t.iter().map(|(p, &nh)| (p, nh)).collect()
+        };
+        prop_assert_eq!(entries(parts.original()), entries(built.original()));
+        prop_assert_eq!(entries(parts.compressed()), entries(built.compressed()));
+        prop_assert_eq!(RouteTable::from_trie(parts.original()), initial.clone());
+        prop_assert_eq!(parts.compressed_table(), onrtc(&initial));
+        for u in updates {
+            prop_assert_eq!(parts.apply(u), built.apply(u), "update {}", u);
+            prop_assert_eq!(entries(parts.compressed()), entries(built.compressed()));
+        }
+        prop_assert_eq!(entries(parts.original()), entries(built.original()));
     }
 
     /// Updates that do not change the forwarding function produce empty

@@ -89,8 +89,23 @@ impl CluePipeline {
     /// Panics if parameters are degenerate (zero chips/capacity).
     #[must_use]
     pub fn new(table: &RouteTable, chips: usize, dred_capacity: usize, headroom: usize) -> Self {
+        Self::from_fib(CompressedFib::new(table), chips, dred_capacity, headroom)
+    }
+
+    /// Builds the pipeline like [`new`](Self::new) around an already
+    /// compressed `fib`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if parameters are degenerate (zero chips/capacity).
+    #[must_use]
+    pub fn from_fib(
+        fib: CompressedFib,
+        chips: usize,
+        dred_capacity: usize,
+        headroom: usize,
+    ) -> Self {
         assert!(chips > 0 && dred_capacity > 0);
-        let fib = CompressedFib::new(table);
         let tcam = UnorderedTcam::with_routes(
             fib.compressed_len() + headroom + 64,
             fib.compressed().iter().map(|(p, &nh)| Route::new(p, nh)),

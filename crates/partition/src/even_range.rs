@@ -33,28 +33,14 @@ impl EvenRangePartition {
             "even-range partitioning requires a non-overlapping table (run ONRTC first)"
         );
         let routes: Vec<Route> = table.iter().collect();
+        let index = RangeIndex::even(&routes, n);
         let m = routes.len();
-        // Spread the division remainder over the first buckets so sizes
-        // differ by at most one (the paper's "exactly evenly").
-        let base = m / n;
-        let rem = m % n;
-        let mut buckets: Vec<Vec<Route>> = Vec::with_capacity(n);
-        let mut cursor = 0;
-        for i in 0..n {
-            let size = base + usize::from(i < rem);
-            buckets.push(routes[cursor..cursor + size].to_vec());
-            cursor += size;
-        }
-        debug_assert_eq!(cursor, m);
-        let cuts = buckets
-            .iter()
-            .skip(1)
-            .map(|b| b.first().map_or(u32::MAX, |r| r.prefix.low()))
+        let ends = even_starts(m, n).skip(1).chain([m]);
+        let buckets = even_starts(m, n)
+            .zip(ends)
+            .map(|(a, b)| routes[a..b].to_vec())
             .collect();
-        EvenRangePartition {
-            buckets,
-            index: RangeIndex { cuts },
-        }
+        EvenRangePartition { buckets, index }
     }
 
     /// The buckets, in address order.
@@ -83,7 +69,35 @@ pub struct RangeIndex {
     cuts: Vec<u32>,
 }
 
+/// Where each of `n` even buckets over `m` ordered items starts. The
+/// division remainder goes to the first buckets, so sizes differ by at
+/// most one (the paper's "exactly evenly").
+fn even_starts(m: usize, n: usize) -> impl Iterator<Item = usize> {
+    let (base, rem) = (m / n, m % n);
+    (0..n).map(move |i| i * base + i.min(rem))
+}
+
 impl RangeIndex {
+    /// The cuts of CLUE's even split of `routes` into `n` buckets, read
+    /// straight off the slice: each cut is the low address of the first
+    /// route of its bucket, or `u32::MAX` when more buckets than routes
+    /// leave it empty. `routes` must be sorted by address and
+    /// non-overlapping (ONRTC output); [`EvenRangePartition::split`]
+    /// cuts its table by the same rule.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n == 0`.
+    #[must_use]
+    pub fn even(routes: &[Route], n: usize) -> Self {
+        assert!(n > 0, "partition count must be positive");
+        let cuts = even_starts(routes.len(), n)
+            .skip(1)
+            .map(|s| routes.get(s).map_or(u32::MAX, |r| r.prefix.low()))
+            .collect();
+        RangeIndex { cuts }
+    }
+
     /// Builds an index directly from cut addresses (must be sorted).
     ///
     /// # Panics
@@ -157,6 +171,20 @@ mod tests {
                 assert_eq!(p.index().bucket_of(r.prefix.high()), i, "{}", r.prefix);
             }
         }
+    }
+
+    #[test]
+    fn even_cuts_open_each_bucket_and_pad_empty_ones_with_max() {
+        let routes: Vec<Route> = disjoint_table(10).iter().collect();
+        // Sizes 3, 3, 2, 2: the remainder goes to the first buckets.
+        let index = RangeIndex::even(&routes, 4);
+        assert_eq!(index.cuts(), &[3 << 16, 6 << 16, 8 << 16]);
+        assert_eq!(
+            &index,
+            EvenRangePartition::split(&disjoint_table(10), 4).index()
+        );
+        let index = RangeIndex::even(&routes[..2], 4);
+        assert_eq!(index.cuts(), &[1 << 16, u32::MAX, u32::MAX]);
     }
 
     #[test]

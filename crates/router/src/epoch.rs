@@ -71,6 +71,25 @@ impl EpochState {
         workers: usize,
         backend: BackendKind,
     ) -> Self {
+        let routes: Vec<Route> = compressed.iter().collect();
+        Self::from_routes(epoch, &routes, index, workers, backend)
+    }
+
+    /// [`build`](Self::build) over the compressed table's routes, in
+    /// address order — the ONRTC cover as boot computes it, with no
+    /// [`RouteTable`] in between.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `workers` disagrees with `index.bucket_count()`.
+    #[must_use]
+    pub fn from_routes(
+        epoch: u64,
+        routes: &[Route],
+        index: &RangeIndex,
+        workers: usize,
+        backend: BackendKind,
+    ) -> Self {
         // The tiled backend's builder lives upstream of clue-core; make
         // sure it is registered before any build_plane(Tiled) below.
         clue_tile::install();
@@ -81,7 +100,7 @@ impl EpochState {
         );
         let mut buckets: Vec<Vec<Route>> = (0..workers).map(|_| Vec::new()).collect();
         let mut replicated = 0u64;
-        for r in compressed.iter() {
+        for &r in routes {
             let first = index.bucket_of(r.prefix.low());
             let last = index.bucket_of(r.prefix.high());
             replicated += (last - first) as u64;
@@ -97,7 +116,7 @@ impl EpochState {
             epoch,
             planes,
             backend,
-            entries: compressed.len(),
+            entries: routes.len(),
             replicated,
         }
     }
@@ -259,6 +278,48 @@ mod tests {
                 answers.windows(2).all(|w| w[0] == w[1]),
                 "backends disagree at {addr:#x}: {answers:?}"
             );
+        }
+    }
+
+    #[test]
+    fn from_routes_matches_build_on_every_backend() {
+        let index = EvenRangePartition::split(&disjoint_table(32), 4)
+            .index()
+            .clone();
+        // A /4 over every cut, then disjoint /16s above it.
+        let mut t = RouteTable::new();
+        t.insert(Prefix::new(0, 4), NextHop(9));
+        for i in 0..24u32 {
+            t.insert(
+                Prefix::new(0x1000_0000 + (i << 20), 16),
+                NextHop((i % 5) as u16),
+            );
+        }
+        let routes: Vec<Route> = t.iter().collect();
+        let reference = t.to_trie();
+        for backend in BackendKind::ALL {
+            let built = EpochState::build(2, &t, &index, 4, backend);
+            let from = EpochState::from_routes(2, &routes, &index, 4, backend);
+            assert_eq!(from.replicated, 3, "the /4 spans three cuts ({backend})");
+            assert_eq!(
+                (from.epoch, from.backend, from.entries, from.replicated),
+                (built.epoch, built.backend, built.entries, built.replicated),
+                "{backend}"
+            );
+            for (b, (f, g)) in from.planes.iter().zip(&built.planes).enumerate() {
+                assert_eq!(f.len(), g.len(), "bucket {b} ({backend})");
+                for addr in (0u32..0x1200_0000).step_by(1 << 18) {
+                    assert_eq!(f.lookup(addr), g.lookup(addr), "bucket {b} addr {addr:#x}");
+                }
+            }
+            // Every address resolves in its own bucket, the /4 included.
+            for addr in (0u32..0x1200_0000).step_by(1 << 18) {
+                assert_eq!(
+                    from.planes[index.bucket_of(addr)].next_hop(addr),
+                    reference.lookup(addr).map(|(_, &nh)| nh),
+                    "addr {addr:#x} ({backend})"
+                );
+            }
         }
     }
 

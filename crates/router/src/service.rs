@@ -24,10 +24,11 @@ use std::time::{Duration, Instant};
 
 use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender, TrySendError};
 
+use clue_compress::{onrtc_routes, CompressedFib};
 use clue_core::update_pipeline::CluePipeline;
 use clue_core::BackendKind;
 use clue_fib::{NextHop, Route, RouteTable, Update};
-use clue_partition::{EvenRangePartition, Indexer, RangeIndex};
+use clue_partition::{Indexer, RangeIndex};
 use clue_tile::{TileConfig, TileSet};
 use parking_lot::Mutex;
 
@@ -167,7 +168,16 @@ pub struct RouterService {
 }
 
 impl RouterService {
-    /// Boots the full thread topology over `table`.
+    /// Boots the full thread topology over `table`, serving first.
+    ///
+    /// The calling thread builds only what a lookup reads: the original
+    /// trie, its ONRTC cover, the even-range cuts and the first epoch's
+    /// planes, all straight from the cover. It then spawns the threads
+    /// and returns. The update thread builds the update plane (the
+    /// compressed trie and the model TCAM) before it takes its first
+    /// update, so updates submitted meanwhile wait in the ingress, in
+    /// order, and [`drain`](Self::drain) right after `start` still
+    /// applies them.
     ///
     /// # Panics
     ///
@@ -224,26 +234,22 @@ impl RouterService {
             "router config sizes must be positive"
         );
 
-        // The model starts at its content and grows as updates need.
-        let mut pipeline = CluePipeline::new(table, cfg.workers, cfg.dred_capacity, 0);
-        // The one materialised table at boot: it feeds the partition
-        // split and the first epoch.
-        let compressed0 = pipeline.fib().compressed_table();
-        let index: RangeIndex = EvenRangePartition::split(&compressed0, cfg.workers)
-            .index()
-            .clone();
+        // Serve first: this thread builds only what a lookup reads. The
+        // ONRTC cover is sorted and non-overlapping, so it yields the
+        // cuts, the first epoch and the tile set as it is.
+        let original = table.to_trie();
+        let cover = onrtc_routes(&original);
+        let index = RangeIndex::even(&cover, cfg.workers);
         // Tiled backend: one persistent maintainer tracks the compressed
         // table across batches, so each publish rewrites only the touched
         // tiles and snapshots the rest by `Arc` instead of recompiling
         // every bucket from scratch. It is born here and lives in the
         // update thread.
-        let tileset0 = (cfg.backend == BackendKind::Tiled).then(|| {
-            let routes: Vec<Route> = compressed0.iter().collect();
-            TileSet::build(TileConfig::default(), &routes)
-        });
+        let tileset0 = (cfg.backend == BackendKind::Tiled)
+            .then(|| TileSet::build(TileConfig::default(), &cover));
         let first_epoch = match &tileset0 {
             Some(ts) => EpochState::from_tileset(epoch0, ts, &index, cfg.workers),
-            None => EpochState::build(epoch0, &compressed0, &index, cfg.workers, cfg.backend),
+            None => EpochState::from_routes(epoch0, &cover, &index, cfg.workers, cfg.backend),
         };
 
         let shared = Arc::new(Shared {
@@ -254,25 +260,22 @@ impl RouterService {
 
         let (ingress_tx, ingress_rx) = bounded::<Ingress>(cfg.update_queue);
 
-        // Home FIFOs are unbounded: every caller blocks on its reply, so
-        // a FIFO holds at most one job per concurrent caller.
-        let mut fifo_tx: Vec<Sender<Job>> = Vec::with_capacity(cfg.workers);
-        let mut workers = Vec::with_capacity(cfg.workers);
-        for chip in 0..cfg.workers {
-            let (tx, fifo) = unbounded::<Job>();
-            fifo_tx.push(tx);
-            let shared = Arc::clone(&shared);
-            workers.push(std::thread::spawn(move || {
-                worker_loop(chip, &shared, &fifo);
-            }));
-        }
-
+        // The update thread builds the update plane (compressed trie,
+        // model TCAM) before its first `recv`; updates submitted
+        // meanwhile wait in the ingress, in order. It is spawned before
+        // the workers: spawned after them, the process's peak RSS read
+        // higher (DESIGN.md, "Boot: serve first").
         let journal_active = journal.is_some();
         let update_thread = {
             let shared = Arc::clone(&shared);
             let index = index.clone();
             let cfg = *cfg;
             std::thread::spawn(move || {
+                let fib = CompressedFib::from_parts(original, &cover);
+                drop(cover);
+                // The model starts at its content and grows as updates
+                // need.
+                let mut pipeline = CluePipeline::from_fib(fib, cfg.workers, cfg.dred_capacity, 0);
                 update_loop(
                     &mut pipeline,
                     &ingress_rx,
@@ -293,6 +296,19 @@ impl RouterService {
                 }
             })
         };
+
+        // Home FIFOs are unbounded: every caller blocks on its reply, so
+        // a FIFO holds at most one job per concurrent caller.
+        let mut fifo_tx: Vec<Sender<Job>> = Vec::with_capacity(cfg.workers);
+        let mut workers = Vec::with_capacity(cfg.workers);
+        for chip in 0..cfg.workers {
+            let (tx, fifo) = unbounded::<Job>();
+            fifo_tx.push(tx);
+            let shared = Arc::clone(&shared);
+            workers.push(std::thread::spawn(move || {
+                worker_loop(chip, &shared, &fifo);
+            }));
+        }
 
         let (stop_printer, stop_rx) = bounded::<()>(1);
         let printer = cfg.snapshot_every.map(|every| {
@@ -610,13 +626,15 @@ fn update_loop(
             epoch += 1;
             let state = match &tileset {
                 Some(ts) => EpochState::from_tileset(epoch, ts, index, workers),
-                None => EpochState::build(
-                    epoch,
-                    &pipeline.fib().compressed_table(),
-                    index,
-                    workers,
-                    cfg.backend,
-                ),
+                None => {
+                    let routes: Vec<Route> = pipeline
+                        .fib()
+                        .compressed()
+                        .iter()
+                        .map(|(p, &nh)| Route::new(p, nh))
+                        .collect();
+                    EpochState::from_routes(epoch, &routes, index, workers, cfg.backend)
+                }
             };
             shared.epochs.publish(state);
             shared.stats.update().epochs += 1;

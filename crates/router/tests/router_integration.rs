@@ -14,7 +14,7 @@
 
 use clue_compress::onrtc;
 use clue_fib::{gen::FibGen, Route, RouteTable, Update};
-use clue_router::{run, OverflowPolicy, RouterConfig};
+use clue_router::{run, OverflowPolicy, RouterConfig, RouterService, SubmitOutcome};
 use clue_traffic::{PacketGen, UpdateGen};
 
 fn workload() -> (RouteTable, Vec<u32>, Vec<Update>) {
@@ -155,4 +155,45 @@ fn dynamic_redundancy_stays_bounded() {
         report.dynamic_redundancy,
         table
     );
+}
+
+#[test]
+fn updates_submitted_while_the_update_plane_builds_apply_in_order() {
+    // `start` returns once the lookup planes exist; the update thread
+    // then builds the compressed trie and the TCAM model. Updates
+    // submitted at once queue behind that build (a small queue, so the
+    // submitter blocks on it), and lookups answer from epoch 0 meanwhile.
+    let fib = FibGen::new(2001).routes(50_000).generate();
+    let packets = PacketGen::new(2002).generate(&fib, 4_000);
+    let updates = UpdateGen::new(2003).generate(&fib, 3_000);
+    let cfg = RouterConfig {
+        update_queue: 8,
+        overflow: OverflowPolicy::Block,
+        ..RouterConfig::default()
+    };
+    let svc = RouterService::start(&fib, &cfg);
+    let early = svc.lookup_batch(packets.clone());
+    for &u in &updates {
+        assert_eq!(svc.submit_update(u), SubmitOutcome::Accepted);
+    }
+    let report = svc.drain();
+
+    let reference = onrtc(&fib).to_trie();
+    for (&addr, nh) in packets.iter().zip(&early) {
+        assert_eq!(
+            *nh,
+            reference.lookup(addr).map(|(_, &v)| v),
+            "addr {addr:#x}"
+        );
+    }
+    let mut expect = fib.clone();
+    for &u in &updates {
+        expect.apply(u);
+    }
+    assert_eq!(routes(&report.final_table), routes(&expect));
+    assert_eq!(routes(&report.final_compressed), routes(&onrtc(&expect)));
+    assert_eq!(report.snapshot.update_drops, 0, "Block policy never drops");
+    assert_eq!(report.snapshot.updates_received, updates.len() as u64);
+    assert_eq!(report.snapshot.arrivals, packets.len() as u64);
+    assert_eq!(report.snapshot.completions, report.snapshot.arrivals);
 }

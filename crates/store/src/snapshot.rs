@@ -92,28 +92,63 @@ fn get_routes(c: &mut Cursor<'_>) -> io::Result<Vec<Route>> {
     Ok(out)
 }
 
+/// A snapshot's fields with its tables borrowed: the one encoder
+/// behind [`encode_snapshot`], so the store writes tables it holds
+/// without first copying them into a [`Snapshot`].
+pub(crate) struct SnapshotRef<'a, C> {
+    pub(crate) jseq: u64,
+    pub(crate) epoch: u64,
+    pub(crate) seq_hw: u64,
+    pub(crate) raw_total: u64,
+    pub(crate) chips: u32,
+    pub(crate) cuts: &'a [u32],
+    pub(crate) table: &'a RouteTable,
+    /// The compressed table's length and its routes in address order.
+    pub(crate) compressed: (usize, C),
+    pub(crate) dreds: &'a [Vec<Route>],
+}
+
+impl<C: Iterator<Item = Route>> SnapshotRef<'_, C> {
+    /// Encodes the snapshot, CRC included.
+    pub(crate) fn encode(self) -> Vec<u8> {
+        let mut buf = Vec::new();
+        buf.extend_from_slice(&SNAP_MAGIC.to_be_bytes());
+        buf.extend_from_slice(&SNAP_VERSION.to_be_bytes());
+        buf.extend_from_slice(&self.jseq.to_be_bytes());
+        buf.extend_from_slice(&self.epoch.to_be_bytes());
+        buf.extend_from_slice(&self.seq_hw.to_be_bytes());
+        buf.extend_from_slice(&self.raw_total.to_be_bytes());
+        buf.extend_from_slice(&self.chips.to_be_bytes());
+        buf.extend_from_slice(&(self.cuts.len() as u32).to_be_bytes());
+        for &cut in self.cuts {
+            buf.extend_from_slice(&cut.to_be_bytes());
+        }
+        put_table(&mut buf, self.table.len(), self.table.iter());
+        let (len, routes) = self.compressed;
+        put_table(&mut buf, len, routes);
+        for dred in self.dreds {
+            put_table(&mut buf, dred.len(), dred.iter().copied());
+        }
+        buf.extend_from_slice(&crc32(&buf).to_be_bytes());
+        buf
+    }
+}
+
 /// Encodes a snapshot, CRC included.
 #[must_use]
 pub fn encode_snapshot(snap: &Snapshot) -> Vec<u8> {
-    let mut buf = Vec::new();
-    buf.extend_from_slice(&SNAP_MAGIC.to_be_bytes());
-    buf.extend_from_slice(&SNAP_VERSION.to_be_bytes());
-    buf.extend_from_slice(&snap.jseq.to_be_bytes());
-    buf.extend_from_slice(&snap.epoch.to_be_bytes());
-    buf.extend_from_slice(&snap.seq_hw.to_be_bytes());
-    buf.extend_from_slice(&snap.raw_total.to_be_bytes());
-    buf.extend_from_slice(&snap.chips.to_be_bytes());
-    buf.extend_from_slice(&(snap.cuts.len() as u32).to_be_bytes());
-    for &cut in &snap.cuts {
-        buf.extend_from_slice(&cut.to_be_bytes());
+    SnapshotRef {
+        jseq: snap.jseq,
+        epoch: snap.epoch,
+        seq_hw: snap.seq_hw,
+        raw_total: snap.raw_total,
+        chips: snap.chips,
+        cuts: &snap.cuts,
+        table: &snap.table,
+        compressed: (snap.compressed.len(), snap.compressed.iter()),
+        dreds: &snap.dreds,
     }
-    put_table(&mut buf, snap.table.len(), snap.table.iter());
-    put_table(&mut buf, snap.compressed.len(), snap.compressed.iter());
-    for dred in &snap.dreds {
-        put_table(&mut buf, dred.len(), dred.iter().copied());
-    }
-    buf.extend_from_slice(&crc32(&buf).to_be_bytes());
-    buf
+    .encode()
 }
 
 /// Decodes a snapshot and verifies both its CRC and its semantic
@@ -235,12 +270,16 @@ pub fn newest_valid_snapshot(dir: &Path) -> io::Result<(Option<(PathBuf, Snapsho
 /// Propagates I/O failures; a failed write leaves at most a `.tmp`
 /// sibling behind, never a half-written snapshot under the final name.
 pub fn write_snapshot(dir: &Path, snap: &Snapshot) -> io::Result<PathBuf> {
-    let bytes = encode_snapshot(snap);
-    let final_path = dir.join(snapshot_name(snap.jseq));
-    let tmp_path = dir.join(format!("{}.tmp", snapshot_name(snap.jseq)));
+    write_snapshot_bytes(dir, snap.jseq, &encode_snapshot(snap))
+}
+
+/// [`write_snapshot`] of an encoded snapshot at journal position `jseq`.
+pub(crate) fn write_snapshot_bytes(dir: &Path, jseq: u64, bytes: &[u8]) -> io::Result<PathBuf> {
+    let final_path = dir.join(snapshot_name(jseq));
+    let tmp_path = dir.join(format!("{}.tmp", snapshot_name(jseq)));
     {
         let mut f = fs::File::create(&tmp_path)?;
-        io::Write::write_all(&mut f, &bytes)?;
+        io::Write::write_all(&mut f, bytes)?;
         f.sync_all()?;
     }
     fs::rename(&tmp_path, &final_path)?;

@@ -7,12 +7,12 @@ use std::fs::{self, File, OpenOptions};
 use std::io::{self, ErrorKind, Write};
 use std::path::{Path, PathBuf};
 
-use clue_compress::onrtc;
+use clue_compress::onrtc_routes;
 use clue_fib::RouteTable;
-use clue_partition::EvenRangePartition;
+use clue_partition::RangeIndex;
 use clue_router::{CheckpointView, JournalBatch, RecoveredState, UpdateJournal};
 
-use crate::snapshot::{list_snapshots, newest_valid_snapshot, write_snapshot, Snapshot};
+use crate::snapshot::{list_snapshots, newest_valid_snapshot, write_snapshot_bytes, SnapshotRef};
 use crate::wal::{encode_record, list_segments, scan_dir, segment_name, WalRecord};
 
 /// The writer rotates to a fresh WAL segment past this many bytes.
@@ -245,23 +245,8 @@ impl Store {
                 "data dir is already initialized",
             ));
         }
-        let compressed = onrtc(table);
-        let cuts = EvenRangePartition::split(&compressed, chips)
-            .index()
-            .cuts()
-            .to_vec();
-        let snap = Snapshot {
-            jseq: 0,
-            epoch: 0,
-            seq_hw: 0,
-            raw_total: 0,
-            chips: chips as u32,
-            cuts,
-            table: table.clone(),
-            compressed,
-            dreds: vec![Vec::new(); chips],
-        };
-        write_snapshot(&self.dir, &snap)?;
+        let bytes = encode_table_snapshot(0, 0, 0, 0, table, chips as u32);
+        write_snapshot_bytes(&self.dir, 0, &bytes)?;
         Ok(())
     }
 
@@ -307,11 +292,12 @@ impl Store {
         Ok(self.writer.as_mut().expect("just ensured"))
     }
 
-    fn write_checkpoint(&mut self, snap: &Snapshot) -> io::Result<()> {
-        write_snapshot(&self.dir, snap)?;
-        self.snapshot_jseq = snap.jseq;
+    /// Writes the encoded snapshot at `jseq`, then prunes the journal.
+    fn write_checkpoint(&mut self, jseq: u64, bytes: &[u8]) -> io::Result<()> {
+        write_snapshot_bytes(&self.dir, jseq, bytes)?;
+        self.snapshot_jseq = jseq;
         self.appends_since_snapshot = 0;
-        // Every journaled record is ≤ snap.jseq, so the whole log is
+        // Every journaled record is ≤ jseq, so the whole log is
         // superseded: drop the segments and start fresh on next append.
         self.writer = None;
         for seg in list_segments(&self.dir)? {
@@ -352,24 +338,47 @@ impl Store {
     ///
     /// I/O failures writing the snapshot or pruning segments.
     pub fn checkpoint_recovery(&mut self, rec: &Recovery) -> io::Result<()> {
-        let compressed = onrtc(&rec.table);
-        let cuts = EvenRangePartition::split(&compressed, rec.chips as usize)
-            .index()
-            .cuts()
-            .to_vec();
-        let snap = Snapshot {
-            jseq: self.next_jseq - 1,
-            epoch: rec.epoch,
-            seq_hw: rec.seq_hw,
-            raw_total: rec.raw_applied,
-            chips: rec.chips,
-            cuts,
-            table: rec.table.clone(),
-            compressed,
-            dreds: vec![Vec::new(); rec.chips as usize],
-        };
-        self.write_checkpoint(&snap)
+        let jseq = self.next_jseq - 1;
+        let bytes = encode_table_snapshot(
+            jseq,
+            rec.epoch,
+            rec.seq_hw,
+            rec.raw_applied,
+            &rec.table,
+            rec.chips,
+        );
+        self.write_checkpoint(jseq, &bytes)
     }
+}
+
+/// Encodes a snapshot of `table` with these [`Snapshot`] positions,
+/// split for `chips` workers, with empty DReds: the compressed table is
+/// the ONRTC cover and the cuts its even split, and `table` is encoded
+/// where it lies.
+///
+/// [`Snapshot`]: crate::Snapshot
+fn encode_table_snapshot(
+    jseq: u64,
+    epoch: u64,
+    seq_hw: u64,
+    raw_total: u64,
+    table: &RouteTable,
+    chips: u32,
+) -> Vec<u8> {
+    let cover = onrtc_routes(&table.to_trie());
+    let index = RangeIndex::even(&cover, chips as usize);
+    SnapshotRef {
+        jseq,
+        epoch,
+        seq_hw,
+        raw_total,
+        chips,
+        cuts: index.cuts(),
+        table,
+        compressed: (cover.len(), cover.iter().copied()),
+        dreds: &vec![Vec::new(); chips as usize],
+    }
+    .encode()
 }
 
 impl UpdateJournal for Store {
@@ -400,18 +409,20 @@ impl UpdateJournal for Store {
     }
 
     fn checkpoint(&mut self, view: &CheckpointView<'_>) -> io::Result<()> {
-        let snap = Snapshot {
-            jseq: self.next_jseq - 1,
+        let jseq = self.next_jseq - 1;
+        let bytes = SnapshotRef {
+            jseq,
             epoch: view.epoch,
             seq_hw: view.seq_hw,
             raw_total: self.raw_total,
             chips: view.cuts.len() as u32 + 1,
-            cuts: view.cuts.to_vec(),
-            table: view.table.clone(),
-            compressed: view.compressed.clone(),
-            dreds: vec![Vec::new(); view.cuts.len() + 1],
-        };
-        self.write_checkpoint(&snap)
+            cuts: view.cuts,
+            table: view.table,
+            compressed: (view.compressed.len(), view.compressed.iter()),
+            dreds: &vec![Vec::new(); view.cuts.len() + 1],
+        }
+        .encode();
+        self.write_checkpoint(jseq, &bytes)
     }
 }
 
@@ -438,6 +449,42 @@ mod tests {
         assert_eq!(rec.table, table);
         assert_eq!(rec.replayed, 0);
         assert_eq!(rec.chips, 2);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The seed snapshot is written from borrowed tables; it must hold
+    /// what a [`Snapshot`] assembled from `onrtc` and the even-range
+    /// partition holds, cuts included, over an uneven split.
+    ///
+    /// [`Snapshot`]: crate::Snapshot
+    #[test]
+    fn seed_snapshot_holds_the_compressed_table_and_its_even_cuts() {
+        let dir = std::env::temp_dir().join(format!("clue-store-seedbytes-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let (mut store, _) = Store::open(&dir, StoreConfig::default()).unwrap();
+        let table = clue_fib::gen::FibGen::new(5).routes(3_001).generate();
+        store.init_from_table(&table, 4).unwrap();
+        let compressed = clue_compress::onrtc(&table);
+        let want = crate::Snapshot {
+            jseq: 0,
+            epoch: 0,
+            seq_hw: 0,
+            raw_total: 0,
+            chips: 4,
+            cuts: clue_partition::EvenRangePartition::split(&compressed, 4)
+                .index()
+                .cuts()
+                .to_vec(),
+            table,
+            compressed,
+            dreds: vec![Vec::new(); 4],
+        };
+        let path = dir.join(crate::snapshot::snapshot_name(0));
+        assert_eq!(
+            fs::read(&path).unwrap(),
+            crate::encode_snapshot(&want),
+            "byte-identical to the Snapshot encoding"
+        );
         fs::remove_dir_all(&dir).unwrap();
     }
 

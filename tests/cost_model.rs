@@ -25,12 +25,13 @@ use std::io::Read;
 use std::net::SocketAddr;
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::time::Duration;
 
 use clue::cluster::{Primary, PrimaryConfig, Proxy, ProxyConfig, ShardMap, ShardSpec};
 use clue::compress::onrtc;
 use clue::core::{build_plane, BackendKind};
 use clue::fib::gen::FibGen;
-use clue::fib::{NextHop, Route, RouteTable};
+use clue::fib::{NextHop, Prefix, Route, RouteTable, Update};
 use clue::net::frame::{Frame, FrameDecoder, FrameType};
 use clue::net::{wire, ClientConfig, Connection, Server, ServerConfig};
 use clue::router::{RouterConfig, RouterService};
@@ -119,17 +120,18 @@ const PLANE_HEAP_BYTES_PER_ENTRY: usize = 8;
 /// Allocations building that plane: the words, the index, and the box
 /// (no `up` links for non-overlapping content).
 const ALLOCS_PER_PLANE_BUILD: usize = 3;
-/// Allocations the calling thread makes during `RouterService::start`
-/// on the 2 000-route table: the tries, the one materialised compressed
-/// table, the partition split, the first epoch's planes, the TCAM model
-/// and the thread spawns. (The spawned threads' own start-up
-/// allocations race `start`'s return, so they are left out. The test
-/// harness's output capture costs two more per spawn: 268 under
-/// `--nocapture`.)
-const ALLOCS_PER_START: usize = 278;
-/// Heap bytes a `RouterService` holds right after `start` on a
-/// 100 K-route table, per route: both tries, the TCAM model with its
-/// prefix → slot map, and the first epoch's planes.
+/// Allocations every thread makes from `RouterService::start` on the
+/// 2 000-route table until its update plane is ready (`start_until_ready`):
+/// the original trie, the ONRTC cover, the cuts, the first epoch's
+/// planes and the thread spawns on the caller; the compressed trie, the
+/// TCAM model and one elided batch on the update thread; the threads'
+/// own start-up. Counted across threads, so work moved off the caller
+/// still counts. (The test harness's output capture costs two more per
+/// spawn: 134 under `--nocapture`.)
+const ALLOCS_PER_START: usize = 144;
+/// Heap bytes a `RouterService` holds on a 100 K-route table once its
+/// update plane is ready, per route: both tries, the TCAM model with
+/// its prefix → slot map, and the first epoch's planes.
 const HEAP_BYTES_PER_ROUTE: usize = 166;
 /// Lines under `crates/*/src` that use a `select!` macro.
 const SELECT_SITES: usize = 0;
@@ -172,12 +174,33 @@ fn allocs_during(f: impl FnOnce()) -> usize {
     ALLOCS.load(Ordering::Relaxed) - before
 }
 
-/// Heap bytes live after `RouterService::start` on `fib` that were not
-/// live before it, per route.
-fn heap_bytes_per_route(fib: &RouteTable) -> usize {
-    let before = LIVE_BYTES.load(Ordering::Relaxed);
+/// Boots a `RouterService` on `fib` and waits until its update plane,
+/// which the update thread builds after `start` returns, is ready: it
+/// withdraws a prefix `fib` lacks and waits for that batch. Returns the
+/// service, the allocations every thread made meanwhile (the waiting
+/// thread's polls left out) and the heap bytes then live that were not
+/// before.
+fn start_until_ready(fib: &RouteTable) -> (RouterService, usize, usize) {
+    let absent = Prefix::new(u32::MAX, 32);
+    assert!(!fib.contains(absent), "the probe prefix is absent");
+    let allocs = ALLOCS.load(Ordering::Relaxed);
+    let live = LIVE_BYTES.load(Ordering::Relaxed);
     let svc = RouterService::start(fib, &RouterConfig::default());
-    let live = LIVE_BYTES.load(Ordering::Relaxed) - before;
+    svc.submit_update(Update::Withdraw { prefix: absent });
+    let polls = own_allocs_during(|| {
+        while svc.stats().batches < 1 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    });
+    let allocs = ALLOCS.load(Ordering::Relaxed) - allocs - polls;
+    let live = LIVE_BYTES.load(Ordering::Relaxed) - live;
+    (svc, allocs, live)
+}
+
+/// Heap bytes live once a `RouterService` on `fib` is ready
+/// ([`start_until_ready`]), per route.
+fn heap_bytes_per_route(fib: &RouteTable) -> usize {
+    let (svc, _, live) = start_until_ready(fib);
     drop(svc.drain());
     live / fib.len()
 }
@@ -377,10 +400,7 @@ fn counts_stay_under_their_ceilings() {
     let plane_bytes = plane.heap_bytes() / plane.len();
 
     let before = os_threads();
-    let mut svc = None;
-    let start_allocs =
-        own_allocs_during(|| svc = Some(RouterService::start(&fib, &RouterConfig::default())));
-    let svc = svc.expect("service started");
+    let (svc, start_allocs, _) = start_until_ready(&fib);
     let threads = os_threads() - before;
 
     let b64 = allocs_per_lookup_batch(&svc, &addrs, 64, 200);
