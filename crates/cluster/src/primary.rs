@@ -83,15 +83,17 @@ impl Primary {
                 ),
             ));
         }
-        let (store, state, recovered) =
+        let (mut store, state, recovered) =
             Store::open_or_seed(dir, cfg.store, fib, cfg.server.router.workers)?;
+        // The hub takes the snapshot bytes the open just validated, and
+        // the router the trie and cover that validation built.
         let hub = Arc::new(ReplicationHub::new(store.stream_base()?));
         let repl = ReplicationListener::start(cfg.repl.clone(), Arc::clone(&hub))?;
         let journal = ReplicatedStore::new(store, Arc::clone(&hub), cfg.sync_timeout);
         let routes = state.table.len();
         let seq_hw = state.seq_hw;
         let svc =
-            RouterService::start_recovered(&state, &cfg.server.router, Some(Box::new(journal)));
+            RouterService::start_recovered(state, &cfg.server.router, Some(Box::new(journal)));
         let server = Server::start_with_service(svc, seq_hw, &cfg.server)?;
         Ok(Primary {
             server: Some(server),

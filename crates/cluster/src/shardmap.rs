@@ -35,11 +35,11 @@ use std::io;
 use std::ops::RangeInclusive;
 use std::path::Path;
 
-use clue_compress::onrtc;
+use clue_compress::onrtc_routes;
 use clue_core::codec::{bad_data, Cursor};
 use clue_core::crc::crc32;
 use clue_fib::{Prefix, RouteTable};
-use clue_partition::EvenRangePartition;
+use clue_partition::RangeIndex;
 
 /// Shard-map magic, "CLSM".
 pub const MAP_MAGIC: u32 = 0x434C_534D;
@@ -90,7 +90,8 @@ pub struct ShardMap {
 
 impl ShardMap {
     /// Derives a map for `shards.len()` shards from a routing table:
-    /// ONRTC-compress, even-range split, take the cuts.
+    /// the even-range cuts of its ONRTC cover, read straight off the
+    /// cover's routes.
     ///
     /// # Errors
     ///
@@ -101,11 +102,8 @@ impl ShardMap {
         if shards.is_empty() {
             return Err(bad_data("a shard map needs at least one shard".into()));
         }
-        let compressed = onrtc(table);
-        let cuts = EvenRangePartition::split(&compressed, shards.len())
-            .index()
-            .cuts()
-            .to_vec();
+        let cover = onrtc_routes(&table.to_trie());
+        let cuts = RangeIndex::even(&cover, shards.len()).cuts().to_vec();
         Self::from_cuts(cuts, shards)
     }
 
@@ -337,8 +335,10 @@ fn get_addr(c: &mut Cursor<'_>) -> io::Result<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use clue_compress::onrtc;
     use clue_fib::gen::FibGen;
     use clue_fib::{NextHop, Route};
+    use clue_partition::EvenRangePartition;
 
     fn map3() -> ShardMap {
         ShardMap::from_cuts(

@@ -302,16 +302,18 @@ fn frontend_loop(
             table: s.table.clone(),
             epoch: s.epoch,
             seq_hw: s.seq_hw,
+            base: None,
         }
     };
-    let svc = RouterService::start_recovered(&recovered, &cfg.router, None);
+    let seq_hw = recovered.seq_hw;
+    let svc = RouterService::start_recovered(recovered, &cfg.router, None);
     let scfg = ServerConfig {
         listen: listener.local_addr().to_string(),
         router: cfg.router,
         idle_poll: cfg.idle_poll,
         ..ServerConfig::default()
     };
-    let server = Server::start_with_service(svc, recovered.seq_hw, &scfg)?;
+    let server = Server::start_with_service(svc, seq_hw, &scfg)?;
     flags.promoted.store(true, Ordering::Release);
     Ok(Some(server))
 }

@@ -135,7 +135,7 @@ fn run_journaled(
     } else {
         Box::new(store)
     };
-    let svc = RouterService::start_recovered(&state, &router_cfg(cfg), Some(journal));
+    let svc = RouterService::start_recovered(state, &router_cfg(cfg), Some(journal));
     for (i, &u) in trace.iter().enumerate() {
         if svc.submit_update_tagged(u, i as u64 + 1) != SubmitOutcome::Accepted {
             return Err(rec_div(format!("update {i} rejected under Block policy")));
@@ -418,7 +418,7 @@ pub fn check_recovery_phase(
     let resume_at = rec.raw_applied as usize;
     let seq0 = rec.seq_hw;
     let svc =
-        RouterService::start_recovered(&rec.into_state(), &router_cfg(cfg), Some(Box::new(store)));
+        RouterService::start_recovered(rec.into_state(), &router_cfg(cfg), Some(Box::new(store)));
     for (i, &u) in trace[resume_at..].iter().enumerate() {
         if svc.submit_update_tagged(u, seq0 + i as u64 + 1) != SubmitOutcome::Accepted {
             return Err(rec_div(format!(

@@ -25,7 +25,7 @@
 
 use std::io;
 
-use clue_fib::{RouteTable, Update};
+use clue_fib::{NextHop, Route, RouteTable, Trie, Update};
 
 /// One coalesced batch as handed to the journal, *before* it is applied.
 pub struct JournalBatch<'a> {
@@ -57,6 +57,12 @@ pub struct CheckpointView<'a> {
     pub cuts: &'a [u32],
 }
 
+/// A table's original trie and its ONRTC cover
+/// ([`onrtc_routes`](clue_compress::onrtc_routes) of that trie, sorted
+/// by address): what a [`RouterService`](crate::RouterService) boots
+/// from.
+pub type BootBase = (Trie<NextHop>, Vec<Route>);
+
 /// What a persistence layer recovered from disk, ready to boot a
 /// [`RouterService`](crate::RouterService) via
 /// [`start_recovered`](crate::RouterService::start_recovered).
@@ -69,6 +75,10 @@ pub struct RecoveredState {
     /// The journaled sequence high-water; a network frontend advertises
     /// it so clients resume from the right place.
     pub seq_hw: u64,
+    /// `table`'s boot base, when the persistence layer already built it
+    /// (validating a snapshot builds both); `None` makes
+    /// `start_recovered` build it from `table`.
+    pub base: Option<BootBase>,
 }
 
 /// A write-ahead journal driven by the update thread.

@@ -37,7 +37,7 @@ pub use clue_core::lookup::BackendKind;
 pub use coalesce::{coalesce, coalesce_with, CoalescedBatch};
 pub use epoch::{EpochCell, EpochState};
 pub use faults::{FaultPlan, IngressPerturber, WriteStall};
-pub use journal::{CheckpointView, JournalBatch, RecoveredState, UpdateJournal};
+pub use journal::{BootBase, CheckpointView, JournalBatch, RecoveredState, UpdateJournal};
 pub use runtime::{run, OverflowPolicy, RouterConfig, RouterReport};
 pub use service::{RouterService, SubmitOutcome};
 pub use stats::{PlaneInfo, RouterStats, StatsSnapshot};

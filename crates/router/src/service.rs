@@ -35,7 +35,7 @@ use parking_lot::Mutex;
 use crate::coalesce::coalesce_with;
 use crate::epoch::{EpochCell, EpochState};
 use crate::faults::WriteStall;
-use crate::journal::{CheckpointView, JournalBatch, RecoveredState, UpdateJournal};
+use crate::journal::{BootBase, CheckpointView, JournalBatch, RecoveredState, UpdateJournal};
 use crate::runtime::{OverflowPolicy, RouterConfig, RouterReport};
 use crate::stats::{RouterStats, StatsSnapshot};
 
@@ -145,6 +145,13 @@ pub enum SubmitOutcome {
     Dropped,
 }
 
+/// Builds `table`'s boot base: its original trie and ONRTC cover.
+fn boot_base(table: &RouteTable) -> BootBase {
+    let original = table.to_trie();
+    let cover = onrtc_routes(&original);
+    (original, cover)
+}
+
 /// A live, incrementally-fed router: workers and update plane behind a
 /// handle. See the module docs for the drain contract.
 pub struct RouterService {
@@ -185,7 +192,7 @@ impl RouterService {
     /// size), exactly like [`runtime::run`](crate::runtime::run).
     #[must_use]
     pub fn start(table: &RouteTable, cfg: &RouterConfig) -> Self {
-        Self::start_inner(table, 0, 0, cfg, None)
+        Self::start_inner(boot_base(table), 0, 0, cfg, None)
     }
 
     /// Boots like [`start`](Self::start) with a write-ahead journal on
@@ -201,34 +208,38 @@ impl RouterService {
         cfg: &RouterConfig,
         journal: Box<dyn UpdateJournal>,
     ) -> Self {
-        Self::start_inner(table, 0, 0, cfg, Some(journal))
+        Self::start_inner(boot_base(table), 0, 0, cfg, Some(journal))
     }
 
     /// Boots from a [`RecoveredState`]: epoch numbering resumes after
     /// `state.epoch`, and the journaled high-water starts at
     /// `state.seq_hw` (so a frontend advertises the recovered ack
-    /// position to resuming clients).
+    /// position to resuming clients). The state's base is served as it
+    /// is; only a state without one has it built from `state.table`.
     ///
     /// # Panics
     ///
     /// Same conditions as [`start`](Self::start).
     #[must_use]
     pub fn start_recovered(
-        state: &RecoveredState,
+        state: RecoveredState,
         cfg: &RouterConfig,
         journal: Option<Box<dyn UpdateJournal>>,
     ) -> Self {
-        Self::start_inner(&state.table, state.epoch, state.seq_hw, cfg, journal)
+        let base = state.base.unwrap_or_else(|| boot_base(&state.table));
+        Self::start_inner(base, state.epoch, state.seq_hw, cfg, journal)
     }
 
+    /// The one boot path: every `start` variant hands it a table's
+    /// original trie and ONRTC cover.
     fn start_inner(
-        table: &RouteTable,
+        (original, cover): BootBase,
         epoch0: u64,
         seq_hw0: u64,
         cfg: &RouterConfig,
         journal: Option<Box<dyn UpdateJournal>>,
     ) -> Self {
-        assert!(!table.is_empty(), "need a routing table to serve");
+        assert!(!original.is_empty(), "need a routing table to serve");
         assert!(
             cfg.workers > 0 && cfg.dred_capacity > 0 && cfg.batch_size > 0 && cfg.update_queue > 0,
             "router config sizes must be positive"
@@ -237,8 +248,6 @@ impl RouterService {
         // Serve first: this thread builds only what a lookup reads. The
         // ONRTC cover is sorted and non-overlapping, so it yields the
         // cuts, the first epoch and the tile set as it is.
-        let original = table.to_trie();
-        let cover = onrtc_routes(&original);
         let index = RangeIndex::even(&cover, cfg.workers);
         // Tiled backend: one persistent maintainer tracks the compressed
         // table across batches, so each publish rewrites only the touched

@@ -34,10 +34,11 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use clue_compress::onrtc;
+use clue_compress::onrtc_routes;
 use clue_core::codec::{bad_data, Cursor};
 use clue_core::crc::crc32;
 use clue_fib::{NextHop, Prefix, Route, RouteTable};
+use clue_router::BootBase;
 
 /// Snapshot magic, "CLSN".
 pub const SNAP_MAGIC: u32 = 0x434C_534E;
@@ -159,6 +160,13 @@ pub fn encode_snapshot(snap: &Snapshot) -> Vec<u8> {
 /// `InvalidData` on any structural, checksum, or integrity failure.
 /// Never panics, whatever the bytes.
 pub fn decode_snapshot(bytes: &[u8]) -> io::Result<Snapshot> {
+    decode_snapshot_with_base(bytes).map(|(snap, _)| snap)
+}
+
+/// [`decode_snapshot`], also returning what its integrity check built:
+/// the table's original trie and its ONRTC cover, the pair a router
+/// boots from.
+pub(crate) fn decode_snapshot_with_base(bytes: &[u8]) -> io::Result<(Snapshot, BootBase)> {
     if bytes.len() < 4 {
         return Err(bad_data("snapshot shorter than its CRC".into()));
     }
@@ -201,12 +209,16 @@ pub fn decode_snapshot(bytes: &[u8]) -> io::Result<Snapshot> {
     if table.is_empty() {
         return Err(bad_data("snapshot holds an empty table".into()));
     }
-    if onrtc(&table) != compressed {
+    // The cover comes out in address order, the order a non-overlapping
+    // table iterates in, so the two compare route by route.
+    let original = table.to_trie();
+    let cover = onrtc_routes(&original);
+    if cover.len() != compressed.len() || !cover.iter().copied().eq(compressed.iter()) {
         return Err(bad_data(
             "snapshot integrity failure: stored compressed table is not onrtc(table)".into(),
         ));
     }
-    Ok(Snapshot {
+    let snap = Snapshot {
         jseq,
         epoch,
         seq_hw,
@@ -216,7 +228,8 @@ pub fn decode_snapshot(bytes: &[u8]) -> io::Result<Snapshot> {
         table,
         compressed,
         dreds,
-    })
+    };
+    Ok((snap, (original, cover)))
 }
 
 /// The file name of the snapshot at journal position `jseq`.
@@ -252,10 +265,37 @@ pub fn list_snapshots(dir: &Path) -> io::Result<Vec<PathBuf>> {
 /// Propagates directory-read errors; an unreadable or corrupt snapshot
 /// file is counted, not returned.
 pub fn newest_valid_snapshot(dir: &Path) -> io::Result<(Option<(PathBuf, Snapshot)>, u64)> {
+    let (newest, skipped) = newest_valid(dir)?;
+    Ok((newest.map(|v| (v.path, v.snap)), skipped))
+}
+
+/// The newest snapshot that validates, with the file's bytes and the
+/// base its integrity check built.
+pub(crate) struct Validated {
+    pub(crate) path: PathBuf,
+    pub(crate) snap: Snapshot,
+    pub(crate) bytes: Vec<u8>,
+    pub(crate) base: BootBase,
+}
+
+/// [`newest_valid_snapshot`], keeping what validation read and built.
+pub(crate) fn newest_valid(dir: &Path) -> io::Result<(Option<Validated>, u64)> {
     let mut skipped = 0;
     for path in list_snapshots(dir)? {
-        match load_snapshot(&path) {
-            Ok(snap) => return Ok((Some((path, snap)), skipped)),
+        let Ok(bytes) = fs::read(&path) else {
+            skipped += 1;
+            continue;
+        };
+        match decode_snapshot_with_base(&bytes) {
+            Ok((snap, base)) => {
+                let v = Validated {
+                    path,
+                    snap,
+                    bytes,
+                    base,
+                };
+                return Ok((Some(v), skipped));
+            }
             Err(_) => skipped += 1,
         }
     }
@@ -307,7 +347,7 @@ mod tests {
         let table: RouteTable = (0..64u32)
             .map(|i| Route::new(Prefix::new(i << 24, 8), NextHop((i % 7) as u16)))
             .collect();
-        let compressed = onrtc(&table);
+        let compressed = clue_compress::onrtc(&table);
         Snapshot {
             jseq: 42,
             epoch: 9,
@@ -355,9 +395,27 @@ mod tests {
         let mut snap = sample();
         snap.compressed
             .insert(Prefix::new(0xFE00_0000, 8), NextHop(999));
-        assert_ne!(snap.compressed, onrtc(&snap.table), "test needs a lie");
+        assert_ne!(
+            snap.compressed,
+            clue_compress::onrtc(&snap.table),
+            "test needs a lie"
+        );
         let bytes = encode_snapshot(&snap);
         let err = decode_snapshot(&bytes).unwrap_err();
+        assert!(err.to_string().contains("integrity"), "{err}");
+    }
+
+    #[test]
+    fn a_compressed_table_of_the_right_length_that_lies_is_rejected() {
+        let mut snap = sample();
+        let last = snap.compressed.iter().last().expect("non-empty");
+        snap.compressed
+            .insert(last.prefix, NextHop(last.next_hop.0 + 1));
+        assert_eq!(
+            snap.compressed.len(),
+            clue_compress::onrtc(&snap.table).len()
+        );
+        let err = decode_snapshot(&encode_snapshot(&snap)).unwrap_err();
         assert!(err.to_string().contains("integrity"), "{err}");
     }
 

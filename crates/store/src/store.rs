@@ -10,9 +10,9 @@ use std::path::{Path, PathBuf};
 use clue_compress::onrtc_routes;
 use clue_fib::RouteTable;
 use clue_partition::RangeIndex;
-use clue_router::{CheckpointView, JournalBatch, RecoveredState, UpdateJournal};
+use clue_router::{BootBase, CheckpointView, JournalBatch, RecoveredState, UpdateJournal};
 
-use crate::snapshot::{list_snapshots, newest_valid_snapshot, write_snapshot_bytes, SnapshotRef};
+use crate::snapshot::{list_snapshots, newest_valid, write_snapshot_bytes, SnapshotRef, Validated};
 use crate::wal::{encode_record, list_segments, scan_dir, segment_name, WalRecord};
 
 /// The writer rotates to a fresh WAL segment past this many bytes.
@@ -67,6 +67,9 @@ pub struct Recovery {
     pub truncated: bool,
     /// Newer snapshots that failed validation and were skipped.
     pub snapshots_skipped: u64,
+    /// `table`'s boot base as the snapshot's integrity check built it;
+    /// kept only when no record was replayed on top.
+    base: Option<BootBase>,
 }
 
 /// A consistent streaming view of a data dir: the newest valid
@@ -77,8 +80,9 @@ pub struct StreamBase {
     /// Journal position the snapshot covers (records ≤ `jseq` are
     /// folded in).
     pub jseq: u64,
-    /// The snapshot file's raw bytes, CRC and all — followers validate
-    /// with [`crate::decode_snapshot`] after reassembly.
+    /// The snapshot file's raw bytes, CRC and all, validated by the
+    /// store — followers validate again with [`crate::decode_snapshot`]
+    /// after reassembly.
     pub snapshot: Vec<u8>,
     /// Journal records after `jseq`, in jseq order.
     pub tail: Vec<WalRecord>,
@@ -86,13 +90,15 @@ pub struct StreamBase {
 
 impl Recovery {
     /// The recovered state in the form `RouterService::start_recovered`
-    /// consumes.
+    /// consumes, with the boot base validation built when the journal
+    /// tail was empty (so the router builds none).
     #[must_use]
     pub fn into_state(self) -> RecoveredState {
         RecoveredState {
             table: self.table,
             epoch: self.epoch,
             seq_hw: self.seq_hw,
+            base: self.base,
         }
     }
 }
@@ -115,6 +121,10 @@ pub struct Store {
     snapshot_jseq: u64,
     appends_since_snapshot: u64,
     raw_total: u64,
+    /// The bytes of the snapshot at `snapshot_jseq` as `open` read and
+    /// validated them, until [`stream_base`](Self::stream_base) takes
+    /// them or a checkpoint supersedes them.
+    snapshot_bytes: Option<Vec<u8>>,
 }
 
 impl Store {
@@ -134,8 +144,11 @@ impl Store {
     /// no snapshot validates (the base state is unrecoverable).
     pub fn open(dir: &Path, cfg: StoreConfig) -> io::Result<(Store, Option<Recovery>)> {
         fs::create_dir_all(dir)?;
-        let (newest, skipped) = newest_valid_snapshot(dir)?;
-        let Some((_, snap)) = newest else {
+        let (newest, skipped) = newest_valid(dir)?;
+        let Some(Validated {
+            snap, bytes, base, ..
+        }) = newest
+        else {
             if skipped > 0 || !list_segments(dir)?.is_empty() {
                 return Err(io::Error::new(
                     ErrorKind::InvalidData,
@@ -150,12 +163,13 @@ impl Store {
                 snapshot_jseq: 0,
                 appends_since_snapshot: 0,
                 raw_total: 0,
+                snapshot_bytes: None,
             };
             return Ok((store, None));
         };
 
         let scan = scan_dir(dir, snap.jseq)?;
-        let mut table = snap.table.clone();
+        let mut table = snap.table;
         let mut epoch = snap.epoch;
         let mut seq_hw = snap.seq_hw;
         let mut raw_replayed = 0u64;
@@ -185,6 +199,7 @@ impl Store {
             raw_applied: snap.raw_total + raw_replayed,
             truncated: scan.truncated,
             snapshots_skipped: skipped,
+            base: (replayed == 0).then_some(base),
         };
         let store = Store {
             dir: dir.to_path_buf(),
@@ -194,6 +209,7 @@ impl Store {
             snapshot_jseq: snap.jseq,
             appends_since_snapshot: replayed,
             raw_total: recovery.raw_applied,
+            snapshot_bytes: Some(bytes),
         };
         Ok((store, Some(recovery)))
     }
@@ -202,7 +218,11 @@ impl Store {
     /// the state to start the router from — what the dir recovers to
     /// (`true`; `fib` is ignored), or, for a fresh dir, `fib` seeded as
     /// snapshot 0 for `chips` workers and read back (`false`), so both
-    /// branches feed `RouterService::start_recovered` the same way.
+    /// branches feed `RouterService::start_recovered` the same way. The
+    /// router serves what the read-back validated: a state with an empty
+    /// journal tail carries the trie and cover the snapshot's integrity
+    /// check built, so a seeded boot builds them twice (seed, read-back)
+    /// and a clean restart once.
     ///
     /// # Errors
     ///
@@ -296,6 +316,7 @@ impl Store {
     fn write_checkpoint(&mut self, jseq: u64, bytes: &[u8]) -> io::Result<()> {
         write_snapshot_bytes(&self.dir, jseq, bytes)?;
         self.snapshot_jseq = jseq;
+        self.snapshot_bytes = None;
         self.appends_since_snapshot = 0;
         // Every journaled record is ≤ jseq, so the whole log is
         // superseded: drop the segments and start fresh on next append.
@@ -309,19 +330,28 @@ impl Store {
     /// Reads the segment-streaming base for replication: the raw bytes
     /// of the snapshot at [`snapshot_jseq`](Self::snapshot_jseq) plus
     /// the decoded journal tail after it. Called between appends (the
-    /// store owns the write side, so the view is consistent).
+    /// store owns the write side, so the view is consistent). The first
+    /// call after [`open`](Self::open) hands over the bytes `open`
+    /// validated; any later call, and every call after a checkpoint,
+    /// reads the file and validates it again.
     ///
     /// # Errors
     ///
     /// I/O failures, or `InvalidData` when the current snapshot file
     /// does not validate (a standby must never be seeded from a
     /// corrupt base).
-    pub fn stream_base(&self) -> io::Result<StreamBase> {
-        let path = self
-            .dir
-            .join(crate::snapshot::snapshot_name(self.snapshot_jseq));
-        let snapshot = fs::read(&path)?;
-        crate::snapshot::decode_snapshot(&snapshot)?;
+    pub fn stream_base(&mut self) -> io::Result<StreamBase> {
+        let snapshot = match self.snapshot_bytes.take() {
+            Some(bytes) => bytes,
+            None => {
+                let path = self
+                    .dir
+                    .join(crate::snapshot::snapshot_name(self.snapshot_jseq));
+                let bytes = fs::read(&path)?;
+                crate::snapshot::decode_snapshot(&bytes)?;
+                bytes
+            }
+        };
         let scan = scan_dir(&self.dir, self.snapshot_jseq)?;
         Ok(StreamBase {
             jseq: self.snapshot_jseq,

@@ -274,7 +274,7 @@ fn recovered_service_continues_to_the_full_oracle() {
         };
         let resume_at = rec.raw_applied as usize;
         let seq0 = rec.seq_hw;
-        let svc = RouterService::start_recovered(&rec.into_state(), &rcfg, Some(Box::new(store)));
+        let svc = RouterService::start_recovered(rec.into_state(), &rcfg, Some(Box::new(store)));
         for (i, &u) in trace[resume_at..].iter().enumerate() {
             svc.submit_update_tagged(u, seq0 + i as u64 + 1);
         }

@@ -175,26 +175,22 @@ fn serve_net(
                 scfg.router.workers,
             )
             .map_err(|e| io_err("--data-dir", &e))?;
+            let (seq_hw, routes) = (state.seq_hw, state.table.len());
             if recovered {
                 if fib.is_some() {
                     eprintln!("clue serve: {dir} already holds state; ignoring --fib");
                 }
                 println!(
-                    "recovered {} routes from {dir}: epoch {}, seq high-water {}",
-                    state.table.len(),
+                    "recovered {routes} routes from {dir}: epoch {}, seq high-water {seq_hw}",
                     state.epoch,
-                    state.seq_hw,
                 );
             } else {
-                println!(
-                    "seeded {dir} with {} routes (base snapshot 0)",
-                    state.table.len()
-                );
+                println!("seeded {dir} with {routes} routes (base snapshot 0)");
             }
-            let svc = RouterService::start_recovered(&state, &scfg.router, Some(Box::new(store)));
-            let server = Server::start_with_service(svc, state.seq_hw, scfg)
-                .map_err(|e| io_err(listen, &e))?;
-            (server, state.table.len())
+            let svc = RouterService::start_recovered(state, &scfg.router, Some(Box::new(store)));
+            let server =
+                Server::start_with_service(svc, seq_hw, scfg).map_err(|e| io_err(listen, &e))?;
+            (server, routes)
         }
     };
     serve_until_stopped(

@@ -129,6 +129,14 @@ const ALLOCS_PER_PLANE_BUILD: usize = 3;
 /// still counts. (The test harness's output capture costs two more per
 /// spawn: 134 under `--nocapture`.)
 const ALLOCS_PER_START: usize = 144;
+/// Allocations every thread makes from `Primary::start` on a fresh data
+/// dir over the same table until its update plane is ready
+/// (`allocs_per_primary_start`): the seed snapshot with its trie and
+/// cover, the read-back whose validation builds the trie and cover the
+/// router then boots from, the replication hub on the bytes the
+/// read-back validated, both listeners, the router as above, and the
+/// primary's side of the probe connection. (561 under `--nocapture`.)
+const ALLOCS_PER_PRIMARY_START: usize = 577;
 /// Heap bytes a `RouterService` holds on a 100 K-route table once its
 /// update plane is ready, per route: both tries, the TCAM model with
 /// its prefix → slot map, and the first epoch's planes.
@@ -145,7 +153,7 @@ const DIAL_SITES: usize = 1;
 const ORACLE_CONNECT_SITES: usize = 1;
 /// Lines in the longest file under `src/bin/cli`: one module per
 /// subcommand group keeps the CLI from growing back into one file.
-const CLI_MAX_FILE_LINES: usize = 339;
+const CLI_MAX_FILE_LINES: usize = 335;
 /// Lines under `crates/*/src` and `src/` whose format string opens a
 /// JSON object: every document renders through `clue_core::json`, which
 /// builds objects without one.
@@ -174,33 +182,89 @@ fn allocs_during(f: impl FnOnce()) -> usize {
     ALLOCS.load(Ordering::Relaxed) - before
 }
 
-/// Boots a `RouterService` on `fib` and waits until its update plane,
-/// which the update thread builds after `start` returns, is ready: it
-/// withdraws a prefix `fib` lacks and waits for that batch. Returns the
-/// service, the allocations every thread made meanwhile (the waiting
-/// thread's polls left out) and the heap bytes then live that were not
-/// before.
-fn start_until_ready(fib: &RouteTable) -> (RouterService, usize, usize) {
-    let absent = Prefix::new(u32::MAX, 32);
-    assert!(!fib.contains(absent), "the probe prefix is absent");
+/// A prefix the probe tables lack: withdrawing it is a batch that
+/// changes nothing.
+fn absent() -> Prefix {
+    Prefix::new(u32::MAX, 32)
+}
+
+/// Boots a node with `start` and waits until the update plane its
+/// service builds after `start` returns is ready: `withdraw` submits a
+/// withdrawal of [`absent`], and `wait` returns once that batch is
+/// applied. Returns the node, the allocations every thread made
+/// meanwhile (`wait`'s own on this thread left out) and the heap bytes
+/// then live that were not before.
+fn start_until_ready<S>(
+    start: impl FnOnce() -> S,
+    withdraw: impl FnOnce(&S),
+    wait: impl FnOnce(&S),
+) -> (S, usize, usize) {
     let allocs = ALLOCS.load(Ordering::Relaxed);
     let live = LIVE_BYTES.load(Ordering::Relaxed);
-    let svc = RouterService::start(fib, &RouterConfig::default());
-    svc.submit_update(Update::Withdraw { prefix: absent });
-    let polls = own_allocs_during(|| {
-        while svc.stats().batches < 1 {
-            std::thread::sleep(Duration::from_millis(1));
-        }
-    });
-    let allocs = ALLOCS.load(Ordering::Relaxed) - allocs - polls;
+    let node = start();
+    withdraw(&node);
+    let waits = own_allocs_during(|| wait(&node));
+    let allocs = ALLOCS.load(Ordering::Relaxed) - allocs - waits;
     let live = LIVE_BYTES.load(Ordering::Relaxed) - live;
-    (svc, allocs, live)
+    (node, allocs, live)
+}
+
+/// [`start_until_ready`] for `RouterService::start` on `fib`: the wait
+/// polls the service's batch count.
+fn service_until_ready(fib: &RouteTable) -> (RouterService, usize, usize) {
+    assert!(!fib.contains(absent()), "the probe prefix is absent");
+    start_until_ready(
+        || RouterService::start(fib, &RouterConfig::default()),
+        |svc| {
+            let _ = svc.submit_update(Update::Withdraw { prefix: absent() });
+        },
+        |svc| {
+            while svc.stats().batches < 1 {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        },
+    )
+}
+
+/// Allocations every thread makes from `Primary::start` on a fresh data
+/// dir seeded with `fib` until its update plane is ready
+/// ([`start_until_ready`]). The wait is a client on this thread: it
+/// sends the withdrawal, waits for the ack (sent once the batch is
+/// journaled, so after the update plane is built), then polls the
+/// primary's batch count. Its own allocations are left out; the
+/// primary's for the connection count, and the connection stays open
+/// until counting ends.
+fn allocs_per_primary_start(fib: &RouteTable) -> usize {
+    assert!(!fib.contains(absent()), "the probe prefix is absent");
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR"))
+        .join(format!("cost-model-primary-{}", std::process::id()));
+    let _ = fs::remove_dir_all(&dir);
+    let mut client = None;
+    let (primary, allocs, _) = start_until_ready(
+        || Primary::start(&dir, Some(fib), &PrimaryConfig::default()).expect("start primary"),
+        |_| {},
+        |primary: &Primary| {
+            let addr = primary.local_addr().to_string();
+            let conn =
+                client.insert(Connection::connect(ClientConfig::to_addr(addr)).expect("connect"));
+            conn.send_updates(&[Update::Withdraw { prefix: absent() }])
+                .expect("send the withdrawal");
+            conn.flush_acks().expect("the withdrawal is acked");
+            while !primary.stats_json().contains("\"batches\":1,") {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        },
+    );
+    drop(client);
+    primary.stop().expect("primary stops");
+    let _ = fs::remove_dir_all(&dir);
+    allocs
 }
 
 /// Heap bytes live once a `RouterService` on `fib` is ready
-/// ([`start_until_ready`]), per route.
+/// ([`service_until_ready`]), per route.
 fn heap_bytes_per_route(fib: &RouteTable) -> usize {
-    let (svc, _, live) = start_until_ready(fib);
+    let (svc, _, live) = service_until_ready(fib);
     drop(svc.drain());
     live / fib.len()
 }
@@ -400,7 +464,7 @@ fn counts_stay_under_their_ceilings() {
     let plane_bytes = plane.heap_bytes() / plane.len();
 
     let before = os_threads();
-    let (svc, start_allocs, _) = start_until_ready(&fib);
+    let (svc, start_allocs, _) = service_until_ready(&fib);
     let threads = os_threads() - before;
 
     let b64 = allocs_per_lookup_batch(&svc, &addrs, 64, 200);
@@ -413,12 +477,18 @@ fn counts_stay_under_their_ceilings() {
     let rtt64 = allocs_per_lookup_rtt(server.local_addr(), &addrs, 64, 200);
     server.drain().expect("server drains");
     let proxy_rtt64 = allocs_per_proxy_lookup_rtt(&fib, &addrs, 200);
+    let primary_start_allocs = allocs_per_primary_start(&fib);
     let heap_per_route = heap_bytes_per_route(&FibGen::new(93).routes(100_000).generate());
 
     let rows = [
         ("router.threads_started", threads, THREADS_PER_SERVICE),
         ("net.threads_started", net_threads, THREADS_PER_SERVER),
         ("router.allocs_per_start", start_allocs, ALLOCS_PER_START),
+        (
+            "cluster.allocs_per_primary_start",
+            primary_start_allocs,
+            ALLOCS_PER_PRIMARY_START,
+        ),
         (
             "router.heap_bytes_per_route",
             heap_per_route,
