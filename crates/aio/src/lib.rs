@@ -33,9 +33,10 @@
 //! spinning, and every such error is reported to
 //! [`Driver::on_accept_error`].
 //!
-//! Thread-per-connection listeners borrow two things from here:
-//! [`ReadyWait`] parks their accept loop on the listener's readiness,
-//! and [`accept_backoff`] paces it after a failed accept.
+//! Thread-per-connection listeners borrow three things from here:
+//! [`Stop`] is how a tier is told to stop, [`ReadyWait`] parks their
+//! accept loop on the listener's readiness or that stop, and
+//! [`accept_backoff`] paces it after a failed accept.
 
 #![forbid(unsafe_op_in_unsafe_fn)]
 #![warn(missing_docs)]
@@ -45,4 +46,4 @@ mod ready;
 pub mod rlimit;
 
 pub use reactor::{accept_backoff, CloseReason, ConnId, Ctl, Driver, EventLoop, LoopHandle};
-pub use ready::ReadyWait;
+pub use ready::{ReadyWait, Stop};

@@ -65,7 +65,8 @@ use clue_fib::{NextHop, Update};
 use clue_net::frame::{Frame, FrameType};
 use clue_net::wire;
 use clue_net::{
-    client, ClientConfig, Connection, FrameHandler, Listener, ListenerConfig, NetStats, Transport,
+    client, ClientConfig, Connection, FrameHandler, Listener, ListenerConfig, NetStats, Stop,
+    Transport,
 };
 
 use crate::shardmap::ShardMap;
@@ -81,8 +82,6 @@ pub struct ProxyConfig {
     pub heartbeat_every: Duration,
     /// Consecutive heartbeat misses before the monitor promotes.
     pub fail_after: u32,
-    /// Poll interval for idle sockets and shutdown checks.
-    pub idle_poll: Duration,
     /// Client-facing serving architecture: a thread per client, or
     /// every client multiplexed on one `clue-aio` reactor with a
     /// bridge pool for the blocking backend fan-out.
@@ -102,7 +101,6 @@ impl ProxyConfig {
             map,
             heartbeat_every: Duration::from_millis(150),
             fail_after: 2,
-            idle_poll: Duration::from_millis(20),
             transport: Transport::default(),
             bridge_threads: 4,
         }
@@ -196,6 +194,8 @@ impl Shared {
 pub struct Proxy {
     listener: Listener,
     shared: Arc<Shared>,
+    /// Wakes the monitor out of its wait between heartbeat rounds.
+    stop: Arc<Stop>,
     monitor: Option<JoinHandle<()>>,
 }
 
@@ -240,17 +240,17 @@ impl Proxy {
             ListenerConfig {
                 transport: cfg.transport,
                 bridge_threads: cfg.bridge_threads,
-                idle_poll: cfg.idle_poll,
             },
         )?;
+        let stop = Arc::new(Stop::new());
         let monitor = {
-            let shared = Arc::clone(&shared);
-            let shutdown = listener.shutdown_flag();
-            thread::spawn(move || monitor_loop(&cfg, &shared, &shutdown))
+            let (shared, stop) = (Arc::clone(&shared), Arc::clone(&stop));
+            thread::spawn(move || monitor_loop(&cfg, &shared, &stop))
         };
         Ok(Proxy {
             listener,
             shared,
+            stop,
             monitor: Some(monitor),
         })
     }
@@ -301,7 +301,7 @@ impl Proxy {
 
 impl Drop for Proxy {
     fn drop(&mut self) {
-        // One flag stops both: the monitor reads the listener's.
+        self.stop.request();
         self.listener.request_shutdown();
         if let Some(h) = self.monitor.take() {
             let _ = h.join();
@@ -352,12 +352,11 @@ fn proxy_stats_json(shared: &Shared, backends: Option<Vec<Option<String>>>) -> S
         .finish()
 }
 
-fn monitor_loop(cfg: &ProxyConfig, shared: &Arc<Shared>, shutdown: &AtomicBool) {
+fn monitor_loop(cfg: &ProxyConfig, shared: &Arc<Shared>, stop: &Stop) {
     let mut nonce = 0u64;
-    while !shutdown.load(Ordering::SeqCst) {
-        thread::sleep(cfg.heartbeat_every);
+    while !stop.wait_timeout(cfg.heartbeat_every) {
         for (i, shard) in shared.shards.iter().enumerate() {
-            if shutdown.load(Ordering::SeqCst) {
+            if stop.is_requested() {
                 return;
             }
             nonce += 1;

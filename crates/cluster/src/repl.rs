@@ -39,7 +39,7 @@ use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use clue_net::frame::{Frame, FrameDecoder, FrameType, MAX_PAYLOAD};
-use clue_net::{wire, NetStats, IO_TIMEOUT};
+use clue_net::{wire, NetStats, Stop, IO_TIMEOUT};
 use clue_router::{CheckpointView, JournalBatch, UpdateJournal};
 use clue_store::{encode_record, Store, StreamBase, WalRecord};
 
@@ -263,6 +263,13 @@ impl ReplicationHub {
         self.note_progress();
     }
 
+    /// Detaches every follower, dropping the sender its session's live
+    /// stream waits on, so each wakes and ends.
+    fn detach_all(&self) {
+        self.inner.lock().expect("hub lock").followers.clear();
+        self.note_progress();
+    }
+
     /// Wakes [`wait_replicated`] after a follower records an ack (or
     /// leaves the set).
     fn note_progress(&self) {
@@ -322,21 +329,18 @@ impl UpdateJournal for ReplicatedStore {
     }
 }
 
-/// Tunables for the primary's replication listener.
+/// Tunables for the primary's replication listener. A stalled follower
+/// is bounded by [`IO_TIMEOUT`] per socket read or write.
 #[derive(Debug, Clone)]
 pub struct ReplConfig {
     /// Listen address for followers (e.g. `127.0.0.1:0`).
     pub listen: String,
-    /// Accept-loop and live-stream poll interval. A stalled follower
-    /// is bounded by [`IO_TIMEOUT`] per socket read or write.
-    pub idle_poll: Duration,
 }
 
 impl Default for ReplConfig {
     fn default() -> Self {
         ReplConfig {
             listen: "127.0.0.1:0".into(),
-            idle_poll: Duration::from_millis(50),
         }
     }
 }
@@ -345,7 +349,8 @@ impl Default for ReplConfig {
 /// streams them the hub's snapshot/backlog/live records.
 pub struct ReplicationListener {
     local_addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
+    stop: Arc<Stop>,
+    hub: Arc<ReplicationHub>,
     accept: Option<JoinHandle<()>>,
 }
 
@@ -359,21 +364,22 @@ impl ReplicationListener {
         let listener = TcpListener::bind(&cfg.listen)?;
         listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
-        let shutdown = Arc::new(AtomicBool::new(false));
+        let stop = Arc::new(Stop::new());
         let accept = {
-            let shutdown = Arc::clone(&shutdown);
+            let (stop, hub) = (Arc::clone(&stop), Arc::clone(&hub));
             thread::spawn(move || {
                 // A streaming session, not request/reply: only the
                 // accept path is shared with the frame-handler tiers.
-                let serve = |stream: TcpStream, _peer| {
-                    let _ = serve_follower(&stream, &cfg, &hub, &shutdown);
+                let serve = |stream: &TcpStream, _peer| {
+                    let _ = serve_follower(stream, &hub, &stop);
                 };
-                clue_net::accept_loop(&listener, cfg.idle_poll, &hub.net, &shutdown, serve);
+                clue_net::accept_loop(&listener, &hub.net, &stop, serve);
             })
         };
         Ok(ReplicationListener {
             local_addr,
-            shutdown,
+            stop,
+            hub,
             accept: Some(accept),
         })
     }
@@ -392,19 +398,17 @@ impl ReplicationListener {
 
 impl Drop for ReplicationListener {
     fn drop(&mut self) {
-        self.shutdown.store(true, Ordering::SeqCst);
+        // The accept loop wakes the sessions reading their socket, and
+        // the hub those waiting for a record to ship.
+        self.stop.request();
+        self.hub.detach_all();
         if let Some(h) = self.accept.take() {
             let _ = h.join();
         }
     }
 }
 
-fn serve_follower(
-    stream: &TcpStream,
-    cfg: &ReplConfig,
-    hub: &Arc<ReplicationHub>,
-    shutdown: &Arc<AtomicBool>,
-) -> io::Result<()> {
+fn serve_follower(stream: &TcpStream, hub: &ReplicationHub, stop: &Stop) -> io::Result<()> {
     stream.set_nodelay(true)?;
     stream.set_read_timeout(Some(IO_TIMEOUT))?;
     stream.set_write_timeout(Some(IO_TIMEOUT))?;
@@ -425,7 +429,7 @@ fn serve_follower(
     let applied = wire::decode_u64(&hello.payload)?;
 
     let session = hub.attach(applied);
-    let result = stream_to_follower(stream, &mut decoder, cfg, hub, shutdown, &session);
+    let result = stream_to_follower(stream, &mut decoder, hub, stop, &session);
     session.alive.store(false, Ordering::Release);
     hub.detach(session.id);
     result
@@ -434,9 +438,8 @@ fn serve_follower(
 fn stream_to_follower(
     stream: &TcpStream,
     decoder: &mut FrameDecoder,
-    cfg: &ReplConfig,
-    hub: &Arc<ReplicationHub>,
-    shutdown: &Arc<AtomicBool>,
+    hub: &ReplicationHub,
+    stop: &Stop,
     session: &FollowerSession,
 ) -> io::Result<()> {
     Frame {
@@ -470,30 +473,27 @@ fn stream_to_follower(
     session.caught_up.store(true, Ordering::Release);
     hub.note_progress();
 
-    loop {
-        if shutdown.load(Ordering::Acquire) {
-            Frame::empty(FrameType::Shutdown, 0).write_to(&mut &*stream)?;
-            return Ok(());
-        }
-        match session.rx.recv_timeout(cfg.idle_poll) {
-            Ok(rec) => {
-                // The live channel only carries records published after
-                // attach, but guard anyway: never re-ship an applied one.
-                if rec.jseq > session.acked.load(Ordering::Acquire) {
-                    ship_record(stream, decoder, session, hub, &rec)?;
-                }
-            }
-            Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {}
-            Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => return Ok(()),
+    // Live: wait for the next record. The stop is requested before the
+    // hub drops this session's sender, so a session that attached after
+    // the drop sees the request here, and one parked in `recv` wakes.
+    while !stop.is_requested() {
+        let Ok(rec) = session.rx.recv() else {
+            break;
+        };
+        // The live channel only carries records published after
+        // attach, but guard anyway: never re-ship an applied one.
+        if rec.jseq > session.acked.load(Ordering::Acquire) {
+            ship_record(stream, decoder, session, hub, &rec)?;
         }
     }
+    Frame::empty(FrameType::Shutdown, 0).write_to(&mut &*stream)
 }
 
 fn ship_record(
     stream: &TcpStream,
     decoder: &mut FrameDecoder,
     session: &FollowerSession,
-    hub: &Arc<ReplicationHub>,
+    hub: &ReplicationHub,
     rec: &ShippedRecord,
 ) -> io::Result<()> {
     Frame {

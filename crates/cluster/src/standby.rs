@@ -22,11 +22,12 @@
 //! rebind gap is covered by the clients' reconnect backoff.
 
 use std::io::{self, ErrorKind};
-use std::net::{SocketAddr, TcpListener};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::mpsc::{self, Receiver};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::{self, JoinHandle};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use clue_core::codec::bad_data;
 use clue_core::json;
@@ -34,8 +35,8 @@ use clue_fib::RouteTable;
 use clue_net::frame::{Frame, FrameType};
 use clue_net::wire;
 use clue_net::{
-    client, FrameHandler, FrameReader, Listener, ListenerConfig, NetStats, Polled, Server,
-    ServerConfig, Transport, IO_TIMEOUT,
+    client, FrameHandler, FrameReader, Listener, ListenerConfig, NetStats, Server, ServerConfig,
+    Stop, Transport, IO_TIMEOUT,
 };
 use clue_router::{RecoveredState, RouterConfig, RouterReport, RouterService};
 use clue_store::{decode_record, decode_snapshot};
@@ -52,8 +53,6 @@ pub struct StandbyConfig {
     pub primary_repl: String,
     /// Router configuration used when promoted.
     pub router: RouterConfig,
-    /// Poll interval for idle sockets and shutdown checks.
-    pub idle_poll: Duration,
     /// Backoff between replication reconnect attempts.
     pub reconnect_backoff: Duration,
 }
@@ -64,7 +63,6 @@ impl Default for StandbyConfig {
             listen: "127.0.0.1:0".into(),
             primary_repl: String::new(),
             router: RouterConfig::default(),
-            idle_poll: Duration::from_millis(20),
             reconnect_backoff: Duration::from_millis(100),
         }
     }
@@ -103,14 +101,37 @@ pub enum StandbyOutcome {
 /// What the standby's threads signal each other with.
 #[derive(Default)]
 struct Flags {
-    shutdown: AtomicBool,
+    /// Ends replication and wakes the frontend: requested by a stop and
+    /// by a promotion.
+    stop: Stop,
     /// Promotion was asked for (a `Promote` frame or
     /// [`Standby::request_promote`]).
     promote_req: AtomicBool,
-    /// The replication thread has exited.
-    repl_stopped: AtomicBool,
     /// The promoted server is up.
     promoted: AtomicBool,
+    /// A clone of the replication session's socket, whose read half
+    /// the stop shuts so a read parked on a quiet primary wakes.
+    session: Mutex<Option<TcpStream>>,
+}
+
+impl Flags {
+    /// Requests the stop and wakes the replication thread. Runs in
+    /// `Drop`, so it does not panic: the slot holds a valid value even
+    /// if a thread panicked while holding its lock.
+    fn halt(&self) {
+        self.stop.request();
+        let session = self.session.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(s) = &*session {
+            let _ = s.shutdown(Shutdown::Read);
+        }
+    }
+
+    /// Asks for promotion: replication stops, and the frontend reboots
+    /// the address as a full server.
+    fn promote(&self) {
+        self.promote_req.store(true, Ordering::Release);
+        self.halt();
+    }
 }
 
 /// A running standby (replication client + control frontend).
@@ -148,21 +169,22 @@ impl Standby {
             ListenerConfig {
                 transport: Transport::Threads,
                 bridge_threads: 0,
-                idle_poll: cfg.idle_poll,
             },
         )?;
 
+        // Disconnected once the replication thread has exited.
+        let (repl_alive, repl_exit) = mpsc::channel::<()>();
         let repl = {
             let (cfg, state, flags) = (cfg.clone(), Arc::clone(&state), Arc::clone(&flags));
             thread::spawn(move || {
+                let _alive = repl_alive;
                 replication_loop(&cfg, &state, &flags);
-                flags.repl_stopped.store(true, Ordering::Release);
             })
         };
         let primary_repl = cfg.primary_repl.clone();
         let frontend = {
             let (state, flags) = (Arc::clone(&state), Arc::clone(&flags));
-            thread::spawn(move || frontend_loop(listener, &cfg, &state, &flags))
+            thread::spawn(move || frontend_loop(listener, &cfg, &state, &flags, &repl_exit))
         };
         Ok(Standby {
             local_addr,
@@ -199,7 +221,7 @@ impl Standby {
     /// server on the same address. In-process equivalent of the
     /// proxy's failover RPC, for tests and benches.
     pub fn request_promote(&self) {
-        self.flags.promote_req.store(true, Ordering::Release);
+        self.flags.promote();
     }
 
     /// The stats object the control endpoint answers a `StatsQuery`
@@ -223,7 +245,7 @@ impl Standby {
     ///
     /// Propagates drain failures of a promoted server.
     pub fn stop(mut self) -> io::Result<StandbyOutcome> {
-        self.flags.shutdown.store(true, Ordering::Release);
+        self.flags.halt();
         if let Some(h) = self.repl.take() {
             let _ = h.join();
         }
@@ -244,7 +266,7 @@ impl Standby {
 
 impl Drop for Standby {
     fn drop(&mut self) {
-        self.flags.shutdown.store(true, Ordering::Release);
+        self.flags.halt();
         if let Some(h) = self.repl.take() {
             let _ = h.join();
         }
@@ -280,20 +302,16 @@ fn frontend_loop(
     cfg: &StandbyConfig,
     state: &Mutex<ReplicaState>,
     flags: &Flags,
+    repl_exit: &Receiver<()>,
 ) -> io::Result<Option<Server>> {
-    while !flags.promote_req.load(Ordering::Acquire) {
-        if flags.shutdown.load(Ordering::Acquire) {
-            listener.stop();
-            return Ok(None);
-        }
-        thread::sleep(cfg.idle_poll);
+    flags.stop.wait();
+    if !flags.promote_req.load(Ordering::Acquire) {
+        listener.stop();
+        return Ok(None);
     }
     // Let the replication thread finish its in-flight record: anything
     // it acked must be in the state we serve from.
-    let deadline = Instant::now() + IO_TIMEOUT;
-    while !flags.repl_stopped.load(Ordering::Acquire) && Instant::now() < deadline {
-        thread::sleep(Duration::from_millis(1));
-    }
+    let _ = repl_exit.recv_timeout(IO_TIMEOUT);
     // Drain the control connections and release the address.
     listener.stop();
     let recovered = {
@@ -310,7 +328,6 @@ fn frontend_loop(
     let scfg = ServerConfig {
         listen: listener.local_addr().to_string(),
         router: cfg.router,
-        idle_poll: cfg.idle_poll,
         ..ServerConfig::default()
     };
     let server = Server::start_with_service(svc, seq_hw, &scfg)?;
@@ -356,9 +373,9 @@ impl FrameHandler for Control {
                     let why = "standby has no snapshot yet, cannot promote";
                     return Ok(Frame::error(frame.seq, why));
                 }
-                // The frontend sees the request, drains this listener
-                // and reboots the address as a full server.
-                self.flags.promote_req.store(true, Ordering::Release);
+                // The frontend wakes, drains this listener and reboots
+                // the address as a full server.
+                self.flags.promote();
                 Frame {
                     kind: FrameType::PromoteAck,
                     seq: frame.seq,
@@ -377,19 +394,15 @@ impl FrameHandler for Control {
 // ------------------------------------------------------------- replication
 
 fn replication_loop(cfg: &StandbyConfig, state: &Arc<Mutex<ReplicaState>>, flags: &Flags) {
-    let stop =
-        || flags.shutdown.load(Ordering::Acquire) || flags.promote_req.load(Ordering::Acquire);
-    while !stop() {
-        match follow_once(cfg, state, &stop) {
-            Ok(()) => return, // clean shutdown from either side
-            Err(_) => {
-                if stop() {
-                    return;
-                }
-                state.lock().expect("state lock").reconnects += 1;
-                thread::sleep(cfg.reconnect_backoff);
-            }
+    while !flags.stop.is_requested() {
+        let followed = follow_once(cfg, state, flags);
+        // The session is over: release its socket.
+        flags.session.lock().expect("session lock").take();
+        if followed.is_ok() || flags.stop.is_requested() {
+            return; // clean shutdown from either side
         }
+        state.lock().expect("state lock").reconnects += 1;
+        flags.stop.wait_timeout(cfg.reconnect_backoff);
     }
 }
 
@@ -397,9 +410,15 @@ fn replication_loop(cfg: &StandbyConfig, state: &Arc<Mutex<ReplicaState>>, flags
 fn follow_once(
     cfg: &StandbyConfig,
     state: &Arc<Mutex<ReplicaState>>,
-    stop: &impl Fn() -> bool,
+    flags: &Flags,
 ) -> io::Result<()> {
     let stream = client::open(&cfg.primary_repl, IO_TIMEOUT, IO_TIMEOUT)?;
+    // Published before the stop is checked: a stop requested earlier is
+    // seen here, a later one shuts this socket's read half.
+    *flags.session.lock().expect("session lock") = Some(stream.try_clone()?);
+    if flags.stop.is_requested() {
+        return Ok(());
+    }
 
     let applied = state
         .lock()
@@ -425,13 +444,12 @@ fn follow_once(
 
     let mut snapshot_buf: Vec<u8> = Vec::new();
     loop {
-        if stop() {
+        let read = reader.next_frame(&stream);
+        if flags.stop.is_requested() {
             return Ok(());
         }
-        let frame = match reader.poll_frame(&stream, cfg.idle_poll)? {
-            Polled::Frame(f) => f,
-            Polled::Idle => continue,
-            Polled::Eof => return Err(ErrorKind::UnexpectedEof.into()),
+        let Some(frame) = read? else {
+            return Err(ErrorKind::UnexpectedEof.into());
         };
         match frame.kind {
             FrameType::SnapshotChunk => {

@@ -51,10 +51,7 @@ fn boot(name: &str, fib: &RouteTable, n: usize, transport: Transport) -> Cluster
             fsync: false,
             snapshot_every: 16,
         },
-        repl: ReplConfig {
-            idle_poll: Duration::from_millis(10),
-            ..ReplConfig::default()
-        },
+        repl: ReplConfig::default(),
         sync_timeout: Duration::from_secs(5),
         ..PrimaryConfig::default()
     };
@@ -68,7 +65,6 @@ fn boot(name: &str, fib: &RouteTable, n: usize, transport: Transport) -> Cluster
         let primary = Primary::start(&dir, Some(&shard_fib), &pcfg).unwrap();
         let standby = Standby::start(StandbyConfig {
             primary_repl: primary.repl_addr().to_string(),
-            idle_poll: Duration::from_millis(5),
             reconnect_backoff: Duration::from_millis(20),
             ..StandbyConfig::default()
         })

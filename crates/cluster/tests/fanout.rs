@@ -26,7 +26,6 @@ use clue_net::{
 const CUT: u32 = 0x8000_0000;
 /// How long a held reply waits for the other shard.
 const HOLD: Duration = Duration::from_secs(2);
-const POLL: Duration = Duration::from_millis(5);
 
 /// Sub-batches a shard has received, by kind.
 #[derive(Default)]
@@ -186,7 +185,6 @@ fn rig(shards: [Shard; 2], transport: Transport) -> Rig {
             ListenerConfig {
                 transport: Transport::Threads,
                 bridge_threads: 1,
-                idle_poll: POLL,
             },
         )
         .expect("start shard")
@@ -196,7 +194,6 @@ fn rig(shards: [Shard; 2], transport: Transport) -> Rig {
         .map(|l| ShardSpec::primary_only(l.local_addr().to_string()))
         .collect();
     let mut cfg = ProxyConfig::new(ShardMap::from_cuts(vec![CUT], specs).expect("two shards"));
-    cfg.idle_poll = POLL;
     cfg.transport = transport;
     Rig {
         proxy: Proxy::start(cfg).expect("start proxy"),

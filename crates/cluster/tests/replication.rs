@@ -14,7 +14,7 @@ use clue_cluster::{Primary, PrimaryConfig, ReplConfig, Standby, StandbyConfig, S
 use clue_fib::gen::FibGen;
 use clue_fib::{RouteTable, Update};
 use clue_net::frame::{Frame, FrameType};
-use clue_net::{wire, ClientConfig, Connection, FrameReader, Polled, IO_TIMEOUT};
+use clue_net::{wire, ClientConfig, Connection, FrameReader, IO_TIMEOUT};
 use clue_store::StoreConfig;
 use clue_traffic::UpdateGen;
 
@@ -46,10 +46,7 @@ fn primary_cfg(sync_timeout: Duration) -> PrimaryConfig {
             fsync: false,
             snapshot_every: 8,
         },
-        repl: ReplConfig {
-            idle_poll: Duration::from_millis(10),
-            ..ReplConfig::default()
-        },
+        repl: ReplConfig::default(),
         sync_timeout,
         ..PrimaryConfig::default()
     }
@@ -58,7 +55,6 @@ fn primary_cfg(sync_timeout: Duration) -> PrimaryConfig {
 fn standby_cfg(primary: &Primary) -> StandbyConfig {
     StandbyConfig {
         primary_repl: primary.repl_addr().to_string(),
-        idle_poll: Duration::from_millis(5),
         reconnect_backoff: Duration::from_millis(20),
         ..StandbyConfig::default()
     }
@@ -246,7 +242,7 @@ impl RawFollower {
     /// acking each; returns the jseqs seen.
     fn drain_ships(&mut self, idle: Duration) -> Vec<u64> {
         let mut seen = Vec::new();
-        while let Ok(Polled::Frame(f)) = self.reader.poll_frame(&self.stream, idle) {
+        while let Ok(f) = self.reader.read_frame(&self.stream, idle) {
             assert_eq!(f.kind, FrameType::WalShip);
             let (rec, _) = clue_store::decode_record(&f.payload).unwrap();
             assert_eq!(rec.jseq, f.seq);

@@ -15,17 +15,13 @@
 //! * **Drain**: stop listening, `Shutdown`-and-flush-close every idle
 //!   connection, let in-flight calls finish (their completions close
 //!   the line), and stop the loop when the last connection leaves —
-//!   with a grace deadline as a backstop.
-//!
-//! The shutdown flag is polled on a loop timer (tag [`TICK`]) so that
-//! external flag writers (signal watchers holding
-//! [`Listener::shutdown_flag`](crate::Listener::shutdown_flag)) drain
-//! the listener even though they cannot send a loop message.
+//!   with a grace deadline as a backstop. The drain starts when
+//!   [`Listener::request_shutdown`](crate::Listener::request_shutdown)
+//!   sends the loop its message, so an idle loop sets no timer.
 
 use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
@@ -36,10 +32,8 @@ use crate::frame::{Frame, FrameDecoder, FrameType};
 use crate::listener::{answer, protocol_error, FrameHandler, ListenerConfig, IO_TIMEOUT};
 use crate::stats::NetStats;
 
-/// Periodic shutdown-flag poll.
-const TICK: u64 = 1;
 /// Drain-grace deadline: force-stop the loop if in-flight work wedges.
-const DRAIN_GRACE: u64 = 2;
+const DRAIN_GRACE: u64 = 1;
 
 /// Messages injected into the loop from other threads.
 enum EvMsg<C> {
@@ -79,9 +73,7 @@ struct ConnState<C> {
 
 struct EvDriver<H: FrameHandler> {
     handler: Arc<H>,
-    cfg: ListenerConfig,
     net: Arc<NetStats>,
-    shutdown: Arc<AtomicBool>,
     jobs: Sender<Job<H::Conn>>,
     conns: HashMap<ConnId, ConnState<H::Conn>>,
     draining: bool,
@@ -177,7 +169,6 @@ impl<H: FrameHandler> EvDriver<H> {
             return;
         }
         self.draining = true;
-        self.shutdown.store(true, Ordering::SeqCst);
         ctl.stop_listening();
         let all: Vec<ConnId> = self.conns.keys().copied().collect();
         for conn in all {
@@ -189,8 +180,7 @@ impl<H: FrameHandler> EvDriver<H> {
             // Backstop: an in-flight call that outlives its own timeout
             // (or a peer that never drains its socket) must not wedge
             // the drain forever.
-            let grace = IO_TIMEOUT + IO_TIMEOUT + self.cfg.idle_poll;
-            ctl.set_timer(grace, DRAIN_GRACE);
+            ctl.set_timer(IO_TIMEOUT + IO_TIMEOUT, DRAIN_GRACE);
         }
     }
 }
@@ -262,13 +252,8 @@ impl<H: FrameHandler> Driver for EvDriver<H> {
     }
 
     fn on_timer(&mut self, ctl: &mut Loop<'_, H>, tag: u64) {
-        match tag {
-            TICK if self.shutdown.load(Ordering::SeqCst) => self.begin_drain(ctl),
-            TICK => {
-                ctl.set_timer(self.cfg.idle_poll, TICK);
-            }
-            DRAIN_GRACE if self.draining => ctl.stop(),
-            _ => {}
+        if tag == DRAIN_GRACE && self.draining {
+            ctl.stop();
         }
     }
 }
@@ -285,7 +270,6 @@ pub(crate) fn start<H: FrameHandler>(
     handler: Arc<H>,
     net: &Arc<NetStats>,
     cfg: ListenerConfig,
-    shutdown: &Arc<AtomicBool>,
 ) -> io::Result<EvRuntime> {
     // The whole point of this driver is tens of thousands of
     // connections; a stock 1024-fd soft limit would park the accept
@@ -294,16 +278,13 @@ pub(crate) fn start<H: FrameHandler>(
     let (jobs_tx, jobs_rx) = channel::unbounded::<Job<H::Conn>>();
     let driver = EvDriver {
         handler: Arc::clone(&handler),
-        cfg,
         net: Arc::clone(net),
-        shutdown: Arc::clone(shutdown),
         jobs: jobs_tx,
         conns: HashMap::new(),
         draining: false,
     };
     let mut el = EventLoop::new(driver)?;
     el.add_listener(listener)?;
-    el.set_timer(cfg.idle_poll, TICK);
 
     let workers: Vec<_> = (0..cfg.bridge_threads.max(1))
         .map(|_| {

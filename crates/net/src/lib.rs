@@ -48,10 +48,9 @@ pub mod swarm;
 pub mod wire;
 
 pub use client::{ClientConfig, ClientReport, Connection};
+pub use clue_aio::Stop;
 pub use frame::{Frame, FrameDecoder, FrameType};
-pub use listener::{
-    accept_loop, FrameHandler, FrameReader, Listener, ListenerConfig, Polled, IO_TIMEOUT,
-};
+pub use listener::{accept_loop, FrameHandler, FrameReader, Listener, ListenerConfig, IO_TIMEOUT};
 pub use loadgen::{run_load, LoadConfig, LoadReport};
 pub use server::{Server, ServerConfig, Transport};
 pub use stats::NetStats;

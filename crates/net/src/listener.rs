@@ -29,7 +29,8 @@
 //! 4. **Drain.** Once shutdown is requested the listener stops
 //!    accepting, idle peers get a `Shutdown` frame and are closed, and
 //!    a call already inside [`FrameHandler::handle`] finishes and
-//!    flushes its reply first.
+//!    flushes its reply first. Nothing waits for a timer to notice:
+//!    the request wakes the accept loop and every parked reader.
 //! 5. **Backpressure is a paused read.** While `handle` blocks (a full
 //!    `Block` ingress, a slow shard) the connection's socket is not
 //!    read — the thread is busy, or the reactor dropped read interest —
@@ -39,11 +40,12 @@
 //!    this.
 
 use std::io::{self, ErrorKind};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
 use std::thread::{JoinHandle, ScopedJoinHandle};
 use std::time::Duration;
+
+use clue_aio::Stop;
 
 use crate::frame::{Frame, FrameDecoder, FrameType};
 use crate::server::Transport;
@@ -90,7 +92,8 @@ pub trait FrameHandler: Send + Sync + 'static {
 /// The bound on every blocking socket operation in the serving stack:
 /// finishing a frame whose first byte arrived, a socket write, a
 /// client's wait for a reply, an ack's wait for its journal write, and
-/// a standby's wait for its replication thread at promotion.
+/// a standby's wait for its replication thread at promotion. A read
+/// with nothing buffered is not bounded: a stop wakes it.
 pub const IO_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// How a [`Listener`] serves its connections: the serving-tier configs'
@@ -102,20 +105,16 @@ pub struct ListenerConfig {
     pub transport: Transport,
     /// Evloop bridge-pool size (ignored under `Threads`).
     pub bridge_threads: usize,
-    /// How often idle threads and the reactor re-check the shutdown
-    /// flag.
-    pub idle_poll: Duration,
 }
 
 /// A bound socket serving one [`FrameHandler`]: owns the listener
-/// socket, the shutdown flag, and the drain-and-join logic for either
-/// driver. Dropping it drains.
+/// socket, the stop that starts its drain, and the drain-and-join logic
+/// for either driver. Dropping it drains.
 pub struct Listener {
     local_addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
+    stop: Arc<Stop>,
     net: Arc<NetStats>,
-    /// Evloop only: wakes the reactor so a drain starts now rather than
-    /// at the next shutdown-poll tick.
+    /// Evloop only: tells the reactor to start the drain.
     wake: Option<Box<dyn Fn() + Send + Sync>>,
     /// Joined in order by [`Listener::stop`]: the accept thread (which
     /// joins its connection threads), or the reactor and then the
@@ -137,26 +136,26 @@ impl Listener {
         cfg: ListenerConfig,
     ) -> io::Result<Listener> {
         let local_addr = socket.local_addr()?;
-        let shutdown = Arc::new(AtomicBool::new(false));
+        let stop = Arc::new(Stop::new());
         let (wake, threads) = match cfg.transport {
             Transport::Threads => {
                 socket.set_nonblocking(true)?;
-                let (net, shutdown) = (Arc::clone(&net), Arc::clone(&shutdown));
+                let (net, stop) = (Arc::clone(&net), Arc::clone(&stop));
                 let accept = std::thread::spawn(move || {
-                    accept_loop(&socket, cfg.idle_poll, &net, &shutdown, |stream, peer| {
-                        serve_conn(&stream, peer, &*handler, &net, cfg, &shutdown);
+                    accept_loop(&socket, &net, &stop, |stream, peer| {
+                        serve_conn(stream, peer, &*handler, &net, &stop);
                     });
                 });
                 (None, vec![accept])
             }
             Transport::Evloop => {
-                let (wake, threads) = crate::evloop::start(socket, handler, &net, cfg, &shutdown)?;
+                let (wake, threads) = crate::evloop::start(socket, handler, &net, cfg)?;
                 (Some(wake), threads)
             }
         };
         Ok(Listener {
             local_addr,
-            shutdown,
+            stop,
             net,
             wake,
             threads,
@@ -169,16 +168,9 @@ impl Listener {
         self.local_addr
     }
 
-    /// The shutdown flag; setting it (e.g. from a signal watcher)
-    /// starts the drain. Pair with [`Listener::stop`] to join.
-    #[must_use]
-    pub fn shutdown_flag(&self) -> Arc<AtomicBool> {
-        Arc::clone(&self.shutdown)
-    }
-
     /// Requests the drain without blocking.
     pub fn request_shutdown(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
+        self.stop.request();
         if let Some(wake) = &self.wake {
             wake();
         }
@@ -187,7 +179,7 @@ impl Listener {
     /// True once shutdown has been requested.
     #[must_use]
     pub fn shutdown_requested(&self) -> bool {
-        self.shutdown.load(Ordering::SeqCst)
+        self.stop.is_requested()
     }
 
     /// The registry this listener counts into.
@@ -239,60 +231,70 @@ pub(crate) fn answer<H: FrameHandler>(
 
 /// The thread-per-connection accept loop behind every blocking
 /// listener: runs `serve` on a fresh thread per accepted connection
-/// until `stop` is set, then joins them all. `socket` must be
-/// nonblocking: the loop wakes when a connection arrives, and every
-/// `idle_poll` to re-check `stop`. Failed accepts are counted in `net`
-/// and paced by [`clue_aio::accept_backoff`]; a `serve` thread that
-/// panicked is counted as an I/O error.
+/// until `stop` is requested, then wakes and joins them all. `socket`
+/// must be nonblocking: the loop parks until a connection arrives or
+/// the stop is requested. Failed accepts are counted in `net` and paced
+/// by [`clue_aio::accept_backoff`]; a `serve` thread that panicked is
+/// counted as an I/O error.
+///
+/// The loop keeps a clone of each live connection's socket, and at the
+/// stop shuts its read half: a `serve` thread parked on a quiet peer
+/// reads EOF, while the write half stays open for a reply in flight
+/// and a `Shutdown` notice. Each socket is shut both ways once `serve`
+/// returns, so the peer sees the close at once rather than when the
+/// loop next reaps finished threads and drops their clones.
 pub fn accept_loop(
     socket: &TcpListener,
-    idle_poll: Duration,
     net: &NetStats,
-    stop: &AtomicBool,
-    serve: impl Fn(TcpStream, SocketAddr) + Sync,
+    stop: &Stop,
+    serve: impl Fn(&TcpStream, SocketAddr) + Sync,
 ) {
     let serve = &serve;
-    let mut ready = clue_aio::ReadyWait::new(socket);
+    let mut ready = clue_aio::ReadyWait::new(socket, stop);
     let mut backoff = Duration::ZERO;
-    let join = |t: ScopedJoinHandle<'_, ()>| {
+    let join = |(t, _): (ScopedJoinHandle<'_, ()>, TcpStream)| {
         if t.join().is_err() {
             net.count_io_error(u64::MAX);
         }
     };
     std::thread::scope(|scope| {
-        let mut threads = Vec::new();
-        while !stop.load(Ordering::SeqCst) {
+        let mut conns = Vec::new();
+        while !stop.is_requested() {
             match socket.accept() {
                 Ok((stream, peer)) => {
                     backoff = Duration::ZERO;
-                    threads.push(scope.spawn(move || serve(stream, peer)));
+                    // Without a clone the stop could not wake this
+                    // connection's reader: refuse it, as for any
+                    // other fd exhaustion.
+                    let Ok(clone) = stream.try_clone() else {
+                        net.count_accept_error();
+                        continue;
+                    };
+                    let conn = scope.spawn(move || {
+                        serve(&stream, peer);
+                        let _ = stream.shutdown(Shutdown::Both);
+                    });
+                    conns.push((conn, clone));
                 }
                 Err(e) if e.kind() == ErrorKind::WouldBlock => {
                     backoff = Duration::ZERO;
-                    while let Some(i) = threads.iter().position(ScopedJoinHandle::is_finished) {
-                        join(threads.swap_remove(i));
+                    while let Some(i) = conns.iter().position(|(t, _)| t.is_finished()) {
+                        join(conns.swap_remove(i));
                     }
-                    ready.wait(idle_poll);
+                    ready.wait();
                 }
                 Err(_) => {
                     net.count_accept_error();
                     backoff = clue_aio::accept_backoff(backoff);
-                    std::thread::sleep(backoff);
+                    stop.wait_timeout(backoff);
                 }
             }
         }
-        threads.into_iter().for_each(join);
+        for (_, clone) in &conns {
+            let _ = clone.shutdown(Shutdown::Read);
+        }
+        conns.into_iter().for_each(join);
     });
-}
-
-/// What one idle-aware poll of a blocking socket produced.
-pub enum Polled {
-    /// A complete, valid frame.
-    Frame(Frame),
-    /// Nothing arrived within `idle_poll`.
-    Idle,
-    /// The peer closed the line at a frame boundary.
-    Eof,
 }
 
 /// The read side of one blocking connection: a [`FrameDecoder`] holding
@@ -302,7 +304,8 @@ pub enum Polled {
 #[derive(Debug, Default)]
 pub struct FrameReader {
     decoder: FrameDecoder,
-    timeout: Option<Duration>,
+    /// `None` until the first read sets one.
+    timeout: Option<Option<Duration>>,
 }
 
 impl FrameReader {
@@ -312,9 +315,9 @@ impl FrameReader {
         FrameReader::default()
     }
 
-    fn wait_at_most(&mut self, stream: &TcpStream, timeout: Duration) -> io::Result<()> {
+    fn wait_at_most(&mut self, stream: &TcpStream, timeout: Option<Duration>) -> io::Result<()> {
         if self.timeout != Some(timeout) {
-            stream.set_read_timeout(Some(timeout))?;
+            stream.set_read_timeout(timeout)?;
             self.timeout = Some(timeout);
         }
         Ok(())
@@ -327,41 +330,33 @@ impl FrameReader {
     /// As [`FrameDecoder::read_frame`]; a timeout is `WouldBlock` or
     /// `TimedOut`.
     pub fn read_frame(&mut self, stream: &TcpStream, timeout: Duration) -> io::Result<Frame> {
-        self.wait_at_most(stream, timeout)?;
+        self.wait_at_most(stream, Some(timeout))?;
         self.decoder.read_frame(&mut &*stream)
     }
 
-    /// Reads one frame, but blocks at most `idle_poll` while the line is
-    /// quiet, so the caller can re-check its stop flag: a `recv` with
-    /// nothing buffered waits `idle_poll`, one that finishes a frame
-    /// waits [`IO_TIMEOUT`]. A frame already buffered costs no `recv`;
-    /// one that arrives whole costs one, and no `setsockopt` while the
-    /// line stays in that rhythm.
+    /// Reads the next frame; `None` once the peer has closed the line at
+    /// a frame boundary (or a stop has shut the socket's read half). A
+    /// `recv` with nothing buffered waits for as long as the line stays
+    /// quiet; one that finishes a frame waits at most [`IO_TIMEOUT`]. A
+    /// frame already buffered costs no `recv`; one that arrives whole
+    /// costs one, and no `setsockopt` while the line stays in that
+    /// rhythm.
     ///
     /// # Errors
     ///
     /// `InvalidData` when the stream has lost framing; any other error is a
     /// socket-level failure — including a timeout or EOF *mid-frame*.
-    pub fn poll_frame(&mut self, stream: &TcpStream, idle_poll: Duration) -> io::Result<Polled> {
+    pub fn next_frame(&mut self, stream: &TcpStream) -> io::Result<Option<Frame>> {
         loop {
             if let Some(frame) = self.decoder.poll_frame()? {
-                return Ok(Polled::Frame(frame));
+                return Ok(Some(frame));
             }
             let idle = self.decoder.buffered() == 0;
-            self.wait_at_most(stream, if idle { idle_poll } else { IO_TIMEOUT })?;
+            self.wait_at_most(stream, (!idle).then_some(IO_TIMEOUT))?;
             match self.decoder.fill_from(&mut &*stream) {
-                Ok(0) if idle => return Ok(Polled::Eof),
+                Ok(0) if idle => return Ok(None),
                 Ok(0) => return Err(ErrorKind::UnexpectedEof.into()),
                 Ok(_) => {}
-                Err(e)
-                    if idle
-                        && matches!(
-                            e.kind(),
-                            ErrorKind::WouldBlock | ErrorKind::TimedOut | ErrorKind::Interrupted
-                        ) =>
-                {
-                    return Ok(Polled::Idle)
-                }
                 Err(e) if e.kind() == ErrorKind::Interrupted => {}
                 Err(e) => return Err(e),
             }
@@ -377,8 +372,7 @@ fn serve_conn<H: FrameHandler>(
     peer: SocketAddr,
     handler: &H,
     net: &NetStats,
-    cfg: ListenerConfig,
-    shutdown: &AtomicBool,
+    stop: &Stop,
 ) {
     let _ = stream.set_nodelay(true);
     let _ = stream.set_write_timeout(Some(IO_TIMEOUT));
@@ -391,15 +385,17 @@ fn serve_conn<H: FrameHandler>(
     let mut conn = handler.open(id);
     let mut reader = FrameReader::new();
     loop {
-        if shutdown.load(Ordering::SeqCst) {
+        // A stop shuts the read half, so whatever this read returns
+        // once it is requested, the line is done.
+        let read = reader.next_frame(stream);
+        if stop.is_requested() {
             // Stop taking new work; tell the peer why the line closes.
             let _ = send(&Frame::empty(FrameType::Shutdown, 0));
             break;
         }
-        let frame = match reader.poll_frame(stream, cfg.idle_poll) {
-            Ok(Polled::Frame(f)) => f,
-            Ok(Polled::Idle) => continue,
-            Ok(Polled::Eof) => break,
+        let frame = match read {
+            Ok(Some(f)) => f,
+            Ok(None) => break,
             Err(e) if e.kind() == ErrorKind::InvalidData => {
                 let _ = send(&protocol_error(net, id, 0, &e));
                 break;

@@ -19,9 +19,9 @@
 
 use std::io;
 use std::net::{SocketAddr, TcpListener};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use clue_core::codec::bad_data;
 use clue_core::json;
@@ -89,9 +89,6 @@ pub struct ServerConfig {
     pub listen: String,
     /// Configuration for the backing [`RouterService`].
     pub router: RouterConfig,
-    /// How often idle connection threads and the accept loop re-check
-    /// the shutdown flag.
-    pub idle_poll: Duration,
     /// Connection transport (`Threads` per-connection threads, or the
     /// `Evloop` reactor).
     pub transport: Transport,
@@ -105,7 +102,6 @@ impl Default for ServerConfig {
         ServerConfig {
             listen: "127.0.0.1:0".to_string(),
             router: RouterConfig::default(),
-            idle_poll: Duration::from_millis(50),
             transport: Transport::Threads,
             bridge_threads: 4,
         }
@@ -164,7 +160,6 @@ impl Server {
             ListenerConfig {
                 transport: cfg.transport,
                 bridge_threads: cfg.bridge_threads,
-                idle_poll: cfg.idle_poll,
             },
         )?;
         Ok(Server { listener, router })
@@ -176,15 +171,8 @@ impl Server {
         self.listener.local_addr()
     }
 
-    /// The shutdown flag; setting it (e.g. from a signal handler's
-    /// watcher) starts the graceful drain of every connection. Pair
-    /// with [`Server::drain`] to collect the report.
-    #[must_use]
-    pub fn shutdown_flag(&self) -> Arc<AtomicBool> {
-        self.listener.shutdown_flag()
-    }
-
-    /// Requests shutdown without blocking.
+    /// Requests shutdown without blocking; [`Server::drain`] then
+    /// collects the report.
     pub fn request_shutdown(&self) {
         self.listener.request_shutdown();
     }

@@ -24,7 +24,6 @@ fn local_server_on(table: &RouteTable, router: RouterConfig, transport: Transpor
     let cfg = ServerConfig {
         listen: "127.0.0.1:0".to_string(),
         router,
-        idle_poll: Duration::from_millis(10),
         transport,
         ..ServerConfig::default()
     };
@@ -214,7 +213,6 @@ fn client_reconnects_and_resumes_after_a_server_restart() {
         // Same port, resumed table: the world the client reconnects into.
         let cfg2 = ServerConfig {
             listen: addr.to_string(),
-            idle_poll: Duration::from_millis(10),
             transport,
             ..ServerConfig::default()
         };

@@ -17,7 +17,6 @@ fn server_cfg(transport: Transport) -> ServerConfig {
             batch_size: 16,
             ..RouterConfig::default()
         },
-        idle_poll: Duration::from_millis(5),
         transport,
         ..ServerConfig::default()
     }

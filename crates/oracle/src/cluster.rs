@@ -93,10 +93,7 @@ pub fn check_cluster_phase(
             fsync: false,
             snapshot_every: 64,
         },
-        repl: ReplConfig {
-            idle_poll: Duration::from_millis(10),
-            ..ReplConfig::default()
-        },
+        repl: ReplConfig::default(),
         sync_timeout: Duration::from_secs(5),
         server: clue_net::ServerConfig {
             transport: cfg.transport,
@@ -114,7 +111,6 @@ pub fn check_cluster_phase(
             .map_err(|e| cl_div(format!("booting shard {i}: {e}")))?;
         let standby = Standby::start(StandbyConfig {
             primary_repl: primary.repl_addr().to_string(),
-            idle_poll: Duration::from_millis(5),
             reconnect_backoff: Duration::from_millis(20),
             ..StandbyConfig::default()
         })

@@ -61,7 +61,6 @@ pub(crate) fn server_config(cfg: &CheckConfig, backend: BackendKind) -> ServerCo
             backend,
             ..RouterConfig::default()
         },
-        idle_poll: Duration::from_millis(10),
         transport: cfg.transport,
         ..ServerConfig::default()
     }
@@ -422,7 +421,6 @@ mod tests {
             ListenerConfig {
                 transport: Transport::Threads,
                 bridge_threads: 1,
-                idle_poll: Duration::from_millis(5),
             },
         )
         .expect("start scripted server");

@@ -88,7 +88,6 @@ pub fn serve(args: &Args) -> Result<(), ArgError> {
             server: server(listen),
             repl: ReplConfig {
                 listen: repl_listen.to_owned(),
-                ..ReplConfig::default()
             },
             store: StoreConfig::default(),
             sync_timeout,

@@ -1,6 +1,7 @@
 //! The frame handler contract, checked once for every serving tier on
 //! every connection driver it offers: one scripted session table, the
-//! shared corruption corpus, the two drain cases, and prompt accept.
+//! shared corruption corpus, the two drain cases, prompt accept and
+//! prompt stop.
 //!
 //! Tiers: a router [`Server`], a [`Proxy`] over one shard, and a
 //! [`Standby`]'s control endpoint (threads only — it has no transport
@@ -12,9 +13,11 @@ use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use clue::cluster::{Proxy, ProxyConfig, ShardMap, ShardSpec, Standby, StandbyConfig};
+use clue::cluster::{
+    Primary, PrimaryConfig, Proxy, ProxyConfig, ShardMap, ShardSpec, Standby, StandbyConfig,
+};
 use clue::core::codec::encode_updates;
 use clue::fib::gen::FibGen;
 use clue::fib::{NextHop, Prefix, RouteTable, Update};
@@ -65,7 +68,6 @@ fn fib() -> RouteTable {
 
 fn server(transport: Transport) -> Server {
     let cfg = ServerConfig {
-        idle_poll: POLL,
         transport,
         ..ServerConfig::default()
     };
@@ -82,7 +84,6 @@ fn stacks() -> Vec<(Tier, Transport, Stack)> {
         let spec = ShardSpec::primary_only(shard.local_addr().to_string());
         let map = ShardMap::derive(&fib(), vec![spec]).expect("one-shard map");
         let mut cfg = ProxyConfig::new(map);
-        cfg.idle_poll = POLL;
         cfg.transport = transport;
         let proxy = Proxy::start(cfg).expect("bind proxy");
         out.push((
@@ -98,7 +99,6 @@ fn stacks() -> Vec<(Tier, Transport, Stack)> {
     // replication client just keeps redialing in the background).
     let standby = Standby::start(StandbyConfig {
         primary_repl: "127.0.0.1:1".into(),
-        idle_poll: POLL,
         ..StandbyConfig::default()
     })
     .expect("bind standby");
@@ -383,7 +383,6 @@ fn drain_notifies_idle_peers_and_lets_in_flight_calls_finish() {
             ListenerConfig {
                 transport,
                 bridge_threads: 2,
-                idle_poll: POLL,
             },
         )
         .expect("start listener");
@@ -448,18 +447,12 @@ fn drain_notifies_idle_peers_and_lets_in_flight_calls_finish() {
     }
 }
 
-/// `idle_poll` is how often a quiet listener re-checks its shutdown
-/// flag, not how long a connection waits to be accepted: the dial below
-/// lands while the accept loop is parked mid-interval.
+/// A quiet listener's accept loop is parked until something wakes it,
+/// and a connection must: the dial below lands long after it parked.
 #[test]
-fn a_connection_is_accepted_when_it_arrives_not_at_the_next_idle_poll() {
+fn a_connection_is_accepted_when_it_arrives_not_at_a_timer_tick() {
     for transport in TRANSPORTS {
-        let cfg = ServerConfig {
-            idle_poll: Duration::from_secs(2),
-            transport,
-            ..ServerConfig::default()
-        };
-        let server = Server::start(&fib(), &cfg).expect("bind server");
+        let server = server(transport);
         std::thread::sleep(Duration::from_millis(200));
 
         let dialed = std::time::Instant::now();
@@ -477,4 +470,99 @@ fn a_connection_is_accepted_when_it_arrives_not_at_the_next_idle_poll() {
         drop(s);
         drop(server);
     }
+}
+
+/// The most any tier may take to stop in
+/// [`every_tier_stops_at_once_with_idle_peers_attached`]. A stop that
+/// waited out a poll interval (50 ms on a server), a heartbeat period
+/// (150 ms) or a reconnect backoff (100 ms) takes longer; one woken by
+/// the request takes a few milliseconds.
+const PROMPT_STOP: Duration = Duration::from_millis(30);
+
+/// Connects `n` peers to `addr`, each after one exchange, so the tier
+/// has a reader parked on every one of them.
+fn idle_peers(addr: SocketAddr, n: usize) -> Vec<TcpStream> {
+    (0..n)
+        .map(|i| {
+            let mut s = dial(addr);
+            Frame::empty(FrameType::Heartbeat, i as u64)
+                .write_to(&mut s)
+                .unwrap();
+            let ack = next_frame(&mut s, "idle peer").map(|f| f.kind);
+            assert_eq!(ack, Some(FrameType::HeartbeatAck));
+            s
+        })
+        .collect()
+}
+
+fn assert_prompt(what: &str, stopping: Instant) {
+    let took = stopping.elapsed();
+    assert!(took < PROMPT_STOP, "{what} took {took:?}");
+}
+
+/// Stopping is an event, not a poll: every tier stops at once with idle
+/// peers attached. Each stop lands just after the peers' last exchange
+/// (or the standby's failed dial), where a stop that waits for a timer
+/// to notice it waits longest.
+#[test]
+fn every_tier_stops_at_once_with_idle_peers_attached() {
+    for transport in TRANSPORTS {
+        let server = server(transport);
+        let _peers = idle_peers(server.local_addr(), 4);
+        let stopping = Instant::now();
+        server.drain().expect("server drains");
+        assert_prompt(&format!("{transport}: Server::drain"), stopping);
+    }
+
+    let shard = server(Transport::Threads);
+    let spec = ShardSpec::primary_only(shard.local_addr().to_string());
+    let map = ShardMap::derive(&fib(), vec![spec]).expect("one-shard map");
+    let proxy = Proxy::start(ProxyConfig::new(map)).expect("bind proxy");
+    let _peers = idle_peers(proxy.local_addr(), 2);
+    let stopping = Instant::now();
+    drop(proxy);
+    assert_prompt("Proxy drop", stopping);
+
+    // Nothing listens on port 1: the replication client backs off after
+    // each refused dial.
+    let standby = Standby::start(StandbyConfig {
+        primary_repl: "127.0.0.1:1".into(),
+        ..StandbyConfig::default()
+    })
+    .expect("bind standby");
+    let _peers = idle_peers(standby.local_addr(), 2);
+    while standby.replica_state().reconnects == 0 {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let stopping = Instant::now();
+    standby.stop().expect("standby stops");
+    assert_prompt("Standby::stop", stopping);
+
+    // The drain's final checkpoint is fsynced: on tmpfs, where there is
+    // one, that costs nothing, so the bound measures the wake-ups.
+    let shm = std::path::Path::new("/dev/shm");
+    let root = if shm.is_dir() {
+        shm.to_path_buf()
+    } else {
+        std::env::temp_dir()
+    };
+    let dir = root.join(format!("clue-prompt-stop-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let primary = Primary::start(&dir, Some(&fib()), &PrimaryConfig::default()).expect("primary");
+    let standby = Standby::start(StandbyConfig {
+        primary_repl: primary.repl_addr().to_string(),
+        ..StandbyConfig::default()
+    })
+    .expect("bind standby");
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while primary.repl_stats().synced == 0 {
+        assert!(Instant::now() < deadline, "the standby never synced");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let _peers = idle_peers(primary.local_addr(), 2);
+    let stopping = Instant::now();
+    primary.stop().expect("primary stops");
+    assert_prompt("Primary::stop with a standby attached", stopping);
+    drop(standby);
+    let _ = std::fs::remove_dir_all(&dir);
 }
