@@ -500,7 +500,7 @@ impl Backends {
 impl FrameHandler for Shared {
     type Conn = Backends;
 
-    fn open(&self, _id: u64) -> Backends {
+    fn open(&self) -> Backends {
         Backends::new(self.shards.len())
     }
 

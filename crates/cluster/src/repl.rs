@@ -41,7 +41,7 @@ use std::time::{Duration, Instant};
 use clue_net::frame::{Frame, FrameDecoder, FrameType, MAX_PAYLOAD};
 use clue_net::{wire, NetStats, Stop, IO_TIMEOUT};
 use clue_router::{CheckpointView, JournalBatch, UpdateJournal};
-use clue_store::{encode_record, Store, StreamBase, WalRecord};
+use clue_store::{encode_record, Store, StreamBase};
 
 /// `ReplicaHello` payload meaning "I have no state, ship a snapshot".
 pub const FOLLOWER_EMPTY: u64 = u64::MAX;
@@ -299,20 +299,19 @@ impl ReplicatedStore {
             sync_timeout,
         }
     }
+
+    /// Hands the hub the snapshot the store just wrote, as its new base.
+    fn rebase_hub(&mut self) -> io::Result<()> {
+        let base = self.store.stream_base()?;
+        self.hub.set_base(base.jseq, base.snapshot);
+        Ok(())
+    }
 }
 
 impl UpdateJournal for ReplicatedStore {
     fn append(&mut self, batch: &JournalBatch<'_>) -> io::Result<()> {
-        let jseq = self.store.next_jseq();
-        self.store.append(batch)?;
-        let rec = WalRecord {
-            jseq,
-            epoch: batch.epoch,
-            seq_hw: batch.seq_hw,
-            raw: batch.raw,
-            ops: batch.ops.to_vec(),
-        };
-        self.hub.publish(jseq, encode_record(&rec));
+        let (jseq, bytes) = self.store.append_record(batch)?;
+        self.hub.publish(jseq, bytes);
         self.hub.wait_replicated(jseq, self.sync_timeout);
         Ok(())
     }
@@ -323,8 +322,13 @@ impl UpdateJournal for ReplicatedStore {
 
     fn checkpoint(&mut self, view: &CheckpointView<'_>) -> io::Result<()> {
         self.store.checkpoint(view)?;
-        let base = self.store.stream_base()?;
-        self.hub.set_base(base.jseq, base.snapshot);
+        self.rebase_hub()
+    }
+
+    fn on_drain(&mut self, view: &CheckpointView<'_>) -> io::Result<()> {
+        if self.store.checkpoint_if_behind(view)? {
+            self.rebase_hub()?;
+        }
         Ok(())
     }
 }
@@ -370,7 +374,7 @@ impl ReplicationListener {
             thread::spawn(move || {
                 // A streaming session, not request/reply: only the
                 // accept path is shared with the frame-handler tiers.
-                let serve = |stream: &TcpStream, _peer| {
+                let serve = |stream: &TcpStream| {
                     let _ = serve_follower(stream, &hub, &stop);
                 };
                 clue_net::accept_loop(&listener, &hub.net, &stop, serve);

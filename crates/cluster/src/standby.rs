@@ -346,7 +346,7 @@ struct Control {
 impl FrameHandler for Control {
     type Conn = ();
 
-    fn open(&self, _id: u64) {}
+    fn open(&self) {}
 
     fn is_cheap(&self, _kind: FrameType) -> bool {
         // Every reply is a lock and a format; nothing blocks.

@@ -267,3 +267,39 @@ fn stats_documents_escape_outside_addresses() {
         proxy.stop();
     }
 }
+
+/// A primary that journaled nothing since its newest snapshot stops
+/// without rewriting it; one that did checkpoints at the stop.
+#[test]
+fn a_primary_stop_rewrites_no_current_snapshot() {
+    use std::os::unix::fs::MetadataExt;
+
+    let dir = temp_dir("clean-stop");
+    let fib = FibGen::new(31).routes(800).generate();
+    let snap_inode = |jseq| {
+        fs::metadata(dir.join(clue_store::snapshot_name(jseq)))
+            .expect("snapshot file")
+            .ino()
+    };
+    let cfg = PrimaryConfig::default();
+    let primary = Primary::start(&dir, Some(&fib), &cfg).unwrap();
+    let mut conn = Connection::connect(ClientConfig::to_addr(primary.local_addr().to_string()))
+        .expect("connect");
+    let withdraw = Update::Withdraw {
+        prefix: fib.iter().next().expect("a route").prefix,
+    };
+    conn.send_updates(&[withdraw]).unwrap();
+    conn.close().unwrap();
+    primary.stop().unwrap();
+    let checkpointed = snap_inode(1);
+
+    let primary = Primary::start(&dir, None, &cfg).unwrap();
+    assert!(primary.recovered());
+    primary.stop().unwrap();
+    assert_eq!(
+        snap_inode(1),
+        checkpointed,
+        "a clean stop rewrote the snapshot"
+    );
+    let _ = fs::remove_dir_all(&dir);
+}

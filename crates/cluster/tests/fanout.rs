@@ -109,7 +109,7 @@ impl Shard {
 impl FrameHandler for Shard {
     type Conn = ();
 
-    fn open(&self, _id: u64) {}
+    fn open(&self) {}
 
     fn is_cheap(&self, kind: FrameType) -> bool {
         !matches!(kind, FrameType::Lookup | FrameType::Update)

@@ -53,7 +53,6 @@ enum Job<C> {
     /// One frame's worth of blocking handler work.
     Frame {
         conn: ConnId,
-        net_id: u64,
         frame: Frame,
         state: C,
     },
@@ -63,7 +62,6 @@ enum Job<C> {
 
 /// Per-connection driver state.
 struct ConnState<C> {
-    net_id: u64,
     decoder: FrameDecoder,
     /// `None` exactly while a job (carrying the state) is on the bridge
     /// pool; reads are paused and no further frame is dispatched until
@@ -82,18 +80,18 @@ struct EvDriver<H: FrameHandler> {
 type Loop<'a, H> = Ctl<'a, EvMsg<<H as FrameHandler>::Conn>>;
 
 impl<H: FrameHandler> EvDriver<H> {
-    fn send_frame(&self, ctl: &mut Loop<'_, H>, conn: ConnId, net_id: u64, frame: &Frame) -> bool {
+    fn send_frame(&self, ctl: &mut Loop<'_, H>, conn: ConnId, frame: &Frame) -> bool {
         let sent = ctl.send(conn, &frame.encode());
         if sent {
-            self.net.count_frame_out(net_id);
+            self.net.count_frame_out();
         }
         sent
     }
 
     /// Writes `reply`; closes the line if it is fatal or unsendable,
     /// otherwise keeps pumping.
-    fn reply(&mut self, ctl: &mut Loop<'_, H>, conn: ConnId, net_id: u64, reply: &Frame) -> bool {
-        let sent = self.send_frame(ctl, conn, net_id, reply);
+    fn reply(&mut self, ctl: &mut Loop<'_, H>, conn: ConnId, reply: &Frame) -> bool {
+        let sent = self.send_frame(ctl, conn, reply);
         let open = sent && reply.kind != FrameType::Error;
         if !open {
             ctl.close(conn);
@@ -114,7 +112,6 @@ impl<H: FrameHandler> EvDriver<H> {
             let Some(state) = c.state.as_mut() else {
                 return;
             };
-            let net_id = c.net_id;
             let frame = match c.decoder.poll_frame() {
                 Ok(None) => {
                     ctl.resume(conn);
@@ -122,19 +119,19 @@ impl<H: FrameHandler> EvDriver<H> {
                 }
                 Ok(Some(frame)) => frame,
                 Err(e) => {
-                    let lost = protocol_error(&self.net, net_id, 0, &e);
-                    self.reply(ctl, conn, net_id, &lost);
+                    let lost = protocol_error(&self.net, 0, &e);
+                    self.reply(ctl, conn, &lost);
                     return;
                 }
             };
-            self.net.count_frame_in(net_id);
+            self.net.count_frame_in();
             if frame.kind == FrameType::Shutdown {
                 ctl.close(conn);
                 return;
             }
             if self.handler.is_cheap(frame.kind) {
-                let reply = answer(&*self.handler, state, &frame, &self.net, net_id);
-                if !self.reply(ctl, conn, net_id, &reply) {
+                let reply = answer(&*self.handler, state, &frame, &self.net);
+                if !self.reply(ctl, conn, &reply) {
                     return;
                 }
                 continue;
@@ -143,12 +140,7 @@ impl<H: FrameHandler> EvDriver<H> {
             // to the bridge pool with the connection's state.
             let state = c.state.take().expect("checked above");
             ctl.pause(conn);
-            let job = Job::Frame {
-                conn,
-                net_id,
-                frame,
-                state,
-            };
+            let job = Job::Frame { conn, frame, state };
             if self.jobs.send(job).is_err() {
                 // Bridge pool gone — only during teardown.
                 ctl.close(conn);
@@ -158,7 +150,7 @@ impl<H: FrameHandler> EvDriver<H> {
         // Draining with nothing in flight.
         if let Some(c) = self.conns.get(&conn) {
             if c.state.is_some() {
-                self.send_frame(ctl, conn, c.net_id, &Frame::empty(FrameType::Shutdown, 0));
+                self.send_frame(ctl, conn, &Frame::empty(FrameType::Shutdown, 0));
                 ctl.close(conn);
             }
         }
@@ -188,14 +180,13 @@ impl<H: FrameHandler> EvDriver<H> {
 impl<H: FrameHandler> Driver for EvDriver<H> {
     type Msg = EvMsg<H::Conn>;
 
-    fn on_accept(&mut self, ctl: &mut Loop<'_, H>, conn: ConnId, peer: SocketAddr) {
-        let net_id = self.net.register(peer.to_string());
+    fn on_accept(&mut self, ctl: &mut Loop<'_, H>, conn: ConnId, _peer: SocketAddr) {
+        self.net.register();
         self.conns.insert(
             conn,
             ConnState {
-                net_id,
                 decoder: FrameDecoder::new(),
-                state: Some(self.handler.open(net_id)),
+                state: Some(self.handler.open()),
             },
         );
         if self.draining {
@@ -219,9 +210,9 @@ impl<H: FrameHandler> Driver for EvDriver<H> {
     fn on_close(&mut self, ctl: &mut Loop<'_, H>, conn: ConnId, reason: &CloseReason) {
         if let Some(c) = self.conns.remove(&conn) {
             if matches!(reason, CloseReason::Err(_)) {
-                self.net.count_io_error(c.net_id);
+                self.net.count_io_error();
             }
-            self.net.close(c.net_id);
+            self.net.close();
             if let Some(state) = c.state {
                 let _ = self.jobs.send(Job::Close { state });
             }
@@ -243,8 +234,7 @@ impl<H: FrameHandler> Driver for EvDriver<H> {
                     return;
                 };
                 c.state = Some(state);
-                let net_id = c.net_id;
-                if self.reply(ctl, conn, net_id, &reply) {
+                if self.reply(ctl, conn, &reply) {
                     self.pump(ctl, conn);
                 }
             }
@@ -297,11 +287,10 @@ pub(crate) fn start<H: FrameHandler>(
                         Job::Close { state } => handler.close(state),
                         Job::Frame {
                             conn,
-                            net_id,
                             frame,
                             mut state,
                         } => {
-                            let reply = answer(&*handler, &mut state, &frame, &net, net_id);
+                            let reply = answer(&*handler, &mut state, &frame, &net);
                             if !done.send(EvMsg::Done { conn, reply, state }) {
                                 return;
                             }

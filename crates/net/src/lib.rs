@@ -18,7 +18,7 @@
 //!
 //! * [`frame`] — the `magic/version/type/seq/len/payload/crc` frame;
 //! * [`wire`] — payload codecs for updates, lookups, acks, stats;
-//! * [`stats`] — network-plane counters with a per-connection ledger;
+//! * [`stats`] — aggregate network-plane counters;
 //! * [`listener`] — the [`FrameHandler`] trait, its wire contract, and
 //!   the [`Listener`] that runs a handler under either connection
 //!   driver (thread per connection, or the `clue-aio` reactor);

@@ -56,14 +56,15 @@ use crate::stats::NetStats;
 /// Shared by every connection of a [`Listener`]; per-connection state
 /// lives in [`FrameHandler::Conn`], which the evloop driver ships to
 /// the bridge pool with each blocking frame and gets back with the
-/// reply — the one-in-flight rule is its mutual exclusion.
+/// reply — the one-in-flight rule is its mutual exclusion. The drivers
+/// count accepts, frames and errors into the listener's [`NetStats`]
+/// aggregates and keep nothing of a connection once it closes.
 pub trait FrameHandler: Send + Sync + 'static {
     /// Per-connection state.
     type Conn: Send + 'static;
 
-    /// A connection was accepted; `id` is its [`NetStats`] ledger id.
-    /// Must not block.
-    fn open(&self, id: u64) -> Self::Conn;
+    /// A connection was accepted. Must not block.
+    fn open(&self) -> Self::Conn;
 
     /// Whether frames of `kind` are answered without blocking, and so
     /// may run on the thread that reads every socket (the evloop
@@ -142,8 +143,8 @@ impl Listener {
                 socket.set_nonblocking(true)?;
                 let (net, stop) = (Arc::clone(&net), Arc::clone(&stop));
                 let accept = std::thread::spawn(move || {
-                    accept_loop(&socket, &net, &stop, |stream, peer| {
-                        serve_conn(stream, peer, &*handler, &net, &stop);
+                    accept_loop(&socket, &net, &stop, |stream| {
+                        serve_conn(stream, &*handler, &net, &stop);
                     });
                 });
                 (None, vec![accept])
@@ -190,12 +191,12 @@ impl Listener {
 
     /// Drains (contract rule 4) and joins every thread; the listening
     /// socket is closed when this returns. Idempotent. A thread that
-    /// panicked is counted in the [`NetStats`] error ledger.
+    /// panicked is counted as a [`NetStats`] I/O error.
     pub fn stop(&mut self) {
         self.request_shutdown();
         for h in self.threads.drain(..) {
             if h.join().is_err() {
-                self.net.count_io_error(u64::MAX);
+                self.net.count_io_error();
             }
         }
     }
@@ -208,10 +209,9 @@ impl Drop for Listener {
 }
 
 /// The `Error` frame for an error of the peer's making — lost framing
-/// (`seq` 0) or a request the handler refused — counted on connection
-/// `id`.
-pub(crate) fn protocol_error(net: &NetStats, id: u64, seq: u64, e: &io::Error) -> Frame {
-    net.count_protocol_error(id);
+/// (`seq` 0) or a request the handler refused — counted in `net`.
+pub(crate) fn protocol_error(net: &NetStats, seq: u64, e: &io::Error) -> Frame {
+    net.count_protocol_error();
     Frame::error(seq, e)
 }
 
@@ -222,11 +222,10 @@ pub(crate) fn answer<H: FrameHandler>(
     conn: &mut H::Conn,
     frame: &Frame,
     net: &NetStats,
-    id: u64,
 ) -> Frame {
     handler
         .handle(conn, frame)
-        .unwrap_or_else(|e| protocol_error(net, id, frame.seq, &e))
+        .unwrap_or_else(|e| protocol_error(net, frame.seq, &e))
 }
 
 /// The thread-per-connection accept loop behind every blocking
@@ -247,21 +246,21 @@ pub fn accept_loop(
     socket: &TcpListener,
     net: &NetStats,
     stop: &Stop,
-    serve: impl Fn(&TcpStream, SocketAddr) + Sync,
+    serve: impl Fn(&TcpStream) + Sync,
 ) {
     let serve = &serve;
     let mut ready = clue_aio::ReadyWait::new(socket, stop);
     let mut backoff = Duration::ZERO;
     let join = |(t, _): (ScopedJoinHandle<'_, ()>, TcpStream)| {
         if t.join().is_err() {
-            net.count_io_error(u64::MAX);
+            net.count_io_error();
         }
     };
     std::thread::scope(|scope| {
         let mut conns = Vec::new();
         while !stop.is_requested() {
             match socket.accept() {
-                Ok((stream, peer)) => {
+                Ok((stream, _)) => {
                     backoff = Duration::ZERO;
                     // Without a clone the stop could not wake this
                     // connection's reader: refuse it, as for any
@@ -271,7 +270,7 @@ pub fn accept_loop(
                         continue;
                     };
                     let conn = scope.spawn(move || {
-                        serve(&stream, peer);
+                        serve(&stream);
                         let _ = stream.shutdown(Shutdown::Both);
                     });
                     conns.push((conn, clone));
@@ -367,22 +366,16 @@ impl FrameReader {
 /// The threads driver: one connection served to completion on the
 /// calling thread — decode a frame, run the handler, write the reply,
 /// and only then decode the next frame.
-fn serve_conn<H: FrameHandler>(
-    stream: &TcpStream,
-    peer: SocketAddr,
-    handler: &H,
-    net: &NetStats,
-    stop: &Stop,
-) {
+fn serve_conn<H: FrameHandler>(stream: &TcpStream, handler: &H, net: &NetStats, stop: &Stop) {
     let _ = stream.set_nodelay(true);
     let _ = stream.set_write_timeout(Some(IO_TIMEOUT));
-    let id = net.register(peer.to_string());
+    net.register();
     let send = |frame: &Frame| -> io::Result<()> {
         frame.write_to(&mut &*stream)?;
-        net.count_frame_out(id);
+        net.count_frame_out();
         Ok(())
     };
-    let mut conn = handler.open(id);
+    let mut conn = handler.open();
     let mut reader = FrameReader::new();
     loop {
         // A stop shuts the read half, so whatever this read returns
@@ -397,21 +390,21 @@ fn serve_conn<H: FrameHandler>(
             Ok(Some(f)) => f,
             Ok(None) => break,
             Err(e) if e.kind() == ErrorKind::InvalidData => {
-                let _ = send(&protocol_error(net, id, 0, &e));
+                let _ = send(&protocol_error(net, 0, &e));
                 break;
             }
             Err(_) => {
-                net.count_io_error(id);
+                net.count_io_error();
                 break;
             }
         };
-        net.count_frame_in(id);
+        net.count_frame_in();
         if frame.kind == FrameType::Shutdown {
             break;
         }
-        let reply = answer(handler, &mut conn, &frame, net, id);
+        let reply = answer(handler, &mut conn, &frame, net);
         if send(&reply).is_err() {
-            net.count_io_error(id);
+            net.count_io_error();
             break;
         }
         if reply.kind == FrameType::Error {
@@ -419,5 +412,5 @@ fn serve_conn<H: FrameHandler>(
         }
     }
     handler.close(conn);
-    net.close(id);
+    net.close();
 }

@@ -204,7 +204,7 @@ impl Server {
     ///
     /// Fails if the router service is no longer exclusively held — a
     /// connection thread died without releasing its handle (the failed
-    /// join is already counted in the [`NetStats`] error ledger).
+    /// join is already counted as a [`NetStats`] I/O error).
     pub fn drain(self) -> io::Result<RouterReport> {
         let Server {
             mut listener,
@@ -212,7 +212,7 @@ impl Server {
         } = self;
         listener.stop();
         let router = Arc::into_inner(router).ok_or_else(|| {
-            listener.net_stats().count_io_error(u64::MAX);
+            listener.net_stats().count_io_error();
             io::Error::other("router service still shared by an unjoined connection thread")
         })?;
         Ok(router.svc.drain())
@@ -220,8 +220,7 @@ impl Server {
 }
 
 /// The router tier: `Hello`, `Update` (ack ⇒ journaled), `Lookup`,
-/// `StatsQuery`, `Heartbeat`. Per-connection state is the connection's
-/// [`NetStats`] ledger id.
+/// `StatsQuery`, `Heartbeat`. It keeps no per-connection state.
 struct RouterHandler {
     svc: RouterService,
     net: Arc<NetStats>,
@@ -240,11 +239,9 @@ impl RouterHandler {
 }
 
 impl FrameHandler for RouterHandler {
-    type Conn = u64;
+    type Conn = ();
 
-    fn open(&self, id: u64) -> u64 {
-        id
-    }
+    fn open(&self) {}
 
     fn is_cheap(&self, kind: FrameType) -> bool {
         // Everything but the three router calls is answered (or
@@ -255,7 +252,7 @@ impl FrameHandler for RouterHandler {
         )
     }
 
-    fn handle(&self, &mut id: &mut u64, frame: &Frame) -> io::Result<Frame> {
+    fn handle(&self, _: &mut (), frame: &Frame) -> io::Result<Frame> {
         let seq = frame.seq;
         Ok(match frame.kind {
             FrameType::Hello => Frame {
@@ -283,10 +280,6 @@ impl FrameHandler for RouterHandler {
                         SubmitOutcome::Dropped => dropped += 1,
                     }
                 }
-                self.net.with_conn(id, |c| {
-                    c.updates += u64::from(accepted);
-                    c.update_drops += u64::from(dropped);
-                });
                 // Ack ⇒ journaled: on a durable router, hold this
                 // batch's ack until the journal high-water covers its
                 // seq, so a post-crash server never advertises an ack
@@ -294,7 +287,7 @@ impl FrameHandler for RouterHandler {
                 // without a journal; skipped when nothing was accepted
                 // — a fully-dropped batch journals nothing to wait for.)
                 if accepted > 0 && !self.svc.wait_journaled(seq, IO_TIMEOUT) {
-                    self.net.count_io_error(id);
+                    self.net.count_io_error();
                     Frame::error(seq, "journal write did not complete; batch unacknowledged")
                 } else {
                     self.last_acked.fetch_max(seq, Ordering::SeqCst);
@@ -307,7 +300,6 @@ impl FrameHandler for RouterHandler {
             }
             FrameType::Lookup => {
                 let addrs = wire::decode_lookup(&frame.payload)?;
-                self.net.with_conn(id, |c| c.lookups += addrs.len() as u64);
                 Frame {
                     kind: FrameType::LookupResult,
                     seq,

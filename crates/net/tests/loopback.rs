@@ -8,7 +8,10 @@ use std::time::Duration;
 
 use clue_fib::gen::FibGen;
 use clue_fib::RouteTable;
-use clue_net::{ClientConfig, Connection, LoadConfig, LoadReport, Server, ServerConfig, Transport};
+use clue_net::frame::{Frame, FrameType};
+use clue_net::{
+    client, ClientConfig, Connection, LoadConfig, LoadReport, Server, ServerConfig, Transport,
+};
 use clue_router::{JournalBatch, OverflowPolicy, RouterConfig, RouterService, UpdateJournal};
 use clue_traffic::{PacketGen, UpdateGen};
 
@@ -156,7 +159,7 @@ fn drop_newest_over_tcp_accounts_for_every_update() {
 }
 
 #[test]
-fn stats_query_exposes_net_ledger_and_overflow_counters() {
+fn stats_query_exposes_net_and_overflow_counters() {
     let fib = small_fib(631, 600);
     for transport in TRANSPORTS {
         let server = local_server_on(&fib, RouterConfig::default(), transport);
@@ -168,18 +171,63 @@ fn stats_query_exposes_net_ledger_and_overflow_counters() {
             "\"router\":",
             "\"overflow\":{\"update_drops\":",
             "\"net\":",
-            "\"connections\":[",
             "\"protocol_errors\":",
             "\"io_errors\":",
             "\"accept_errors\":",
             "\"plane\":{\"backend\":\"tcam\"",
             "\"heap_bytes\":",
-            "\"lookups\":2",
+            "\"arrivals\":2",
         ] {
             assert!(json.contains(key), "{transport}: missing {key} in {json}");
         }
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         let _ = conn.close().expect("close");
+        let _ = server.drain().expect("server drains cleanly");
+    }
+}
+
+/// The `net` object of `server`'s stats document, each run of digits
+/// masked: what is left is its shape, which a counter's growth does not
+/// change.
+fn net_shape(server: &Server) -> (usize, String) {
+    let json = server.stats_json();
+    let net = &json[json.find("\"net\":").expect("a net object")..];
+    let mut shape = String::new();
+    for c in net.chars() {
+        if !c.is_ascii_digit() {
+            shape.push(c);
+        } else if !shape.ends_with('#') {
+            shape.push('#');
+        }
+    }
+    (net.len(), shape)
+}
+
+#[test]
+fn net_stats_do_not_grow_with_closed_connections() {
+    let fib = small_fib(641, 300);
+    for transport in TRANSPORTS {
+        let server = local_server_on(&fib, RouterConfig::default(), transport);
+        let addr = server.local_addr().to_string();
+        let mut shapes = Vec::new();
+        for n in [1, 2_000] {
+            while server.net_stats().accepted() < n {
+                client::call(
+                    &addr,
+                    &Frame::empty(FrameType::Heartbeat, 1),
+                    FrameType::HeartbeatAck,
+                    Duration::from_secs(2),
+                    Duration::from_secs(2),
+                )
+                .expect("one-shot heartbeat");
+            }
+            shapes.push(net_shape(&server));
+        }
+        let ((len1, shape1), (len2, shape2)) = (&shapes[0], &shapes[1]);
+        assert!(
+            shape1 == shape2,
+            "{transport}: the net object grew from {len1} to {len2} B"
+        );
         let _ = server.drain().expect("server drains cleanly");
     }
 }

@@ -379,7 +379,7 @@ mod tests {
     impl FrameHandler for Dropper {
         type Conn = ();
 
-        fn open(&self, _id: u64) {}
+        fn open(&self) {}
 
         fn is_cheap(&self, _kind: FrameType) -> bool {
             true

@@ -13,7 +13,7 @@ use clue_partition::RangeIndex;
 use clue_router::{BootBase, CheckpointView, JournalBatch, RecoveredState, UpdateJournal};
 
 use crate::snapshot::{list_snapshots, newest_valid, write_snapshot_bytes, SnapshotRef, Validated};
-use crate::wal::{encode_record, list_segments, scan_dir, segment_name, WalRecord};
+use crate::wal::{encode_batch, list_segments, scan_dir, segment_name, WalRecord};
 
 /// The writer rotates to a fresh WAL segment past this many bytes.
 pub const SEGMENT_BYTES: u64 = 4 * 1024 * 1024;
@@ -312,6 +312,45 @@ impl Store {
         Ok(self.writer.as_mut().expect("just ensured"))
     }
 
+    /// Journals `batch` as the next record, as
+    /// [`UpdateJournal::append`] does, and returns the record's jseq
+    /// and the bytes written: what a replication hub ships verbatim.
+    ///
+    /// # Errors
+    ///
+    /// I/O failures writing or syncing the segment.
+    pub fn append_record(&mut self, batch: &JournalBatch<'_>) -> io::Result<(u64, Vec<u8>)> {
+        let jseq = self.next_jseq;
+        let bytes = encode_batch(jseq, batch);
+        let fsync = self.cfg.fsync;
+        let w = self.writer()?;
+        w.file.write_all(&bytes)?;
+        if fsync {
+            w.file.sync_data()?;
+        }
+        w.written += bytes.len() as u64;
+        self.next_jseq += 1;
+        self.appends_since_snapshot += 1;
+        self.raw_total += u64::from(batch.raw);
+        Ok((jseq, bytes))
+    }
+
+    /// The drain checkpoint: a snapshot of `view` unless the newest
+    /// one already covers every journaled record (no append since it,
+    /// and no replayed tail after it), so a clean drain restarts with
+    /// an empty replay tail either way. Returns whether it wrote one.
+    ///
+    /// # Errors
+    ///
+    /// As [`UpdateJournal::checkpoint`].
+    pub fn checkpoint_if_behind(&mut self, view: &CheckpointView<'_>) -> io::Result<bool> {
+        if self.appends_since_snapshot == 0 {
+            return Ok(false);
+        }
+        self.checkpoint(view)?;
+        Ok(true)
+    }
+
     /// Writes the encoded snapshot at `jseq`, then prunes the journal.
     fn write_checkpoint(&mut self, jseq: u64, bytes: &[u8]) -> io::Result<()> {
         write_snapshot_bytes(&self.dir, jseq, bytes)?;
@@ -413,25 +452,7 @@ fn encode_table_snapshot(
 
 impl UpdateJournal for Store {
     fn append(&mut self, batch: &JournalBatch<'_>) -> io::Result<()> {
-        let rec = WalRecord {
-            jseq: self.next_jseq,
-            epoch: batch.epoch,
-            seq_hw: batch.seq_hw,
-            raw: batch.raw,
-            ops: batch.ops.to_vec(),
-        };
-        let bytes = encode_record(&rec);
-        let fsync = self.cfg.fsync;
-        let w = self.writer()?;
-        w.file.write_all(&bytes)?;
-        if fsync {
-            w.file.sync_data()?;
-        }
-        w.written += bytes.len() as u64;
-        self.next_jseq += 1;
-        self.appends_since_snapshot += 1;
-        self.raw_total += u64::from(batch.raw);
-        Ok(())
+        self.append_record(batch).map(drop)
     }
 
     fn wants_checkpoint(&self) -> bool {
@@ -453,6 +474,10 @@ impl UpdateJournal for Store {
         }
         .encode();
         self.write_checkpoint(jseq, &bytes)
+    }
+
+    fn on_drain(&mut self, view: &CheckpointView<'_>) -> io::Result<()> {
+        self.checkpoint_if_behind(view).map(drop)
     }
 }
 
@@ -537,6 +562,57 @@ mod tests {
         let (_store, state, recovered) = Store::open_or_seed(&dir, cfg, None, 2).unwrap();
         assert!(recovered);
         assert_eq!(state.table, table);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A drain writes a snapshot only when the newest one is behind the
+    /// journal: after a replayed tail, not after a clean restart.
+    #[test]
+    fn drain_checkpoints_only_a_journal_the_snapshot_does_not_cover() {
+        use std::os::unix::fs::MetadataExt;
+
+        let dir = std::env::temp_dir().join(format!("clue-store-drain-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let cfg = StoreConfig::default();
+        let table = clue_fib::gen::FibGen::new(7).routes(500).generate();
+        let (mut store, state, _) = Store::open_or_seed(&dir, cfg, Some(&table), 2).unwrap();
+        let (_, cover) = state.base.expect("a validated base");
+        let index = RangeIndex::even(&cover, 2);
+        let compressed: RouteTable = cover.into_iter().collect();
+        let view = CheckpointView {
+            epoch: 0,
+            seq_hw: 0,
+            table: &table,
+            compressed: &compressed,
+            cuts: index.cuts(),
+        };
+        let inode = |jseq| {
+            fs::metadata(dir.join(crate::snapshot::snapshot_name(jseq)))
+                .unwrap()
+                .ino()
+        };
+
+        let seeded = inode(0);
+        store.on_drain(&view).unwrap();
+        assert_eq!(inode(0), seeded, "a clean drain rewrote the snapshot");
+
+        // Journal one batch that changes nothing, then crash.
+        let batch = JournalBatch {
+            epoch: 0,
+            seq_hw: 1,
+            raw: 1,
+            ops: &[clue_fib::Update::Withdraw {
+                prefix: Prefix::new(u32::MAX, 32),
+            }],
+        };
+        store.append(&batch).unwrap();
+        drop(store);
+        let (mut store, rec) = Store::open(&dir, cfg).unwrap();
+        assert_eq!(rec.unwrap().replayed, 1);
+        store.on_drain(&view).unwrap();
+        let (_, rec) = Store::open(&dir, cfg).unwrap();
+        let rec = rec.unwrap();
+        assert_eq!((rec.snapshot_jseq, rec.replayed), (1, 0));
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -41,6 +41,7 @@ use std::path::{Path, PathBuf};
 use clue_core::codec::{bad_data, decode_updates, encode_updates, Cursor};
 use clue_core::crc::crc32;
 use clue_fib::Update;
+use clue_router::JournalBatch;
 
 /// WAL record magic, "CLWR".
 pub const WAL_MAGIC: u32 = 0x434C_5752;
@@ -69,14 +70,26 @@ pub struct WalRecord {
 /// Encodes one record, CRC included.
 #[must_use]
 pub fn encode_record(rec: &WalRecord) -> Vec<u8> {
-    let payload = encode_updates(&rec.ops);
+    let batch = JournalBatch {
+        epoch: rec.epoch,
+        seq_hw: rec.seq_hw,
+        raw: rec.raw,
+        ops: &rec.ops,
+    };
+    encode_batch(rec.jseq, &batch)
+}
+
+/// Encodes `batch` as record `jseq`, CRC included, without copying its
+/// ops.
+pub(crate) fn encode_batch(jseq: u64, batch: &JournalBatch<'_>) -> Vec<u8> {
+    let payload = encode_updates(batch.ops);
     let mut buf = Vec::with_capacity(RECORD_HEADER_LEN + payload.len() + 4);
     buf.extend_from_slice(&WAL_MAGIC.to_be_bytes());
     buf.push(WAL_VERSION);
-    buf.extend_from_slice(&rec.jseq.to_be_bytes());
-    buf.extend_from_slice(&rec.epoch.to_be_bytes());
-    buf.extend_from_slice(&rec.seq_hw.to_be_bytes());
-    buf.extend_from_slice(&rec.raw.to_be_bytes());
+    buf.extend_from_slice(&jseq.to_be_bytes());
+    buf.extend_from_slice(&batch.epoch.to_be_bytes());
+    buf.extend_from_slice(&batch.seq_hw.to_be_bytes());
+    buf.extend_from_slice(&batch.raw.to_be_bytes());
     buf.extend_from_slice(&(payload.len() as u32).to_be_bytes());
     buf.extend_from_slice(&payload);
     buf.extend_from_slice(&crc32(&buf).to_be_bytes());

@@ -33,7 +33,7 @@ use clue::core::{build_plane, BackendKind};
 use clue::fib::gen::FibGen;
 use clue::fib::{NextHop, Prefix, Route, RouteTable, Update};
 use clue::net::frame::{Frame, FrameDecoder, FrameType};
-use clue::net::{wire, ClientConfig, Connection, Server, ServerConfig};
+use clue::net::{client, wire, ClientConfig, Connection, Server, ServerConfig, Transport};
 use clue::router::{RouterConfig, RouterService};
 use clue::traffic::PacketGen;
 
@@ -135,12 +135,16 @@ const ALLOCS_PER_START: usize = 144;
 /// cover, the read-back whose validation builds the trie and cover the
 /// router then boots from, the replication hub on the bytes the
 /// read-back validated, both listeners, the router as above, and the
-/// primary's side of the probe connection. (561 under `--nocapture`.)
-const ALLOCS_PER_PRIMARY_START: usize = 577;
+/// primary's side of the probe connection. (556 under `--nocapture`.)
+const ALLOCS_PER_PRIMARY_START: usize = 572;
 /// Heap bytes a `RouterService` holds on a 100 K-route table once its
 /// update plane is ready, per route: both tries, the TCAM model with
 /// its prefix → slot map, and the first epoch's planes.
 const HEAP_BYTES_PER_ROUTE: usize = 166;
+/// Live heap bytes a `Server` holds per closed connection, on either
+/// transport: the network stats are counters, so a connection leaves
+/// nothing behind once it closes.
+const HEAP_BYTES_PER_CLOSED_CONNECTION: usize = 0;
 /// Lines under `crates/*/src` that use a `select!` macro.
 const SELECT_SITES: usize = 0;
 /// Lines under `crates/*/src` that call `thread::sleep`. A wait that a
@@ -268,6 +272,74 @@ fn heap_bytes_per_route(fib: &RouteTable) -> usize {
     let (svc, _, live) = service_until_ready(fib);
     drop(svc.drain());
     live / fib.len()
+}
+
+/// Live heap bytes a `Server` on `fib` holds per closed connection,
+/// the most over both transports: the median, over `chunks` runs of
+/// `per_chunk` one-shot heartbeats, of the growth across a run. The
+/// median ignores the run during which a buffer that tracks live
+/// connections (the accept loop's join handles, the reactor's maps and
+/// job queue) grows to the most that happened to overlap; a count kept
+/// per connection grows every run. Counting starts once the update
+/// plane the server builds after `start` is ready (a first
+/// connection's withdrawal of [`absent`] is applied).
+fn heap_bytes_per_closed_connection(fib: &RouteTable, chunks: usize, per_chunk: usize) -> usize {
+    assert!(!fib.contains(absent()), "the probe prefix is absent");
+    [Transport::Threads, Transport::Evloop]
+        .into_iter()
+        .map(|transport| {
+            let cfg = ServerConfig {
+                transport,
+                ..ServerConfig::default()
+            };
+            let server = Server::start(fib, &cfg).expect("bind loopback");
+            let addr = server.local_addr().to_string();
+            let mut conn =
+                Connection::connect(ClientConfig::to_addr(addr.clone())).expect("connect");
+            conn.send_updates(&[Update::Withdraw { prefix: absent() }])
+                .expect("send the withdrawal");
+            conn.flush_acks().expect("the withdrawal is acked");
+            while !server.stats_json().contains("\"batches\":1,") {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            drop(conn);
+            // A connection counts as closed a moment before its thread
+            // or job has dropped everything: give that moment before
+            // each reading.
+            let net = server.net_stats();
+            let settled = || {
+                while net.active() > 0 {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                std::thread::sleep(Duration::from_millis(20));
+                LIVE_BYTES.load(Ordering::Relaxed)
+            };
+            let per_run = (0..chunks)
+                .map(|_| {
+                    let live = settled();
+                    for _ in 0..per_chunk {
+                        let accepted = net.accepted();
+                        client::call(
+                            &addr,
+                            &Frame::empty(FrameType::Heartbeat, 1),
+                            FrameType::HeartbeatAck,
+                            Duration::from_secs(2),
+                            Duration::from_secs(2),
+                        )
+                        .expect("one-shot heartbeat");
+                        while net.accepted() == accepted || net.active() > 0 {
+                            std::thread::sleep(Duration::from_millis(1));
+                        }
+                    }
+                    settled().saturating_sub(live) / per_chunk
+                })
+                .collect();
+            let per_conn = median(per_run);
+            server.drain().expect("server drains");
+            per_conn
+        })
+        .max()
+        .expect("two transports")
 }
 
 /// Allocations the calling thread makes while `f` runs.
@@ -477,6 +549,7 @@ fn counts_stay_under_their_ceilings() {
     let net_threads = os_threads() - before;
     let rtt64 = allocs_per_lookup_rtt(server.local_addr(), &addrs, 64, 200);
     server.drain().expect("server drains");
+    let closed_conn_bytes = heap_bytes_per_closed_connection(&fib, 9, 200);
     let proxy_rtt64 = allocs_per_proxy_lookup_rtt(&fib, &addrs, 200);
     let primary_start_allocs = allocs_per_primary_start(&fib);
     let heap_per_route = heap_bytes_per_route(&FibGen::new(93).routes(100_000).generate());
@@ -509,6 +582,11 @@ fn counts_stay_under_their_ceilings() {
             "net.allocs_per_lookup_rtt.b64",
             rtt64,
             ALLOCS_PER_LOOKUP_RTT,
+        ),
+        (
+            "net.heap_bytes_per_closed_connection",
+            closed_conn_bytes,
+            HEAP_BYTES_PER_CLOSED_CONNECTION,
         ),
         (
             "cluster.allocs_per_proxy_lookup_rtt.b64",

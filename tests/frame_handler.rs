@@ -343,7 +343,7 @@ struct Gate {
 impl FrameHandler for Gate {
     type Conn = ();
 
-    fn open(&self, _id: u64) {
+    fn open(&self) {
         self.opened.fetch_add(1, Ordering::SeqCst);
     }
 
