@@ -5,7 +5,7 @@
 //!
 //! * [`Prefix`] / [`NextHop`] — IPv4 prefixes and forwarding actions;
 //! * [`Trie`] — an arena-based binary trie with longest-prefix match,
-//!   in-order iteration, and per-subtree route counters;
+//!   iteration in `(bits, len)` order, and per-subtree route counters;
 //! * [`RouteTable`] / [`Route`] / [`Update`] — FIBs and BGP-like update
 //!   messages, with a plain-text interchange format;
 //! * [`gen`] — seeded synthetic FIB generation standing in for the RIPE

@@ -285,26 +285,25 @@ impl<T> Trie<T> {
             .map(|idx| NodeRef { trie: self, idx })
     }
 
-    /// In-order iterator over `(prefix, &value)` pairs.
+    /// Pre-order iterator over `(prefix, &value)` pairs.
     ///
-    /// Visit order: a node's 0-subtree, the node itself, its 1-subtree —
-    /// i.e. ascending address ranges for non-overlapping sets.
+    /// Visit order: a node, its 0-subtree, then its 1-subtree — i.e.
+    /// ascending `(bits, len)`, the order a
+    /// [`RouteTable`](crate::RouteTable) iterates in, and ascending
+    /// address ranges for non-overlapping sets.
     #[must_use]
     pub fn iter(&self) -> Iter<'_, T> {
         Iter {
             trie: self,
-            stack: vec![Visit::Down(self.root)],
+            stack: vec![self.root],
         }
     }
 
-    /// In-order iterator over the subtree rooted at `prefix` (empty if the
-    /// node does not exist).
+    /// Pre-order iterator over the subtree rooted at `prefix` (empty if
+    /// the node does not exist).
     #[must_use]
     pub fn iter_subtree(&self, prefix: Prefix) -> Iter<'_, T> {
-        let stack = match self.find_node(prefix) {
-            Some(idx) => vec![Visit::Down(idx)],
-            None => Vec::new(),
-        };
+        let stack = self.find_node(prefix).into_iter().collect();
         Iter { trie: self, stack }
     }
 
@@ -418,40 +417,27 @@ impl<'a, T> NodeRef<'a, T> {
     }
 }
 
-enum Visit {
-    Down(u32),
-    Emit(u32),
-}
-
-/// In-order iterator over a [`Trie`]; created by [`Trie::iter`].
+/// Pre-order iterator over a [`Trie`]; created by [`Trie::iter`].
 pub struct Iter<'a, T> {
     trie: &'a Trie<T>,
-    stack: Vec<Visit>,
+    /// Nodes still to visit, the next on top.
+    stack: Vec<u32>,
 }
 
 impl<'a, T> Iterator for Iter<'a, T> {
     type Item = (Prefix, &'a T);
 
     fn next(&mut self) -> Option<Self::Item> {
-        while let Some(visit) = self.stack.pop() {
-            match visit {
-                Visit::Down(idx) => {
-                    let n = &self.trie.nodes[idx as usize];
-                    // Push in reverse order: right subtree, self, left subtree.
-                    if n.child[1] != NIL {
-                        self.stack.push(Visit::Down(n.child[1]));
-                    }
-                    self.stack.push(Visit::Emit(idx));
-                    if n.child[0] != NIL {
-                        self.stack.push(Visit::Down(n.child[0]));
-                    }
+        while let Some(idx) = self.stack.pop() {
+            let n = &self.trie.nodes[idx as usize];
+            // The 1-subtree goes under the 0-subtree, so it pops later.
+            for child in [n.child[1], n.child[0]] {
+                if child != NIL {
+                    self.stack.push(child);
                 }
-                Visit::Emit(idx) => {
-                    let n = &self.trie.nodes[idx as usize];
-                    if let Some(v) = n.value.as_ref() {
-                        return Some((n.prefix, v));
-                    }
-                }
+            }
+            if let Some(v) = n.value.as_ref() {
+                return Some((n.prefix, v));
             }
         }
         None
@@ -555,7 +541,7 @@ mod tests {
             t.insert(p(s), i);
         }
         let got: Vec<Prefix> = t.iter().map(|(px, _)| px).collect();
-        // In-order = ancestors before the 1-branch, after the 0-branch.
+        // Pre-order: each ancestor before both of its branches.
         assert_eq!(
             got,
             vec![
@@ -574,9 +560,9 @@ mod tests {
         t.insert(p("10.1.0.0/16"), 2);
         t.insert(p("11.0.0.0/8"), 3);
         let got: Vec<Prefix> = t.iter_subtree(p("10.0.0.0/8")).map(|(px, _)| px).collect();
-        // 10.1.0.0/16 sits in the 0-subtree of 10.0.0.0/8, so in-order
-        // emits it before its ancestor.
-        assert_eq!(got, vec![p("10.1.0.0/16"), p("10.0.0.0/8")]);
+        // Pre-order emits an ancestor before its subtree, as
+        // `(bits, len)` order does.
+        assert_eq!(got, vec![p("10.0.0.0/8"), p("10.1.0.0/16")]);
         assert_eq!(t.iter_subtree(p("12.0.0.0/8")).count(), 0);
     }
 

@@ -2,7 +2,7 @@
 
 use std::collections::BTreeMap;
 
-use clue_fib::{Bit, NextHop, Prefix, Trie};
+use clue_fib::{Bit, NextHop, Prefix, Route, RouteTable, Trie};
 use proptest::prelude::*;
 
 fn arb_prefix() -> impl Strategy<Value = Prefix> {
@@ -111,11 +111,34 @@ proptest! {
             let got = trie.lookup(addr).map(|(p, &nh)| (p, nh));
             prop_assert_eq!(got, reference_lpm(&model, addr));
         }
-        // In-order iteration yields each stored pair exactly once.
+        // Iteration yields each stored pair exactly once.
         let mut seen: Vec<Prefix> = trie.iter().map(|(p, _)| p).collect();
         seen.sort();
         let expect: Vec<Prefix> = model.keys().copied().collect();
         prop_assert_eq!(seen, expect);
+    }
+
+    /// Pre-order is `(bits, len)` order: the trie iterates exactly as a
+    /// `RouteTable` of the same routes does, however they nest, and
+    /// whatever order built it.
+    #[test]
+    fn trie_iterates_in_route_table_order(
+        ops in prop::collection::vec((any::<u32>(), 0u8..=12, 0u16..4, any::<bool>()), 0..120),
+    ) {
+        let mut trie = Trie::new();
+        let mut table = RouteTable::new();
+        for (bits, len, nh, insert) in ops {
+            let p = Prefix::new(bits, len);
+            if insert {
+                trie.insert(p, NextHop(nh));
+                table.insert(p, NextHop(nh));
+            } else {
+                trie.remove(p);
+                table.remove(p);
+            }
+        }
+        let routes: Vec<Route> = trie.iter().map(|(p, &nh)| Route::new(p, nh)).collect();
+        prop_assert_eq!(routes, table.iter().collect::<Vec<_>>());
     }
 
     #[test]

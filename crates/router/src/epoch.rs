@@ -29,13 +29,12 @@
 //! title promises to keep small; [`EpochState::replicated`] exposes it.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 use clue_core::lookup::{build_plane, BackendKind, LookupPlane};
 use clue_fib::{Route, RouteTable};
 use clue_partition::{Indexer, RangeIndex};
 use clue_tile::TileSet;
-use parking_lot::Mutex;
 
 /// One immutable generation of the lookup plane's view.
 #[derive(Debug)]
@@ -191,7 +190,7 @@ impl EpochCell {
     /// observes the new version is guaranteed to load the new state.
     pub fn publish(&self, state: EpochState) {
         let epoch = state.epoch;
-        *self.current.lock() = Arc::new(state);
+        *self.current.lock().unwrap_or_else(PoisonError::into_inner) = Arc::new(state);
         self.version.store(epoch, Ordering::Release);
     }
 
@@ -204,7 +203,7 @@ impl EpochCell {
     /// Loads the current state (takes the lock briefly).
     #[must_use]
     pub fn load(&self) -> Arc<EpochState> {
-        Arc::clone(&self.current.lock())
+        Arc::clone(&self.current.lock().unwrap_or_else(PoisonError::into_inner))
     }
 
     /// Refreshes `local` if a newer epoch has been published; returns

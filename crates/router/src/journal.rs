@@ -25,6 +25,7 @@
 
 use std::io;
 
+use clue_compress::CompressedFib;
 use clue_fib::{NextHop, Route, RouteTable, Trie, Update};
 
 /// One coalesced batch as handed to the journal, *before* it is applied.
@@ -43,16 +44,16 @@ pub struct JournalBatch<'a> {
 
 /// A consistent view of the update plane at a checkpoint boundary —
 /// everything a snapshot writer needs, borrowed from the update thread
-/// between batches.
+/// between batches. Building one copies nothing: a writer iterates the
+/// tries themselves, each in [`RouteTable`] order.
 pub struct CheckpointView<'a> {
     /// Last published epoch number.
     pub epoch: u64,
     /// Journaled sequence high-water at this boundary.
     pub seq_hw: u64,
-    /// The original (uncompressed) route table.
-    pub table: &'a RouteTable,
-    /// The ONRTC-compressed table (an integrity twin of `table`).
-    pub compressed: &'a RouteTable,
+    /// The original trie and its ONRTC-compressed twin, as the update
+    /// thread holds them.
+    pub fib: &'a CompressedFib,
     /// The partition cut points in force.
     pub cuts: &'a [u32],
 }

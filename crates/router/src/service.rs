@@ -18,7 +18,7 @@
 //! still queued and publishes the final epoch, and the joined outcome is
 //! returned as a [`RouterReport`].
 
-use std::sync::{Arc, Condvar, Mutex as StdMutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -30,7 +30,6 @@ use clue_core::BackendKind;
 use clue_fib::{NextHop, Route, RouteTable, Update};
 use clue_partition::{Indexer, RangeIndex};
 use clue_tile::{TileConfig, TileSet};
-use parking_lot::Mutex;
 
 use crate::coalesce::coalesce_with;
 use crate::epoch::{EpochCell, EpochState};
@@ -89,16 +88,15 @@ type Ingress = (Option<Update>, u64);
 /// The journaled-sequence high-water mark: a monotone counter the
 /// update thread advances after each successful journal append, which
 /// frontends wait on before acknowledging a batch (ack ⇒ journaled).
-/// The vendored `parking_lot` shim has no `Condvar`, so this uses std.
 struct SeqWater {
-    hw: StdMutex<u64>,
+    hw: Mutex<u64>,
     cv: Condvar,
 }
 
 impl SeqWater {
     fn new(initial: u64) -> Self {
         SeqWater {
-            hw: StdMutex::new(initial),
+            hw: Mutex::new(initial),
             cv: Condvar::new(),
         }
     }
@@ -416,6 +414,7 @@ impl RouterService {
         let mut scratch = self
             .scratch
             .lock()
+            .unwrap_or_else(PoisonError::into_inner)
             .pop()
             .unwrap_or_else(|| Scratch::new(self.fifo_tx.len()));
         for (pos, &addr) in addrs.iter().enumerate() {
@@ -455,7 +454,10 @@ impl RouterService {
             slots.clear();
             scratch.per_chip[chip] = slots;
         }
-        self.scratch.lock().push(scratch);
+        self.scratch
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .push(scratch);
         results
     }
 
@@ -540,7 +542,7 @@ struct Durability {
 /// The update plane: drain → coalesce → journal → apply → publish →
 /// (maybe) checkpoint. The pipeline's original trie is the only copy of
 /// the routing table it keeps; coalescing reads it, and a checkpoint
-/// materialises it.
+/// writes it where it lies.
 #[allow(clippy::too_many_lines)]
 fn update_loop(
     pipeline: &mut CluePipeline,
@@ -653,7 +655,13 @@ fn update_loop(
         // has accumulated; the view is consistent because this thread is
         // the only writer and sits between batches.
         if let Some(j) = journal.as_mut().filter(|j| j.wants_checkpoint()) {
-            if with_checkpoint_view(pipeline, index, epoch, seq_hw, |v| j.checkpoint(v)).is_err() {
+            let view = CheckpointView {
+                epoch,
+                seq_hw,
+                fib: pipeline.fib(),
+                cuts: index.cuts(),
+            };
+            if j.checkpoint(&view).is_err() {
                 shared.stats.count_journal_error();
             }
         }
@@ -662,29 +670,16 @@ fn update_loop(
     // Clean drain: give the journal a final checkpoint opportunity so a
     // graceful restart replays nothing (crash harnesses override this).
     if let Some(j) = journal.as_mut() {
-        if with_checkpoint_view(pipeline, index, epoch, seq_hw, |v| j.on_drain(v)).is_err() {
+        let view = CheckpointView {
+            epoch,
+            seq_hw,
+            fib: pipeline.fib(),
+            cuts: index.cuts(),
+        };
+        if j.on_drain(&view).is_err() {
             shared.stats.count_journal_error();
         }
     }
-}
-
-/// Hands `write` a [`CheckpointView`] of the tables at this boundary.
-fn with_checkpoint_view<R>(
-    pipeline: &CluePipeline,
-    index: &RangeIndex,
-    epoch: u64,
-    seq_hw: u64,
-    write: impl FnOnce(&CheckpointView<'_>) -> R,
-) -> R {
-    let table = RouteTable::from_trie(pipeline.fib().original());
-    let compressed = pipeline.fib().compressed_table();
-    write(&CheckpointView {
-        epoch,
-        seq_hw,
-        table: &table,
-        compressed: &compressed,
-        cuts: index.cuts(),
-    })
 }
 
 /// One chip: serves its home FIFO from the current epoch's plane until

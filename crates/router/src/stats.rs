@@ -1,19 +1,19 @@
 //! The router's metrics registry and its JSON snapshots.
 //!
 //! Every worker owns a slot of per-thread [`Histogram`]s behind a
-//! `parking_lot` mutex, taken once per job by the worker, once per send
-//! by the caller recording the FIFO depth, and by the snapshot reader;
+//! mutex, taken once per job by the worker, once per send by the
+//! caller recording the FIFO depth, and by the snapshot reader;
 //! the update plane has one more slot; hard counters are atomics. A
 //! [`StatsSnapshot`] is a consistent-enough point-in-time aggregation —
 //! worker histograms are merged with [`Histogram::merge`] — rendered
 //! through the workspace's one JSON writer, [`clue_core::json`].
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use clue_core::json;
 use clue_core::lookup::BackendKind;
 use clue_core::metrics::Histogram;
-use parking_lot::Mutex;
 
 /// Per-worker mutable metrics.
 #[derive(Debug, Default)]
@@ -81,13 +81,15 @@ impl RouterStats {
     }
 
     /// Locks worker `i`'s slot for recording.
-    pub fn worker(&self, i: usize) -> parking_lot::MutexGuard<'_, WorkerStats> {
-        self.workers[i].lock()
+    pub fn worker(&self, i: usize) -> MutexGuard<'_, WorkerStats> {
+        self.workers[i]
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Locks the update-plane slot for recording.
-    pub fn update(&self) -> parking_lot::MutexGuard<'_, UpdateStats> {
-        self.update.lock()
+    pub fn update(&self) -> MutexGuard<'_, UpdateStats> {
+        self.update.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Counts `n` lookups submitted in one batch.
@@ -128,12 +130,12 @@ impl RouterStats {
         let mut queue_depth = Histogram::new();
         let mut per_worker_serviced = Vec::with_capacity(self.workers.len());
         for w in &self.workers {
-            let w = w.lock();
+            let w = w.lock().unwrap_or_else(PoisonError::into_inner);
             lookup_ns.merge(&w.lookup_ns);
             queue_depth.merge(&w.queue_depth);
             per_worker_serviced.push(w.serviced);
         }
-        let u = self.update.lock();
+        let u = self.update();
         let absorbed = u.received.saturating_sub(u.applied);
         StatsSnapshot {
             workers: self.workers.len(),

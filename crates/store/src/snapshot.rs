@@ -93,23 +93,23 @@ fn get_routes(c: &mut Cursor<'_>) -> io::Result<Vec<Route>> {
     Ok(out)
 }
 
-/// A snapshot's fields with its tables borrowed: the one encoder
-/// behind [`encode_snapshot`], so the store writes tables it holds
-/// without first copying them into a [`Snapshot`].
-pub(crate) struct SnapshotRef<'a, C> {
+/// A snapshot's fields with each table as its length and its routes in
+/// [`RouteTable`] order: the one encoder behind [`encode_snapshot`], so
+/// the store writes tables where they lie (a [`Snapshot`]'s, or the
+/// update thread's tries) without first copying them.
+pub(crate) struct SnapshotRef<'a, T, C> {
     pub(crate) jseq: u64,
     pub(crate) epoch: u64,
     pub(crate) seq_hw: u64,
     pub(crate) raw_total: u64,
     pub(crate) chips: u32,
     pub(crate) cuts: &'a [u32],
-    pub(crate) table: &'a RouteTable,
-    /// The compressed table's length and its routes in address order.
+    pub(crate) table: (usize, T),
     pub(crate) compressed: (usize, C),
     pub(crate) dreds: &'a [Vec<Route>],
 }
 
-impl<C: Iterator<Item = Route>> SnapshotRef<'_, C> {
+impl<T: Iterator<Item = Route>, C: Iterator<Item = Route>> SnapshotRef<'_, T, C> {
     /// Encodes the snapshot, CRC included.
     pub(crate) fn encode(self) -> Vec<u8> {
         let mut buf = Vec::new();
@@ -124,7 +124,8 @@ impl<C: Iterator<Item = Route>> SnapshotRef<'_, C> {
         for &cut in self.cuts {
             buf.extend_from_slice(&cut.to_be_bytes());
         }
-        put_table(&mut buf, self.table.len(), self.table.iter());
+        let (len, routes) = self.table;
+        put_table(&mut buf, len, routes);
         let (len, routes) = self.compressed;
         put_table(&mut buf, len, routes);
         for dred in self.dreds {
@@ -145,7 +146,7 @@ pub fn encode_snapshot(snap: &Snapshot) -> Vec<u8> {
         raw_total: snap.raw_total,
         chips: snap.chips,
         cuts: &snap.cuts,
-        table: &snap.table,
+        table: (snap.table.len(), snap.table.iter()),
         compressed: (snap.compressed.len(), snap.compressed.iter()),
         dreds: &snap.dreds,
     }

@@ -7,9 +7,9 @@ use std::fs;
 use std::io::ErrorKind;
 use std::path::{Path, PathBuf};
 
-use clue_compress::{onrtc, onrtc_routes};
+use clue_compress::{onrtc, onrtc_routes, CompressedFib};
 use clue_fib::gen::FibGen;
-use clue_fib::{Route, RouteTable, Update};
+use clue_fib::{RouteTable, Update};
 use clue_partition::RangeIndex;
 use clue_router::{
     BootBase, CheckpointView, JournalBatch, RecoveredState, RouterConfig, RouterService,
@@ -117,17 +117,17 @@ fn stream_base_after_a_checkpoint_validates_the_new_file() {
     for &u in &ops {
         table.apply(u);
     }
-    let compressed = onrtc(&table);
-    let cover: Vec<Route> = compressed.iter().collect();
+    let original = table.to_trie();
+    let cover = onrtc_routes(&original);
     let cuts = RangeIndex::even(&cover, RouterConfig::default().workers)
         .cuts()
         .to_vec();
+    let fib = CompressedFib::from_parts(original, &cover);
     store
         .checkpoint(&CheckpointView {
             epoch: 1,
             seq_hw: 8,
-            table: &table,
-            compressed: &compressed,
+            fib: &fib,
             cuts: &cuts,
         })
         .unwrap();

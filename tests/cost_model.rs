@@ -21,10 +21,11 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::fs;
-use std::io::Read;
+use std::io::{self, Read};
 use std::net::SocketAddr;
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc;
 use std::time::Duration;
 
 use clue::cluster::{Primary, PrimaryConfig, Proxy, ProxyConfig, ShardMap, ShardSpec};
@@ -34,7 +35,7 @@ use clue::fib::gen::FibGen;
 use clue::fib::{NextHop, Prefix, Route, RouteTable, Update};
 use clue::net::frame::{Frame, FrameDecoder, FrameType};
 use clue::net::{client, wire, ClientConfig, Connection, Server, ServerConfig, Transport};
-use clue::router::{RouterConfig, RouterService};
+use clue::router::{CheckpointView, JournalBatch, RouterConfig, RouterService, UpdateJournal};
 use clue::traffic::PacketGen;
 
 /// Counts every allocation (including growth by `realloc`) made by any
@@ -127,16 +128,21 @@ const ALLOCS_PER_PLANE_BUILD: usize = 3;
 /// TCAM model and one elided batch on the update thread; the threads'
 /// own start-up. Counted across threads, so work moved off the caller
 /// still counts. (The test harness's output capture costs two more per
-/// spawn: 134 under `--nocapture`.)
-const ALLOCS_PER_START: usize = 144;
+/// spawn: 132 under `--nocapture`.)
+const ALLOCS_PER_START: usize = 142;
 /// Allocations every thread makes from `Primary::start` on a fresh data
 /// dir over the same table until its update plane is ready
 /// (`allocs_per_primary_start`): the seed snapshot with its trie and
 /// cover, the read-back whose validation builds the trie and cover the
 /// router then boots from, the replication hub on the bytes the
 /// read-back validated, both listeners, the router as above, and the
-/// primary's side of the probe connection. (556 under `--nocapture`.)
-const ALLOCS_PER_PRIMARY_START: usize = 572;
+/// primary's side of the probe connection. (554 under `--nocapture`.)
+const ALLOCS_PER_PRIMARY_START: usize = 570;
+/// Allocations the update thread makes between a journal append's
+/// return and the next checkpoint's entry (`allocs_per_checkpoint_view`):
+/// the view borrows the tries it describes, so building it copies
+/// nothing. (Materialising both tables as `RouteTable`s cost 333.)
+const ALLOCS_PER_CHECKPOINT_VIEW: usize = 0;
 /// Heap bytes a `RouterService` holds on a 100 K-route table once its
 /// update plane is ready, per route: both tries, the TCAM model with
 /// its prefix → slot map, and the first epoch's planes.
@@ -263,6 +269,54 @@ fn allocs_per_primary_start(fib: &RouteTable) -> usize {
     drop(client);
     primary.stop().expect("primary stops");
     let _ = fs::remove_dir_all(&dir);
+    allocs
+}
+
+/// A journal that wants a checkpoint after every append and writes
+/// nothing: it sends the allocations its thread made from an append's
+/// return to the next checkpoint's entry.
+struct ViewProbe {
+    after_append: usize,
+    gap: mpsc::Sender<usize>,
+}
+
+impl UpdateJournal for ViewProbe {
+    fn append(&mut self, _: &JournalBatch<'_>) -> io::Result<()> {
+        self.after_append = THREAD_ALLOCS.with(Cell::get);
+        Ok(())
+    }
+
+    fn wants_checkpoint(&self) -> bool {
+        true
+    }
+
+    fn checkpoint(&mut self, _: &CheckpointView<'_>) -> io::Result<()> {
+        let _ = self
+            .gap
+            .send(THREAD_ALLOCS.with(Cell::get) - self.after_append);
+        Ok(())
+    }
+
+    fn on_drain(&mut self, _: &CheckpointView<'_>) -> io::Result<()> {
+        Ok(())
+    }
+}
+
+/// Allocations the update thread of a `RouterService` on `fib` makes
+/// between a journal append and the checkpoint after it
+/// ([`ViewProbe`]). The batch is a withdrawal of [`absent`]: it applies
+/// no op and publishes no epoch, so the view is all that is built.
+fn allocs_per_checkpoint_view(fib: &RouteTable) -> usize {
+    assert!(!fib.contains(absent()), "the probe prefix is absent");
+    let (gap, gaps) = mpsc::channel();
+    let probe = ViewProbe {
+        after_append: 0,
+        gap,
+    };
+    let svc = RouterService::start_with_journal(fib, &RouterConfig::default(), Box::new(probe));
+    let _ = svc.submit_update(Update::Withdraw { prefix: absent() });
+    let allocs = gaps.recv().expect("the batch reaches a checkpoint");
+    drop(svc.drain());
     allocs
 }
 
@@ -543,6 +597,7 @@ fn counts_stay_under_their_ceilings() {
     let b64 = allocs_per_lookup_batch(&svc, &addrs, 64, 200);
     let b1 = allocs_per_lookup_batch(&svc, &addrs, 1, 400);
     drop(svc.drain());
+    let view_allocs = allocs_per_checkpoint_view(&fib);
 
     let before = os_threads();
     let server = Server::start(&fib, &ServerConfig::default()).expect("bind loopback");
@@ -562,6 +617,11 @@ fn counts_stay_under_their_ceilings() {
             "cluster.allocs_per_primary_start",
             primary_start_allocs,
             ALLOCS_PER_PRIMARY_START,
+        ),
+        (
+            "router.allocs_per_checkpoint_view",
+            view_allocs,
+            ALLOCS_PER_CHECKPOINT_VIEW,
         ),
         (
             "router.heap_bytes_per_route",
