@@ -1,30 +1,31 @@
 //! The warm standby: a follower that mirrors a primary's journal into
 //! an in-memory replica and can be promoted to a serving primary.
 //!
-//! Two threads per standby:
+//! A standby binds its serving address once and runs two threads:
 //!
-//! * the **replication client** dials the primary's replication port,
+//! * the control [`Listener`]'s accept loop answers the proxy's control
+//!   traffic on that address — heartbeats, stats, and `Promote` — as a
+//!   [`FrameHandler`] under the threads driver;
+//! * the **replication thread** dials the primary's replication port,
 //!   announces its applied journal position (`ReplicaHello`), absorbs
 //!   the snapshot and/or record stream, applies each record to the
 //!   replica table *before* acknowledging it (ack ⇒ applied, which is
 //!   what lets the primary count an acked record as survivable), and
 //!   reconnects with backoff — resuming from its applied position, so
-//!   acknowledged records are never replayed twice;
-//! * the **frontend** answers the proxy's control traffic on the
-//!   standby's serving address — heartbeats, stats, and `Promote` — as
-//!   a [`FrameHandler`] under the threads driver of a [`Listener`].
+//!   acknowledged records are never replayed twice.
 //!
-//! Promotion is the handoff: reply `PromoteAck(seq_hw)`, stop
-//! replicating, drop the control listener, and boot a full
-//! [`Server`]/[`RouterService`] from the replica state *on the same
-//! address*, advertising the replicated sequence high-water so
-//! re-routed clients resume exactly where their acks ended. The brief
-//! rebind gap is covered by the clients' reconnect backoff.
+//! Promotion is the handoff, and the replication thread makes it: once
+//! `Promote` has been answered with `PromoteAck(seq_hw)`, its loop ends
+//! with its last record applied and acked. It drains the control
+//! listener and boots a full [`Server`]/[`RouterService`] from the
+//! replica state on a clone of the same socket, advertising the
+//! replicated sequence high-water so re-routed clients resume exactly
+//! where their acks ended. The address is never released: a connection
+//! that arrives during the handoff waits in the socket's backlog.
 
 use std::io::{self, ErrorKind};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{self, Receiver};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
@@ -35,13 +36,19 @@ use clue_fib::RouteTable;
 use clue_net::frame::{Frame, FrameType};
 use clue_net::wire;
 use clue_net::{
-    client, FrameHandler, FrameReader, Listener, ListenerConfig, NetStats, Server, ServerConfig,
-    Stop, Transport, IO_TIMEOUT,
+    client, FrameHandler, FrameReader, Listener, ListenerConfig, NetStats, Server, Stop, Transport,
+    IO_TIMEOUT,
 };
 use clue_router::{RecoveredState, RouterConfig, RouterReport, RouterService};
 use clue_store::{decode_record, decode_snapshot};
 
 use crate::repl::FOLLOWER_EMPTY;
+
+/// How the standby serves its address, before promotion and after.
+const SERVING: ListenerConfig = ListenerConfig {
+    transport: Transport::Threads,
+    bridge_threads: 0,
+};
 
 /// Tunables for a [`Standby`].
 #[derive(Debug, Clone)]
@@ -98,11 +105,11 @@ pub enum StandbyOutcome {
     Promoted(Box<RouterReport>),
 }
 
-/// What the standby's threads signal each other with.
+/// What the control handler and the caller signal the replication
+/// thread with.
 #[derive(Default)]
 struct Flags {
-    /// Ends replication and wakes the frontend: requested by a stop and
-    /// by a promotion.
+    /// Ends replication: requested by a stop and by a promotion.
     stop: Stop,
     /// Promotion was asked for (a `Promote` frame or
     /// [`Standby::request_promote`]).
@@ -126,23 +133,24 @@ impl Flags {
         }
     }
 
-    /// Asks for promotion: replication stops, and the frontend reboots
-    /// the address as a full server.
+    /// Asks for promotion: replication stops, and its thread boots the
+    /// address as a full server.
     fn promote(&self) {
         self.promote_req.store(true, Ordering::Release);
         self.halt();
     }
 }
 
-/// A running standby (replication client + control frontend).
+/// A running standby (control listener + replication thread).
 pub struct Standby {
     local_addr: SocketAddr,
     primary_repl: String,
     state: Arc<Mutex<ReplicaState>>,
     net: Arc<NetStats>,
     flags: Arc<Flags>,
-    repl: Option<JoinHandle<()>>,
-    frontend: Option<JoinHandle<io::Result<Option<Server>>>>,
+    /// Replicates until a stop (`None`) or a promotion (the server it
+    /// booted).
+    repl: Option<JoinHandle<io::Result<Option<Server>>>>,
 }
 
 impl Standby {
@@ -155,10 +163,13 @@ impl Standby {
     pub fn start(cfg: StandbyConfig) -> io::Result<Standby> {
         let socket = TcpListener::bind(&cfg.listen)?;
         let local_addr = socket.local_addr()?;
+        // The promoted server's socket: the control listener closes
+        // its own copy, this one keeps the address bound.
+        let serving = socket.try_clone()?;
         let state = Arc::new(Mutex::new(ReplicaState::default()));
         let net = Arc::new(NetStats::new());
         let flags = Arc::new(Flags::default());
-        let listener = Listener::start(
+        let control = Listener::start(
             socket,
             Arc::new(Control {
                 state: Arc::clone(&state),
@@ -166,25 +177,15 @@ impl Standby {
                 primary_repl: cfg.primary_repl.clone(),
             }),
             Arc::clone(&net),
-            ListenerConfig {
-                transport: Transport::Threads,
-                bridge_threads: 0,
-            },
+            SERVING,
         )?;
-
-        // Disconnected once the replication thread has exited.
-        let (repl_alive, repl_exit) = mpsc::channel::<()>();
-        let repl = {
-            let (cfg, state, flags) = (cfg.clone(), Arc::clone(&state), Arc::clone(&flags));
-            thread::spawn(move || {
-                let _alive = repl_alive;
-                replication_loop(&cfg, &state, &flags);
-            })
-        };
         let primary_repl = cfg.primary_repl.clone();
-        let frontend = {
+        let repl = {
             let (state, flags) = (Arc::clone(&state), Arc::clone(&flags));
-            thread::spawn(move || frontend_loop(listener, &cfg, &state, &flags, &repl_exit))
+            thread::spawn(move || {
+                replication_loop(&cfg, &state, &flags);
+                hand_off(control, serving, &cfg, &state, &flags)
+            })
         };
         Ok(Standby {
             local_addr,
@@ -193,7 +194,6 @@ impl Standby {
             net,
             flags,
             repl: Some(repl),
-            frontend: Some(frontend),
         })
     }
 
@@ -217,9 +217,9 @@ impl Standby {
     }
 
     /// Requests promotion as if a `Promote` frame had arrived: the
-    /// replication thread stops, then the frontend reboots as a full
-    /// server on the same address. In-process equivalent of the
-    /// proxy's failover RPC, for tests and benches.
+    /// replication thread stops, then serves the same address as a full
+    /// server. In-process equivalent of the proxy's failover RPC, for
+    /// tests and benches.
     pub fn request_promote(&self) {
         self.flags.promote();
     }
@@ -246,16 +246,13 @@ impl Standby {
     /// Propagates drain failures of a promoted server.
     pub fn stop(mut self) -> io::Result<StandbyOutcome> {
         self.flags.halt();
-        if let Some(h) = self.repl.take() {
-            let _ = h.join();
-        }
-        let front = self
-            .frontend
+        let served = self
+            .repl
             .take()
-            .expect("frontend joined once")
+            .expect("replication thread joined once")
             .join()
-            .map_err(|_| io::Error::other("standby frontend panicked"))??;
-        match front {
+            .map_err(|_| io::Error::other("standby replication thread panicked"))??;
+        match served {
             Some(server) => Ok(StandbyOutcome::Promoted(Box::new(server.drain()?))),
             None => Ok(StandbyOutcome::Standby(
                 self.state.lock().expect("state lock").clone(),
@@ -268,9 +265,6 @@ impl Drop for Standby {
     fn drop(&mut self) {
         self.flags.halt();
         if let Some(h) = self.repl.take() {
-            let _ = h.join();
-        }
-        if let Some(h) = self.frontend.take() {
             let _ = h.join();
         }
     }
@@ -292,28 +286,24 @@ fn stats_json(state: &ReplicaState, primary_repl: &str) -> String {
         .finish()
 }
 
-// ---------------------------------------------------------------- frontend
+// ----------------------------------------------------------------- control
 
-/// Serves the control endpoint until shutdown (`Ok(None)`) or
-/// promotion, where it hands the address over to a full [`Server`]
-/// booted from the replica state.
-fn frontend_loop(
-    mut listener: Listener,
+/// Runs on the replication thread once its loop has ended: drains the
+/// control listener, and on a promotion boots a full [`Server`] from
+/// the replica state on `socket`, which held the address throughout.
+/// Every record the loop acked is in that state: it applies before it
+/// acks, and the loop has returned.
+fn hand_off(
+    mut control: Listener,
+    socket: TcpListener,
     cfg: &StandbyConfig,
     state: &Mutex<ReplicaState>,
     flags: &Flags,
-    repl_exit: &Receiver<()>,
 ) -> io::Result<Option<Server>> {
-    flags.stop.wait();
+    control.stop();
     if !flags.promote_req.load(Ordering::Acquire) {
-        listener.stop();
         return Ok(None);
     }
-    // Let the replication thread finish its in-flight record: anything
-    // it acked must be in the state we serve from.
-    let _ = repl_exit.recv_timeout(IO_TIMEOUT);
-    // Drain the control connections and release the address.
-    listener.stop();
     let recovered = {
         let s = state.lock().expect("state lock");
         RecoveredState {
@@ -325,12 +315,7 @@ fn frontend_loop(
     };
     let seq_hw = recovered.seq_hw;
     let svc = RouterService::start_recovered(recovered, &cfg.router, None);
-    let scfg = ServerConfig {
-        listen: listener.local_addr().to_string(),
-        router: cfg.router,
-        ..ServerConfig::default()
-    };
-    let server = Server::start_with_service(svc, seq_hw, &scfg)?;
+    let server = Server::start_on(socket, svc, seq_hw, SERVING)?;
     flags.promoted.store(true, Ordering::Release);
     Ok(Some(server))
 }
@@ -373,8 +358,8 @@ impl FrameHandler for Control {
                     let why = "standby has no snapshot yet, cannot promote";
                     return Ok(Frame::error(frame.seq, why));
                 }
-                // The frontend wakes, drains this listener and reboots
-                // the address as a full server.
+                // Replication ends; its thread drains this listener
+                // and serves the address as a full server.
                 self.flags.promote();
                 Frame {
                     kind: FrameType::PromoteAck,
@@ -481,14 +466,9 @@ fn follow_once(
                         // Already applied (and acked) — never replay.
                         s.skipped += 1;
                     } else {
-                        for &op in &rec.ops {
-                            s.table.apply(op);
-                        }
+                        let s = &mut *s;
+                        rec.replay_onto(&mut s.table, &mut s.epoch, &mut s.seq_hw);
                         s.applied_jseq = Some(rec.jseq);
-                        s.seq_hw = s.seq_hw.max(rec.seq_hw);
-                        // rec.epoch is the epoch before the batch; the
-                        // batch may have published rec.epoch + 1.
-                        s.epoch = s.epoch.max(rec.epoch + 1);
                         s.records_applied += 1;
                     }
                 }

@@ -1,13 +1,17 @@
 //! WAL-shipping replication end to end: ack implies standby-applied,
 //! a follower joining mid-stream catches up from snapshot + tail
 //! without replaying acknowledged batches twice, reconnection resumes
-//! from the applied position, and a stalled follower is demoted
-//! instead of halting the update plane.
+//! from the applied position, a stalled follower is demoted instead of
+//! halting the update plane, and a promotion never lets go of the
+//! standby's address.
 
 use std::fs;
 use std::io::ErrorKind;
-use std::net::TcpStream;
+use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+use std::thread;
 use std::time::{Duration, Instant};
 
 use clue_cluster::{Primary, PrimaryConfig, ReplConfig, Standby, StandbyConfig, StandbyOutcome};
@@ -347,6 +351,55 @@ fn stalled_follower_is_demoted_not_blocking() {
     let report = conn.close().unwrap();
     assert_eq!(report.accepted, trace.len() as u64);
     drop(f);
+    primary.stop().unwrap();
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// A promoted standby serves the socket its control port bound, so the
+/// address is never free: a thread that keeps trying to bind it during
+/// the promotion never wins it. 20 000 routes make the promoted
+/// router's boot long enough that closing the control socket and
+/// binding the address again loses it to the thief every time.
+#[test]
+fn promote_never_releases_the_serving_port() {
+    let dir = temp_dir("port-thief");
+    let (fib, _) = workload(83, 20_000, 0);
+    let primary = Primary::start(&dir, Some(&fib), &primary_cfg(Duration::from_secs(5))).unwrap();
+    let standby = Standby::start(standby_cfg(&primary)).unwrap();
+    wait_for("standby to sync", Duration::from_secs(10), || {
+        primary.repl_stats().synced == 1 && standby.replica_state().snapshots_loaded == 1
+    });
+
+    let addr = standby.local_addr();
+    let done = Arc::new(AtomicBool::new(false));
+    let thief = {
+        let done = Arc::clone(&done);
+        thread::spawn(move || {
+            while !done.load(Ordering::Relaxed) {
+                if let Ok(stolen) = TcpListener::bind(addr) {
+                    return Some(stolen);
+                }
+            }
+            None
+        })
+    };
+    standby.request_promote();
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while !standby.is_promoted() && Instant::now() < deadline {
+        thread::sleep(Duration::from_millis(1));
+    }
+    done.store(true, Ordering::Relaxed);
+    let stolen = thief.join().unwrap();
+
+    assert!(
+        stolen.is_none(),
+        "another socket bound {addr} mid-promotion"
+    );
+    assert!(standby.is_promoted(), "standby did not promote within 5 s");
+    match standby.stop().unwrap() {
+        StandbyOutcome::Promoted(report) => assert_eq!(report.final_table, fib),
+        StandbyOutcome::Standby(_) => panic!("promotion requested but not made"),
+    }
     primary.stop().unwrap();
     let _ = fs::remove_dir_all(&dir);
 }

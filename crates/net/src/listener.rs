@@ -93,8 +93,8 @@ pub trait FrameHandler: Send + Sync + 'static {
 /// The bound on every blocking socket operation in the serving stack:
 /// finishing a frame whose first byte arrived, a socket write, a
 /// client's wait for a reply, an ack's wait for its journal write, and
-/// a standby's wait for its replication thread at promotion. A read
-/// with nothing buffered is not bounded: a stop wakes it.
+/// a standby's dial of its primary. A read with nothing buffered is not
+/// bounded: a stop wakes it.
 pub const IO_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// How a [`Listener`] serves its connections: the serving-tier configs'

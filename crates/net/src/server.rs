@@ -146,6 +146,27 @@ impl Server {
         cfg: &ServerConfig,
     ) -> io::Result<Server> {
         let socket = TcpListener::bind(&cfg.listen)?;
+        let cfg = ListenerConfig {
+            transport: cfg.transport,
+            bridge_threads: cfg.bridge_threads,
+        };
+        Self::start_on(socket, svc, initial_seq, cfg)
+    }
+
+    /// As [`Server::start_with_service`], on a socket the caller has
+    /// already bound: a standby promoted on the address its control
+    /// port held serves it without ever releasing it, so a connection
+    /// that arrives meanwhile waits in the backlog.
+    ///
+    /// # Errors
+    ///
+    /// Socket configuration or reactor start-up failures.
+    pub fn start_on(
+        socket: TcpListener,
+        svc: RouterService,
+        initial_seq: u64,
+        cfg: ListenerConfig,
+    ) -> io::Result<Server> {
         let net = Arc::new(NetStats::new());
         let router = Arc::new(RouterHandler {
             svc,
@@ -153,15 +174,7 @@ impl Server {
             last_acked: AtomicU64::new(initial_seq),
             started: Instant::now(),
         });
-        let listener = Listener::start(
-            socket,
-            Arc::clone(&router),
-            net,
-            ListenerConfig {
-                transport: cfg.transport,
-                bridge_threads: cfg.bridge_threads,
-            },
-        )?;
+        let listener = Listener::start(socket, Arc::clone(&router), net, cfg)?;
         Ok(Server { listener, router })
     }
 

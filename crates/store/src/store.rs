@@ -176,14 +176,7 @@ impl Store {
         let mut seq_hw = snap.seq_hw;
         let mut raw_replayed = 0u64;
         for rec in &scan.records {
-            for &op in &rec.ops {
-                table.apply(op);
-            }
-            // rec.epoch is the epoch *before* the batch applied; the
-            // batch may have published rec.epoch + 1. Resuming past it
-            // keeps epoch numbers monotone across the restart.
-            epoch = epoch.max(rec.epoch + 1);
-            seq_hw = seq_hw.max(rec.seq_hw);
+            rec.replay_onto(&mut table, &mut epoch, &mut seq_hw);
             raw_replayed += u64::from(rec.raw);
         }
         let replayed = scan.records.len() as u64;

@@ -40,7 +40,7 @@ use std::path::{Path, PathBuf};
 
 use clue_core::codec::{bad_data, decode_updates, encode_updates, Cursor};
 use clue_core::crc::crc32;
-use clue_fib::Update;
+use clue_fib::{RouteTable, Update};
 use clue_router::JournalBatch;
 
 /// WAL record magic, "CLWR".
@@ -65,6 +65,22 @@ pub struct WalRecord {
     pub raw: u32,
     /// The coalesced ops.
     pub ops: Vec<Update>,
+}
+
+impl WalRecord {
+    /// Replays this record onto a recovered state — a restart's replay
+    /// of its journal tail, or a standby applying a shipped record:
+    /// applies the ops, then resumes numbering past the batch. `epoch`
+    /// here is the epoch *before* the batch applied, and the batch may
+    /// have published `epoch + 1`; resuming past that keeps epoch
+    /// numbers monotone across the restart or the promotion.
+    pub fn replay_onto(&self, table: &mut RouteTable, epoch: &mut u64, seq_hw: &mut u64) {
+        for &op in &self.ops {
+            table.apply(op);
+        }
+        *epoch = (*epoch).max(self.epoch + 1);
+        *seq_hw = (*seq_hw).max(self.seq_hw);
+    }
 }
 
 /// Encodes one record, CRC included.

@@ -22,13 +22,15 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::fs;
 use std::io::{self, Read};
-use std::net::SocketAddr;
+use std::net::{SocketAddr, TcpListener};
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::time::Duration;
 
-use clue::cluster::{Primary, PrimaryConfig, Proxy, ProxyConfig, ShardMap, ShardSpec};
+use clue::cluster::{
+    Primary, PrimaryConfig, Proxy, ProxyConfig, ShardMap, ShardSpec, Standby, StandbyConfig,
+};
 use clue::compress::onrtc;
 use clue::core::{build_plane, BackendKind};
 use clue::fib::gen::FibGen;
@@ -93,6 +95,10 @@ const THREADS_PER_SERVICE: usize = 5;
 /// OS threads `Server::start` spawns with the default config: the
 /// service's, plus the threads transport's accept loop.
 const THREADS_PER_SERVER: usize = THREADS_PER_SERVICE + 1;
+/// OS threads `Standby::start` leaves running while its primary
+/// refuses connections: the control listener's accept loop and the
+/// replication thread, which becomes the server on a promotion.
+const THREADS_PER_STANDBY: usize = 2;
 /// Heap allocations per `lookup_batch`, at any batch size: the result
 /// vector (the slot buffers and reply channel are pooled).
 const ALLOCS_PER_LOOKUP_BATCH: usize = 1;
@@ -177,6 +183,23 @@ fn os_threads() -> usize {
     fs::read_dir("/proc/self/task")
         .expect("procfs lists this process's threads")
         .count()
+}
+
+/// OS threads a standby following an address that refuses
+/// connections runs once `Standby::start` returns.
+fn threads_per_standby() -> usize {
+    let gone = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+    let primary_repl = gone.local_addr().expect("local addr").to_string();
+    drop(gone);
+    let before = os_threads();
+    let standby = Standby::start(StandbyConfig {
+        primary_repl,
+        ..StandbyConfig::default()
+    })
+    .expect("bind loopback");
+    let threads = os_threads() - before;
+    standby.stop().expect("standby stops");
+    threads
 }
 
 /// The median of `per_call`: the steady-state cost, ignoring the rare
@@ -604,6 +627,7 @@ fn counts_stay_under_their_ceilings() {
     let net_threads = os_threads() - before;
     let rtt64 = allocs_per_lookup_rtt(server.local_addr(), &addrs, 64, 200);
     server.drain().expect("server drains");
+    let standby_threads = threads_per_standby();
     let closed_conn_bytes = heap_bytes_per_closed_connection(&fib, 9, 200);
     let proxy_rtt64 = allocs_per_proxy_lookup_rtt(&fib, &addrs, 200);
     let primary_start_allocs = allocs_per_primary_start(&fib);
@@ -612,6 +636,11 @@ fn counts_stay_under_their_ceilings() {
     let rows = [
         ("router.threads_started", threads, THREADS_PER_SERVICE),
         ("net.threads_started", net_threads, THREADS_PER_SERVER),
+        (
+            "cluster.threads_per_standby",
+            standby_threads,
+            THREADS_PER_STANDBY,
+        ),
         ("router.allocs_per_start", start_allocs, ALLOCS_PER_START),
         (
             "cluster.allocs_per_primary_start",
