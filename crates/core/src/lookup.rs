@@ -12,13 +12,14 @@
 //! [`register_tiled_builder`]:
 //!
 //! * [`TcamPlane`] — the TCAM word array of the paper's encoder-free
-//!   hardware, kept in address order. ONRTC content is
-//!   non-overlapping, so the one word an address can match is the one
-//!   with the greatest start ≤ it; a small first-level index narrows
-//!   the search for it to one binary search over a handful of words.
-//!   Words are 8 bytes (start, next hop, prefix length); the `up`
-//!   links that resolve overlapping sets are built only for nested
-//!   sets.
+//!   hardware, kept in address order. ONRTC content is a run of
+//!   disjoint ranges, so the one word an address can match is the one
+//!   with the greatest start ≤ it; a first-level index with one cell
+//!   per eight words narrows the search for it to one binary search
+//!   inside a cell. A word is a u32 start and a u16 next hop, a gap
+//!   in the cover is a word of its own, and a prefix's length is read
+//!   off the next word's start. Nested sets are flattened into
+//!   longest-match intervals that also keep their matched lengths.
 //! * [`TriePlane`] — a flattened multibit trie with level-compressed
 //!   16/8/8 strides. The root level is one 2^16 slot array (256 KiB of
 //!   u32 slots, sequential-prefetch friendly); longer prefixes expand
@@ -220,131 +221,254 @@ pub fn plane_from_table(kind: BackendKind, table: &RouteTable) -> Box<dyn Lookup
     build_plane(kind, &routes)
 }
 
-/// The end of an `up` chain: no enclosing word.
-const NO_WORD: u32 = u32::MAX;
-
-/// One stored prefix in 8 bytes: the mask is a function of `len`, so
-/// only the length is kept.
-#[derive(Debug, Clone, Copy)]
-struct Word {
-    start: u32,
-    action: NextHop,
-    len: u8,
-}
-
-impl Word {
-    fn matches(self, addr: u32) -> bool {
-        (addr ^ self.start) & mask(self.len) == 0
-    }
-
-    fn route(self) -> Route {
-        Route::new(Prefix::new(self.start, self.len), self.action)
-    }
-}
-
-/// The TCAM word array in address order, behind a first-level index.
+/// The TCAM word array in address order, one word per range of the
+/// cover, behind a first-level index.
 ///
 /// CLUE stores non-overlapping content, which is why its TCAM needs no
-/// priority encoder; it also means an address can match only the word
-/// with the greatest start ≤ it. A lookup finds that word by address —
+/// priority encoder; it also means the content is a run of disjoint
+/// ranges, and an address can match only the word with the greatest
+/// start ≤ it. A word holds that start and a next hop; a gap in the
+/// cover is a word of its own, marked in a bitmap. A prefix of the
+/// cover ends where the next word starts, so its length is not stored:
+/// `len = 32 - trailing_zeros(next start - start)`, where the last
+/// word's next start is 2^32. A lookup finds the word by address —
 /// `root` narrows the search to the words of one index cell, and a
 /// binary search inside the cell finds the first start above `addr` —
-/// then steps back one word and tests it. Words are 8 bytes (start,
-/// next hop, prefix length), and `up` is built only for nested sets:
-/// for those, which the [`LookupPlane`] contract still requires to
-/// resolve, a miss walks the word's `up` chain of enclosing words, and
-/// the longest match, if any, is on it.
+/// then steps back one word.
+///
+/// A nested set, which the [`LookupPlane`] contract still requires to
+/// resolve, is flattened into its longest-match intervals first (the
+/// boundary pass [`CfibPlane`] also uses), and `lens` holds each
+/// interval's matched length; it is empty for non-overlapping content.
 #[derive(Debug)]
 pub struct TcamPlane {
-    /// The 8-byte words, sorted by start; equal starts shorter length
-    /// first, so a word comes after every word enclosing it.
-    words: Vec<Word>,
-    /// Only for nested sets, per word the index of its nearest
-    /// enclosing word, or [`NO_WORD`]; empty for non-overlapping
-    /// content.
-    up: Vec<u32>,
-    /// `root[k]` is the first word whose `start >> shift` is
-    /// `≥ base + k`; a cell's words end where the next cell's begin.
-    root: Vec<u32>,
+    /// The index cells, then the word starts, then the gap bits (bit
+    /// `i % 32` of `buf[cells + words + i / 32]` marks word `i` as a
+    /// gap), in one buffer. `root[k]` is the first word whose
+    /// `start >> shift` is `≥ base + k`; a cell's words end where the
+    /// next cell's begin.
+    buf: Box<[u32]>,
+    /// Index cells at the front of `buf`.
+    cells: usize,
+    /// Per word its next hop (zero on a gap word).
+    hops: Box<[NextHop]>,
+    /// Only for nested sets, per word its matched prefix length.
+    lens: Box<[u8]>,
     shift: u32,
     base: u32,
+    /// Routes the plane was built from.
+    routes: usize,
+}
+
+/// How many words a disjoint run of routes in address order takes: one
+/// per route and one per gap after a route (below the first route
+/// nothing matches, so a leading gap needs no word). `None` if `routes`
+/// is not such a run.
+fn cover_words(routes: &[Route]) -> Option<usize> {
+    let mut words = routes.len();
+    for (k, r) in routes.iter().enumerate() {
+        let next = next_low(routes, k);
+        if next.is_some_and(|next| r.prefix.high() >= next) {
+            return None;
+        }
+        words += usize::from(gap_after(r, next));
+    }
+    Some(words)
+}
+
+/// The start of the route after `routes[k]`, if any.
+fn next_low(routes: &[Route], k: usize) -> Option<u32> {
+    routes.get(k + 1).map(|n| n.prefix.low())
+}
+
+/// Whether a gap word follows `r`, whose successor starts at `next`: the
+/// successor does not begin right after `r`, or there is none and `r`
+/// does not reach the top of the address space.
+fn gap_after(r: &Route, next: Option<u32>) -> bool {
+    r.prefix.high().checked_add(1) != next
+}
+
+/// Writes a plane's words in address order into its buffers, indexing
+/// each as it goes.
+struct WordWriter<'a> {
+    root: &'a mut [u32],
+    starts: &'a mut [u32],
+    gaps: &'a mut [u32],
+    hops: Vec<NextHop>,
+    shift: u32,
+    base: u32,
+    /// Index cells filled so far.
+    indexed: usize,
+}
+
+impl WordWriter<'_> {
+    /// Appends a word: its start and its hop, or none on a gap.
+    #[inline]
+    fn push(&mut self, start: u32, hop: Option<NextHop>) {
+        let i = self.hops.len();
+        self.starts[i] = start;
+        self.hops.push(hop.unwrap_or(NextHop(0)));
+        if hop.is_none() {
+            self.gaps[i / 32] |= 1 << (i % 32);
+        }
+        let cell = ((start >> self.shift) - self.base) as usize;
+        if self.indexed <= cell {
+            self.root[self.indexed..=cell].fill(i as u32);
+            self.indexed = cell + 1;
+        }
+    }
 }
 
 impl TcamPlane {
-    /// Sorts `routes` into words and indexes them.
+    /// Lays `routes` out as words and indexes them.
+    ///
+    /// A disjoint run already in address order (what every publishing
+    /// caller passes) is read as it is; anything else is sorted first,
+    /// and a nested set is flattened into its longest-match intervals.
     ///
     /// # Panics
     ///
     /// Panics on duplicate prefixes.
     #[must_use]
     pub fn build(routes: &[Route]) -> Self {
-        let mut words: Vec<Word> = routes
-            .iter()
-            .map(|r| Word {
-                start: r.prefix.bits(),
-                action: r.next_hop,
-                len: r.prefix.len(),
-            })
-            .collect();
-        // Equal starts sort shorter (enclosing) first.
-        words.sort_unstable_by_key(|w| (w.start, w.len));
-        // A word enclosing a later one also encloses its successor, so
-        // a set nests exactly when some adjacent pair does.
-        let mut nested = false;
-        for p in words.windows(2) {
-            if (p[0].start, p[0].len) == (p[1].start, p[1].len) {
-                panic!("prefix {} already stored", p[0].route().prefix);
-            }
-            nested |= p[0].matches(p[1].start);
+        if let Some(words) = cover_words(routes) {
+            return Self::from_cover(routes, words);
         }
-        // Word indices stay below NO_WORD.
-        let n = u32::try_from(words.len()).expect("at most u32::MAX words");
+        let mut sorted = routes.to_vec();
+        sorted.sort_unstable_by_key(|r| r.prefix);
+        for p in sorted.windows(2) {
+            if p[0].prefix == p[1].prefix {
+                panic!("prefix {} already stored", p[0].prefix);
+            }
+        }
+        if let Some(words) = cover_words(&sorted) {
+            return Self::from_cover(&sorted, words);
+        }
+        let (starts, labels) = lpm_intervals(&sorted);
+        let skip = usize::from(labels[0].is_none());
+        let (starts, labels) = (&starts[skip..], &labels[skip..]);
+        let lens = labels.iter().map(|l| l.map_or(0, |(len, _)| len)).collect();
+        let span = starts.first().zip(starts.last()).map(|(&f, &l)| (f, l));
+        Self::from_words(starts.len(), span, lens, routes.len(), |w| {
+            for (&start, label) in starts.iter().zip(labels) {
+                w.push(start, label.map(|(_, hop)| hop));
+            }
+        })
+    }
 
-        // Every word enclosing word i also encloses word i - 1 (or is
-        // it), so its nearest one is on i - 1's chain.
-        let mut up: Vec<u32> = Vec::new();
-        if nested {
-            up.reserve_exact(words.len());
-            for (i, w) in words.iter().enumerate() {
-                let mut p = i.checked_sub(1).map_or(NO_WORD, |p| p as u32);
-                while p != NO_WORD && !words[p as usize].matches(w.start) {
-                    p = up[p as usize];
+    /// The plane of a disjoint run of `words` words in address order:
+    /// each route's start and hop, and a gap word wherever the next
+    /// route does not begin right after it.
+    fn from_cover(routes: &[Route], words: usize) -> Self {
+        let last_start = |r: &Route| r.prefix.high().checked_add(1).unwrap_or(r.prefix.low());
+        let span = routes.first().zip(routes.last());
+        let span = span.map(|(first, last)| (first.prefix.low(), last_start(last)));
+        Self::from_words(words, span, Box::default(), routes.len(), |w| {
+            for (k, r) in routes.iter().enumerate() {
+                w.push(r.prefix.low(), Some(r.next_hop));
+                if gap_after(r, next_low(routes, k)) {
+                    w.push(r.prefix.high() + 1, None);
                 }
-                up.push(p);
             }
-        }
+        })
+    }
 
-        // The finest index with at most one cell per four words (a
-        // four-word cell is half a cache line; one cell per two words
-        // measured no faster) and at least two cells, which shift 31
-        // always meets; one word needs only one cell.
-        let (shift, base, cells) = match (words.first(), words.last()) {
-            (Some(first), Some(last)) => {
-                let max_cells = (n / 4).max(2);
+    /// A plane of `words` words whose starts run from `span`'s first to
+    /// its last, in exactly sized buffers: `fill` pushes the words in
+    /// address order.
+    fn from_words(
+        words: usize,
+        span: Option<(u32, u32)>,
+        lens: Box<[u8]>,
+        routes: usize,
+        fill: impl FnOnce(&mut WordWriter<'_>),
+    ) -> Self {
+        let n = u32::try_from(words).expect("at most u32::MAX words");
+        // The finest index with at most one cell per eight words (eight
+        // u32 starts are half a cache line) and at least two cells,
+        // which shift 31 always meets; one word needs only one cell.
+        let (shift, base, cells) = match span {
+            Some((first, last)) => {
+                let max_cells = (n / 8).max(2);
                 let shift = (0..32)
-                    .find(|&s| (last.start >> s) - (first.start >> s) < max_cells)
+                    .find(|&s| (last >> s) - (first >> s) < max_cells)
                     .expect("shift 31 leaves at most two cells");
-                let base = first.start >> shift;
-                (shift, base, ((last.start >> shift) - base + 1) as usize)
+                let base = first >> shift;
+                (shift, base, ((last >> shift) - base + 1) as usize)
             }
-            _ => (0, 0, 0),
+            None => (0, 0, 0),
         };
-        let mut root: Vec<u32> = Vec::with_capacity(cells);
-        for (i, w) in words.iter().enumerate() {
-            let cell = ((w.start >> shift) - base) as usize;
-            if root.len() <= cell {
-                root.resize(cell + 1, i as u32);
-            }
-        }
-
-        TcamPlane {
-            words,
-            up,
+        let mut buf = vec![0; cells + words + words.div_ceil(32)].into_boxed_slice();
+        let (root, rest) = buf.split_at_mut(cells);
+        let (starts, gaps) = rest.split_at_mut(words);
+        let mut writer = WordWriter {
             root,
+            starts,
+            gaps,
+            hops: Vec::with_capacity(words),
             shift,
             base,
+            indexed: 0,
+        };
+        fill(&mut writer);
+        assert_eq!(writer.hops.len(), words, "every word written");
+        TcamPlane {
+            hops: writer.hops.into_boxed_slice(),
+            buf,
+            cells,
+            lens,
+            shift,
+            base,
+            routes,
         }
     }
+
+    /// The index cells, the word starts and the gap bits.
+    fn parts(&self) -> (&[u32], &[u32], &[u32]) {
+        let (root, rest) = self.buf.split_at(self.cells);
+        let (starts, gaps) = rest.split_at(self.hops.len());
+        (root, starts, gaps)
+    }
+
+    /// The word that holds `addr`: the last one starting at or below
+    /// it, unless that one is a gap.
+    #[inline]
+    fn word(&self, addr: u32) -> Option<usize> {
+        let (root, starts, gaps) = self.parts();
+        // Below the first cell every word starts above `addr`.
+        let cell = (addr >> self.shift).checked_sub(self.base)? as usize;
+        // One past the last word starting at or below `addr`; past the
+        // last cell, that is every word.
+        let end = match root.get(cell) {
+            Some(&lo) => {
+                let lo = lo as usize;
+                let hi = root.get(cell + 1).map_or(starts.len(), |&h| h as usize);
+                // The hop is read from a second array: start loading the
+                // cell's hops while its starts are searched.
+                prefetch(&self.hops, lo.saturating_sub(1));
+                lo + starts[lo..hi].partition_point(|&s| s <= addr)
+            }
+            None => starts.len(),
+        };
+        let i = end.checked_sub(1)?;
+        (gaps[i / 32] & (1 << (i % 32)) == 0).then_some(i)
+    }
+}
+
+/// Asks the CPU to start loading the cache line that holds `items[i]`,
+/// so it is on its way while other loads are in flight. Only a hint: it
+/// does nothing off x86-64, and an `i` out of range reads nothing.
+#[inline(always)]
+fn prefetch<T>(items: &[T], i: usize) {
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: a prefetch never faults and changes no memory, whatever
+    // the address; `wrapping_add` keeps the pointer arithmetic defined.
+    unsafe {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        _mm_prefetch::<_MM_HINT_T0>(items.as_ptr().wrapping_add(i).cast());
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = (items, i);
 }
 
 impl LookupPlane for TcamPlane {
@@ -353,42 +477,30 @@ impl LookupPlane for TcamPlane {
     }
 
     fn lookup(&self, addr: u32) -> Option<Route> {
-        // Below the first cell every word starts above `addr`.
-        let cell = (addr >> self.shift).checked_sub(self.base)? as usize;
-        // One past the last word starting at or below `addr`; past the
-        // last cell, that is every word.
-        let end = match self.root.get(cell) {
-            Some(&lo) => {
-                let lo = lo as usize;
-                let hi = self
-                    .root
-                    .get(cell + 1)
-                    .map_or(self.words.len(), |&h| h as usize);
-                lo + self.words[lo..hi].partition_point(|w| w.start <= addr)
+        let i = self.word(addr)?;
+        let len = match self.lens.get(i) {
+            Some(&len) => len,
+            None => {
+                let (_, starts, _) = self.parts();
+                let next = starts.get(i + 1).map_or(1 << 32, |&s| u64::from(s));
+                (32 - (next - u64::from(starts[i])).trailing_zeros()) as u8
             }
-            None => self.words.len(),
         };
-        let mut i = end.checked_sub(1)?;
-        loop {
-            let w = self.words[i];
-            if w.matches(addr) {
-                return Some(w.route());
-            }
-            // Non-overlapping content has no `up` links: a miss is final.
-            i = match self.up.get(i) {
-                None | Some(&NO_WORD) => return None,
-                Some(&p) => p as usize,
-            };
-        }
+        Some(Route::new(Prefix::new(addr, len), self.hops[i]))
+    }
+
+    fn next_hop(&self, addr: u32) -> Option<NextHop> {
+        self.word(addr).map(|i| self.hops[i])
     }
 
     fn len(&self) -> usize {
-        self.words.len()
+        self.routes
     }
 
     fn heap_bytes(&self) -> usize {
-        self.words.capacity() * std::mem::size_of::<Word>()
-            + (self.up.capacity() + self.root.capacity()) * std::mem::size_of::<u32>()
+        std::mem::size_of_val(&*self.buf)
+            + std::mem::size_of_val(&*self.hops)
+            + std::mem::size_of_val(&*self.lens)
     }
 }
 
@@ -434,6 +546,7 @@ impl TriePlane {
         for r in sorted {
             plane.insert(r);
         }
+        plane.blocks.shrink_to_fit();
         plane
     }
 
@@ -521,8 +634,40 @@ impl LookupPlane for TriePlane {
     }
 
     fn heap_bytes(&self) -> usize {
-        (self.root.len() + self.blocks.len()) * std::mem::size_of::<u32>()
+        (self.root.capacity() + self.blocks.capacity()) * std::mem::size_of::<u32>()
     }
+}
+
+/// The longest-match function of `routes` (overlap allowed) as
+/// disjoint intervals: interval `i` runs from `starts[i]` to the next
+/// start, and `labels[i]` is the `(prefix length, next hop)` of its
+/// match, or none. Every prefix boundary (`low`, `high + 1`) is a
+/// candidate start; adjacent intervals with equal labels are merged,
+/// and `starts[0] == 0`.
+fn lpm_intervals(routes: &[Route]) -> (Vec<u32>, Vec<Option<(u8, NextHop)>>) {
+    let reference: Trie<NextHop> = routes.iter().map(|r| (r.prefix, r.next_hop)).collect();
+    let mut bounds: Vec<u32> = Vec::with_capacity(routes.len() * 2 + 1);
+    bounds.push(0);
+    for r in routes {
+        bounds.push(r.prefix.low());
+        if r.prefix.high() != u32::MAX {
+            bounds.push(r.prefix.high() + 1);
+        }
+    }
+    bounds.sort_unstable();
+    bounds.dedup();
+
+    let mut starts: Vec<u32> = Vec::new();
+    let mut labels: Vec<Option<(u8, NextHop)>> = Vec::new();
+    for &b in &bounds {
+        let label = reference.lookup(b).map(|(p, &nh)| (p.len(), nh));
+        if labels.last() == Some(&label) {
+            continue;
+        }
+        starts.push(b);
+        labels.push(label);
+    }
+    (starts, labels)
 }
 
 /// An interval label: the `(prefix length, next hop)` of the match, or
@@ -537,10 +682,9 @@ fn label_key(label: Option<(u8, NextHop)>) -> u32 {
 /// The entropy-style compressed FIB: LPM flattened to disjoint address
 /// intervals with dictionary-coded, bit-packed labels.
 ///
-/// Every prefix boundary (`low`, `high + 1`) becomes a candidate
-/// interval start; between consecutive boundaries the LPM answer is
-/// constant, so adjacent intervals with equal `(plen, next hop)`
-/// labels merge. The surviving labels are coded through a dictionary
+/// The intervals are those of `lpm_intervals`: between consecutive prefix
+/// boundaries the LPM answer is constant, and adjacent intervals with
+/// equal `(plen, next hop)` labels merge. The surviving labels are coded through a dictionary
 /// and stored in ⌈log2(dictionary size)⌉ bits each — the
 /// information-theoretic floor for a memoryless label stream, per the
 /// Rétvári et al. line of work. A lookup is one `partition_point`
@@ -563,29 +707,8 @@ impl CfibPlane {
     /// the interval-coded form.
     #[must_use]
     pub fn build(routes: &[Route]) -> Self {
-        let reference: Trie<NextHop> = routes.iter().map(|r| (r.prefix, r.next_hop)).collect();
-        let mut bounds: Vec<u32> = Vec::with_capacity(routes.len() * 2 + 1);
-        bounds.push(0);
-        for r in routes {
-            bounds.push(r.prefix.low());
-            if r.prefix.high() != u32::MAX {
-                bounds.push(r.prefix.high() + 1);
-            }
-        }
-        bounds.sort_unstable();
-        bounds.dedup();
-
-        // Evaluate the LPM label at each boundary and merge runs.
-        let mut starts: Vec<u32> = Vec::new();
-        let mut labels: Vec<Option<(u8, NextHop)>> = Vec::new();
-        for &b in &bounds {
-            let label = reference.lookup(b).map(|(p, &nh)| (p.len(), nh));
-            if labels.last() == Some(&label) {
-                continue;
-            }
-            starts.push(b);
-            labels.push(label);
-        }
+        let (mut starts, labels) = lpm_intervals(routes);
+        starts.shrink_to_fit();
 
         // Dictionary-code the labels.
         let mut dict: Vec<Option<(u8, NextHop)>> = Vec::new();
@@ -599,6 +722,7 @@ impl CfibPlane {
                 })
             })
             .collect();
+        dict.shrink_to_fit();
         let code_bits = usize::BITS - (dict.len() - 1).leading_zeros().min(usize::BITS - 1);
         let code_bits = code_bits.max(1);
 
@@ -661,9 +785,9 @@ impl LookupPlane for CfibPlane {
     }
 
     fn heap_bytes(&self) -> usize {
-        self.starts.len() * std::mem::size_of::<u32>()
-            + self.packed.len() * std::mem::size_of::<u64>()
-            + self.dict.len() * std::mem::size_of::<Option<(u8, NextHop)>>()
+        self.starts.capacity() * std::mem::size_of::<u32>()
+            + self.packed.capacity() * std::mem::size_of::<u64>()
+            + self.dict.capacity() * std::mem::size_of::<Option<(u8, NextHop)>>()
     }
 }
 
@@ -791,15 +915,21 @@ mod tests {
         plane
     }
 
+    /// Words in `plane`, and how many of them are gaps.
+    fn words_and_gaps(plane: &TcamPlane) -> (usize, usize) {
+        let (_, starts, gaps) = plane.parts();
+        let gap_words = gaps.iter().map(|g| g.count_ones() as usize).sum();
+        (starts.len(), gap_words)
+    }
+
     #[test]
-    fn tcam_walks_up_a_three_deep_nest() {
+    fn tcam_flattens_a_three_deep_nest() {
         let routes = [
             route(0x0A01_0200, 24, 3),
             route(0x0A00_0000, 8, 1),
             route(0x0A01_0000, 16, 2),
         ];
-        // One probe in each gap of /8 ⊃ /16 ⊃ /24; the last two step
-        // back onto the /24 and climb one and two enclosing words.
+        // One probe in each interval of /8 ⊃ /16 ⊃ /24.
         let plane = tcam_agrees(
             &routes,
             &[
@@ -810,11 +940,13 @@ mod tests {
                 0x0B00_0000,
             ],
         );
-        assert_eq!(plane.up, [NO_WORD, 0, 1]);
+        // /8, /16, /24, /16 again, /8 again, then the gap above 10/8.
+        assert_eq!(&*plane.lens, [8, 16, 24, 16, 8, 0]);
+        assert_eq!(words_and_gaps(&plane), (6, 1));
     }
 
     #[test]
-    fn tcam_builds_up_for_a_nest_given_out_of_order() {
+    fn tcam_flattens_a_nest_given_out_of_order() {
         // The /24 and the /16 inside 10/8 come before it, with an
         // unrelated /16 between them; the /24 is not inside the /16.
         let routes = [
@@ -824,19 +956,84 @@ mod tests {
             route(0x0A00_0000, 8, 1),
         ];
         let plane = tcam_agrees(&routes, &[0x0A02_0100, 0x0A01_FFFF, 0xC0A9_0000]);
-        // Sorted: 10/8, 10.1/16, 10.2.0/24, 192.168/16. The /24's
-        // chain skips the /16 before it and ends on the /8.
-        assert_eq!(plane.up, [NO_WORD, 0, 0, NO_WORD]);
+        assert_eq!(plane.len(), 4);
+        assert!(!plane.lens.is_empty());
     }
 
     #[test]
-    fn tcam_stores_non_overlapping_content_in_eight_bytes_a_word() {
+    fn tcam_flattening_merges_equal_adjacent_intervals() {
+        // 10.0/16 and 10.1/16 under 10/8 with equal hops: one interval.
+        let routes = [
+            route(0x0A00_0000, 8, 1),
+            route(0x0A00_0000, 16, 2),
+            route(0x0A01_0000, 16, 2),
+        ];
+        let plane = tcam_agrees(&routes, &[0x0A01_0505, 0x0A00_FFFF, 0x0A02_0000]);
+        assert_eq!(words_and_gaps(&plane), (3, 1));
+        assert_eq!(&*plane.lens, [16, 8, 0]);
+        assert_eq!(plane.lookup(0x0A01_0505), Some(route(0x0A01_0000, 16, 2)));
+        assert_eq!(plane.lookup(0x0A00_FFFF), Some(route(0x0A00_0000, 16, 2)));
+    }
+
+    #[test]
+    fn tcam_stores_non_overlapping_content_in_six_bytes_a_word() {
         let table = onrtc(&FibGen::new(42).routes(3_000).generate());
         let routes: Vec<Route> = table.iter().collect();
         let plane = TcamPlane::build(&routes);
-        assert_eq!(std::mem::size_of::<Word>(), 8);
-        assert!(plane.up.is_empty());
-        assert_eq!(plane.heap_bytes(), 8 * plane.len() + 4 * plane.root.len());
+        let (words, gap_words) = words_and_gaps(&plane);
+        assert!(plane.lens.is_empty());
+        assert_eq!(words - gap_words, routes.len());
+        assert!(plane.cells <= words / 8, "{} cells", plane.cells);
+        assert_eq!(
+            plane.heap_bytes(),
+            4 * plane.cells + 6 * words + 4 * words.div_ceil(32)
+        );
+    }
+
+    #[test]
+    fn tcam_default_route_ends_at_two_to_the_thirty_second() {
+        let plane = tcam_agrees(&[route(0, 0, 7)], &[0x8000_0000]);
+        assert_eq!(words_and_gaps(&plane), (1, 0));
+        assert_eq!(plane.lookup(u32::MAX), Some(route(0, 0, 7)));
+    }
+
+    #[test]
+    fn tcam_top_host_route_is_the_last_word() {
+        let top = route(u32::MAX, 32, 5);
+        let plane = tcam_agrees(&[top], &[]);
+        assert_eq!(words_and_gaps(&plane), (1, 0));
+        assert_eq!(plane.lookup(u32::MAX), Some(top));
+        assert_eq!(plane.lookup(u32::MAX - 1), None);
+    }
+
+    #[test]
+    fn tcam_upper_half_needs_no_trailing_gap() {
+        let half = route(0x8000_0000, 1, 3);
+        let plane = tcam_agrees(&[half], &[0x7FFF_FFFF, 0xC000_0000]);
+        assert_eq!(words_and_gaps(&plane), (1, 0));
+        assert_eq!(plane.lookup(u32::MAX), Some(half));
+        assert_eq!(plane.lookup(0x7FFF_FFFF), None);
+    }
+
+    #[test]
+    fn tcam_gap_words_before_between_and_after() {
+        // Nothing below 10/8 (no word), a gap word at 11/8 and one at
+        // 13/8 above the last route.
+        let routes = [route(0x0A00_0000, 8, 1), route(0x0C00_0000, 8, 2)];
+        let plane = tcam_agrees(
+            &routes,
+            &[
+                0,
+                0x09FF_FFFF,
+                0x0B00_0000,
+                0x0BFF_FFFF,
+                0x0D00_0000,
+                u32::MAX,
+            ],
+        );
+        assert_eq!(words_and_gaps(&plane), (4, 2));
+        assert_eq!(plane.lookup(0x0AFF_FFFF), Some(routes[0]));
+        assert_eq!(plane.lookup(0x0C00_0000), Some(routes[1]));
     }
 
     #[test]
@@ -855,21 +1052,18 @@ mod tests {
 
     #[test]
     fn tcam_steps_back_across_empty_index_cells() {
-        // 256 host routes packed low make the index fine; the /4 then
-        // spans many empty cells.
-        let mut routes: Vec<Route> = (0..256).map(|i| route(i, 32, 1)).collect();
+        // 1 024 host routes packed low make the index fine; the /4
+        // then spans many empty cells.
+        let mut routes: Vec<Route> = (0..1024).map(|i| route(i, 32, 1)).collect();
         routes.push(route(0x1000_0000, 4, 2));
         routes.push(route(0xF000_0000, 32, 3));
         let probe = 0x1FFF_0000;
         let plane = tcam_agrees(&routes, &[probe, 0x2000_0000, u32::MAX]);
+        let (root, _, _) = plane.parts();
         let cell = ((probe >> plane.shift) - plane.base) as usize;
         let home = ((0x1000_0000 >> plane.shift) - plane.base) as usize;
         assert!(cell > home + 1, "probe cell {cell}, /4 cell {home}");
-        assert_eq!(
-            plane.root[cell],
-            plane.root[cell + 1],
-            "probe cell is empty"
-        );
+        assert_eq!(root[cell], root[cell + 1], "probe cell is empty");
     }
 
     #[test]
@@ -896,10 +1090,11 @@ mod tests {
             route(0xFF00_0000, 8, 3),
         ];
         let plane = tcam_agrees(&routes, &[0x0100_0000, 0x7FFF_FFFF, 0xFEFF_FFFF]);
-        assert!(plane.root.len() <= routes.len());
-        // An 8-byte word and at most one 4-byte index cell per route.
+        assert!(plane.cells <= routes.len());
+        // Per route a 6-byte word and at most one gap word after it,
+        // plus one word of gap bits and at most two 4-byte index cells.
         assert!(
-            plane.heap_bytes() <= 12 * routes.len(),
+            plane.heap_bytes() <= 12 * routes.len() + 12,
             "{} bytes",
             plane.heap_bytes()
         );

@@ -220,8 +220,10 @@ impl EpochCell {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use clue_fib::gen::FibGen;
     use clue_fib::{NextHop, Prefix};
     use clue_partition::EvenRangePartition;
+    use proptest::prelude::*;
 
     fn disjoint_table(count: u32) -> RouteTable {
         (0..count)
@@ -361,5 +363,58 @@ mod tests {
         let t = disjoint_table(8);
         let index = EvenRangePartition::split(&t, 2).index().clone();
         let _ = EpochState::build(0, &t, &index, 3, BackendKind::Tcam);
+    }
+
+    /// The flat-scan longest match over `routes`.
+    fn flat_lpm(routes: &[Route], addr: u32) -> Option<Route> {
+        routes
+            .iter()
+            .filter(|r| r.prefix.contains_addr(addr))
+            .max_by_key(|r| r.prefix.len())
+            .copied()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// Every `tcam` bucket plane answers like the flat scan at both
+        /// ends of every cover route and one address past each, with
+        /// random cuts plus one inside the widest route, so some routes
+        /// straddle a cut and sit in two buckets.
+        #[test]
+        fn tcam_bucket_planes_answer_like_the_flat_scan(
+            seed in any::<u64>(),
+            count in 50usize..600,
+            mut cuts in prop::collection::vec(any::<u32>(), 0..6),
+        ) {
+            let cover: Vec<Route> = clue_compress::onrtc(&FibGen::new(seed).routes(count).generate())
+                .iter()
+                .collect();
+            let widest = cover.iter().min_by_key(|r| r.prefix.len()).expect("a cover route");
+            if widest.prefix.len() < 32 {
+                cuts.push(widest.prefix.low() + 1);
+            }
+            cuts.sort_unstable();
+            let index = RangeIndex::from_cuts(cuts);
+            let workers = index.bucket_count();
+            let e = EpochState::from_routes(0, &cover, &index, workers, BackendKind::Tcam);
+            prop_assert!(widest.prefix.len() == 32 || e.replicated > 0);
+            for r in &cover {
+                let (lo, hi) = (r.prefix.low(), r.prefix.high());
+                for addr in [Some(lo), Some(hi), lo.checked_sub(1), hi.checked_add(1)]
+                    .into_iter()
+                    .flatten()
+                {
+                    let b = index.bucket_of(addr);
+                    prop_assert_eq!(
+                        e.planes[b].lookup(addr),
+                        flat_lpm(&cover, addr),
+                        "bucket {} at {:#010x}",
+                        b,
+                        addr
+                    );
+                }
+            }
+        }
     }
 }
