@@ -121,13 +121,14 @@ const ALLOCS_PER_PROXY_LOOKUP_RTT: usize = 26;
 /// decoder every blocking reader uses (`Frame::read_from` makes 3).
 const READS_PER_FRAME: usize = 1;
 /// Heap bytes per entry of the default `tcam` plane over a compressed
-/// table: per word a 4-byte start, a 2-byte next hop, a gap bit and at
-/// most an eighth of a 4-byte index cell, with a gap word wherever the
-/// cover has a hole (no prefix lengths for non-overlapping content).
-/// The 2 000-route table's 1 259 cover routes read 7.49, rounded down.
-const PLANE_HEAP_BYTES_PER_ENTRY: usize = 7;
-/// Allocations building that plane: the index, starts and gap bits in
-/// one buffer, the hops in another, and the box (a slice already in
+/// table: per word a 4-byte start, a code as wide as the largest hop + 1
+/// needs (0 marks a gap) and at most an eighth of a 4-byte index cell,
+/// with a gap word wherever the cover has a hole (no prefix lengths for
+/// non-overlapping content). The 2 000-route table's 1 259 cover routes
+/// read 5.74, rounded down (7.49 with a 2-byte hop and a gap bit).
+const PLANE_HEAP_BYTES_PER_ENTRY: usize = 5;
+/// Allocations building that plane: the index and starts in one
+/// buffer, the codes in another, and the box (a slice already in
 /// address order is not copied for sorting).
 const ALLOCS_PER_PLANE_BUILD: usize = 3;
 /// Live heap bytes a built `tcam`, `trie` or `cfib` plane holds beyond
@@ -159,7 +160,7 @@ const ALLOCS_PER_CHECKPOINT_VIEW: usize = 0;
 /// Heap bytes a `RouterService` holds on a 100 K-route table once its
 /// update plane is ready, per route: both tries, the TCAM model with
 /// its prefix → slot map, and the first epoch's planes.
-const HEAP_BYTES_PER_ROUTE: usize = 164;
+const HEAP_BYTES_PER_ROUTE: usize = 163;
 /// Live heap bytes a `Server` holds per closed connection, on either
 /// transport: the network stats are counters, so a connection leaves
 /// nothing behind once it closes.
